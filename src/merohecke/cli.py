@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 import tempfile
 
@@ -411,10 +412,33 @@ def _build_parser():
     return p
 
 
+_PARSER = None
+
+# Options whose value is a point "x,y".  argparse takes a value with a
+# negative x, such as "-0.4,2.1", for an option flag, so main joins it to
+# its option ("--at=-0.4,2.1") before parsing.
+_POINT_OPTIONS = ("--at", "--zz")
+_NEGATIVE_VALUE = re.compile(r"-[\d.]")
+
+
+def _join_point_values(argv):
+    out = []
+    for tok in argv:
+        if out and out[-1] in _POINT_OPTIONS and _NEGATIVE_VALUE.match(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None):
-    parser = _build_parser()
+    global _PARSER
+    if _PARSER is None:
+        # built once per process: building it costs more than a small job
+        _PARSER = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(_join_point_values(argv))
     except SystemExit as e:
         return int(e.code or 0)
     try:

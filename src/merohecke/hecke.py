@@ -14,7 +14,7 @@ is tested against that decomposition.
 import math
 from fractions import Fraction
 
-from .qseries import InsufficientPrecision, LaurentSeries, as_coeff
+from .qseries import InsufficientPrecision, LaurentSeries, as_coeff, first_mismatch
 
 
 def _ceil_div(a, b):
@@ -112,20 +112,12 @@ def t_op_via_uv(f, weight, m):
 
 
 def t_op_commutes_check(f, weight, m, n):
-    """Composition in both orders agrees on the common window, and for
+    """Composition in both orders agrees on the union window, and for
     coprime indices also with the single index-m*n operator."""
     ab = t_op(t_op(f, weight, m), weight, n)
     ba = t_op(t_op(f, weight, n), weight, m)
-    lo = max(ab.val, ba.val)
-    hi = min(ab.prec, ba.prec)
-    for i in range(lo, hi):
-        if ab.coefficient(i) != ba.coefficient(i):
-            return False
+    if first_mismatch(ab, ba) is not None:
+        return False
     if math.gcd(m, n) == 1:
-        prod = t_op(f, weight, m * n)
-        hi2 = min(hi, prod.prec)
-        lo2 = max(lo, prod.val)
-        for i in range(lo2, hi2):
-            if ab.coefficient(i) != prod.coefficient(i):
-                return False
+        return first_mismatch(ab, t_op(f, weight, m * n)) is None
     return True

@@ -14,7 +14,7 @@ import math
 import re
 from fractions import Fraction
 
-from .qseries import LaurentSeries, InsufficientPrecision, as_coeff
+from .qseries import LaurentSeries, InsufficientPrecision, as_coeff, first_mismatch
 from . import forms, hecke, linalg, whbasis
 from .forms import ModularForm
 from .whbasis import PrincipalPart
@@ -239,16 +239,15 @@ class IdentityReport:
 
 
 def _compare_series(ident, lhs, rhs):
-    lo = max(lhs.val, rhs.val)
+    lo = min(lhs.val, rhs.val)
     hi = min(lhs.prec, rhs.prec)
     if hi <= lo:
         raise InsufficientPrecision("identity %s has empty comparison window" % ident)
-    for n in range(lo, hi):
-        a = lhs.coefficient(n)
-        b = rhs.coefficient(n)
-        if a != b:
-            return IdentityReport(ident, False, (lo, hi),
-                                  {"index": n, "lhs": str(a), "rhs": str(b)})
+    n = first_mismatch(lhs, rhs)
+    if n is not None:
+        return IdentityReport(ident, False, (lo, hi),
+                              {"index": n, "lhs": str(lhs.coefficient(n)),
+                               "rhs": str(rhs.coefficient(n))})
     return IdentityReport(ident, True, (lo, hi))
 
 

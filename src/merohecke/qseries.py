@@ -11,13 +11,32 @@ provable window pessimistically and never extends precision:
 
 Coefficients are Python ints when integral, fractions.Fraction otherwise;
 both print as "num" or "num/den" which is also the serialization format.
+
+A product keeps min(Pa - va, Pb - vb) coefficients, as many as the shorter
+factor stores, and mul computes only those (see _convolve).
 """
 
 import json
 from fractions import Fraction
 
-# size threshold above which integer convolution switches to Kronecker packing
-_KRON_CUTOFF = 20000
+# Exact products go through one kernel, `_convolve`, with two paths:
+#
+#   schoolbook  for any Fraction input, below _KRON_MIN_LEN kept terms, and
+#               when a Kronecker slot would be wider than
+#               _KRON_SLOT_BITS_PER_COEFF bits per kept term;
+#   Kronecker   otherwise: one signed big-integer product (Harvey, "Faster
+#               polynomial multiplication via multipoint Kronecker
+#               substitution", J. Symb. Comp. 44, 2009, the one-point case).
+#
+# Both constants come from bench/kernel_crossover.py and from replaying the
+# products recorded on the benchmark decks (2-vCPU Xeon VM, CPython 3.11.7,
+# no gmpy2).  With coefficients up to 64 bits Kronecker wins from about 16
+# terms.  Wider coefficients move the crossover out, to about 64 terms at
+# 256 bits and 100 to 130 at 512 bits: every slot is padded to the widest
+# coefficient, the product's discarded upper half is computed too, and
+# CPython multiplies each wide schoolbook pair in its own C loop.
+_KRON_MIN_LEN = 16
+_KRON_SLOT_BITS_PER_COEFF = 6
 
 
 class QSeriesError(Exception):
@@ -49,52 +68,62 @@ def as_coeff(x):
     raise TypeError("coefficient must be int, Fraction or 'num/den' string, got %r" % (x,))
 
 
-def _conv_school(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
+def _conv_school(a, b, n):
+    """The first n coefficients of the product of a and b (int/Fraction
+    mixed), looping only over the pairs i + j < n."""
+    out = [0] * n
+    for i, ai in enumerate(a[:n]):
+        if ai:
+            for j, bj in enumerate(b[:n - i]):
+                out[i + j] += ai * bj
     return out
 
 
-def _conv_kron(a, b):
-    # exact integer convolution via byte-packed Kronecker substitution:
-    # split both factors into nonnegative parts and do four bigint products
-    n = len(a) + len(b) - 1
-    ma = max(abs(x) for x in a) or 1
-    mb = max(abs(x) for x in b) or 1
-    slot_bits = (ma * mb * min(len(a), len(b))).bit_length() + 1
+def _slot_bits(a, b, n):
+    """Bits a Kronecker slot needs so that any of the first n coefficients of
+    a*b, plus the sign bias, fits without a carry into the next slot."""
+    ma = max(map(abs, a)) or 1
+    mb = max(map(abs, b)) or 1
+    return (ma * mb * n).bit_length() + 1
+
+
+def _conv_kron(a, b, n, slot_bits):
+    """The first n coefficients of the product of the integer lists a and b
+    (each of length n) from one big-integer product.
+
+    Each list is packed as the signed integer sum(x_i 2^(S i)), S = 8 * slot:
+    every coefficient goes in biased by half = 2^(S-1), so its slot is a
+    nonnegative number below 2^S, and the packed biases are subtracted
+    again.  The product's coefficients satisfy |c_k| < half, so adding half
+    to each of the low n slots and reducing mod 2^(S n) leaves c_k + half
+    in slot k with no carries; one to_bytes then unpacks them all."""
     slot = (slot_bits + 7) // 8
+    half = 1 << (8 * slot - 1)
+    biases = int.from_bytes((b"\0" * (slot - 1) + b"\x80") * n, "little")
 
-    def packpos(v):
-        return int.from_bytes(b"".join(x.to_bytes(slot, "little") for x in v), "little")
+    def pack(v):
+        raw = b"".join([(x + half).to_bytes(slot, "little") for x in v])
+        return int.from_bytes(raw, "little") - biases
 
-    def unpack(acc):
-        raw = acc.to_bytes(slot * n + 16, "little")
-        return [int.from_bytes(raw[i * slot:(i + 1) * slot], "little") for i in range(n)]
-
-    ap = [x if x > 0 else 0 for x in a]
-    an = [-x if x < 0 else 0 for x in a]
-    bp = [x if x > 0 else 0 for x in b]
-    bn = [-x if x < 0 else 0 for x in b]
-    pp = unpack(packpos(ap) * packpos(bp))
-    nn = unpack(packpos(an) * packpos(bn))
-    pn = unpack(packpos(ap) * packpos(bn))
-    np_ = unpack(packpos(an) * packpos(bp))
-    return [pp[i] + nn[i] - pn[i] - np_[i] for i in range(n)]
+    width = 8 * slot * n
+    prod = (pack(a) * pack(b) + biases) & ((1 << width) - 1)
+    raw = prod.to_bytes(slot * n, "little")
+    return [int.from_bytes(raw[i:i + slot], "little") - half
+            for i in range(0, slot * n, slot)]
 
 
-def _convolve(a, b):
-    """Exact convolution of two coefficient lists (int/Fraction mixed)."""
-    if not a or not b:
-        return []
-    if all(type(x) is int for x in a) and all(type(x) is int for x in b):
-        if len(a) * len(b) >= _KRON_CUTOFF:
-            return _conv_kron(a, b)
-        return _conv_school(a, b)
-    return _conv_school(a, b)
+def _convolve(a, b, n):
+    """The first n coefficients of the product of two normalized coefficient
+    sequences, each at least n long, as a list of normalized coefficients."""
+    a = a[:n]
+    b = b[:n]
+    if not {*map(type, a), *map(type, b)} <= {int}:
+        return [as_coeff(c) for c in _conv_school(a, b, n)]
+    if n >= _KRON_MIN_LEN:
+        slot_bits = _slot_bits(a, b, n)
+        if slot_bits <= _KRON_SLOT_BITS_PER_COEFF * n:
+            return _conv_kron(a, b, n, slot_bits)
+    return _conv_school(a, b, n)
 
 
 class LaurentSeries:
@@ -112,6 +141,17 @@ class LaurentSeries:
         object.__setattr__(self, "val", valuation)
         object.__setattr__(self, "prec", precision)
         object.__setattr__(self, "coeffs", coeffs)
+
+    @classmethod
+    def _make(cls, valuation, coeffs, precision):
+        """Trusted constructor for results built from normalized
+        coefficients: coeffs is a tuple of exactly precision - valuation
+        ints and non-integral Fractions, and is neither checked nor copied."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "val", valuation)
+        object.__setattr__(s, "prec", precision)
+        object.__setattr__(s, "coeffs", coeffs)
+        return s
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentSeries is immutable")
@@ -187,7 +227,7 @@ class LaurentSeries:
         return LaurentSeries(lo, out, hi)
 
     def neg(self):
-        return LaurentSeries(self.val, [-c for c in self.coeffs], self.prec)
+        return LaurentSeries._make(self.val, tuple([-c for c in self.coeffs]), self.prec)
 
     def sub(self, other):
         return self.add(other.neg())
@@ -196,16 +236,15 @@ class LaurentSeries:
         lo = self.val + other.val
         hi = min(self.prec + other.val, other.prec + self.val)
         if hi <= lo:
-            return LaurentSeries(hi, [], hi)
-        conv = _convolve(list(self.coeffs), list(other.coeffs))
-        return LaurentSeries(lo, conv[:hi - lo], hi)
+            return LaurentSeries._make(hi, (), hi)
+        return LaurentSeries._make(lo, tuple(_convolve(self.coeffs, other.coeffs, hi - lo)), hi)
 
     def scale(self, c):
         c = as_coeff(Fraction(c) if not isinstance(c, (int, Fraction)) else c)
         return LaurentSeries(self.val, [c * x for x in self.coeffs], self.prec)
 
     def shift(self, k):
-        return LaurentSeries(self.val + k, self.coeffs, self.prec + k)
+        return LaurentSeries._make(self.val + k, self.coeffs, self.prec + k)
 
     def invert(self, target_precision=None):
         """Multiplicative inverse, provable on [-v*, prec - 2 v*)."""
@@ -291,8 +330,8 @@ class LaurentSeries:
             raise InsufficientPrecision(
                 "cannot extend precision %d to %d" % (self.prec, new_precision))
         if new_precision <= self.val:
-            return LaurentSeries(new_precision, [], new_precision)
-        return LaurentSeries(self.val, self.coeffs[:new_precision - self.val], new_precision)
+            return LaurentSeries._make(new_precision, (), new_precision)
+        return LaurentSeries._make(self.val, self.coeffs[:new_precision - self.val], new_precision)
 
     # -- operators ----------------------------------------------------
 
@@ -359,19 +398,17 @@ class LaurentSeries:
 
 
 def equals_to_precision(a, b):
-    """Compare on the overlap of the known windows; returns (equal, (lo, hi))."""
+    """Compare on the union window (see first_mismatch); returns (equal, (lo, hi))."""
     lo = min(a.val, b.val)
     hi = min(a.prec, b.prec)
     if hi <= lo:
         return True, (hi, hi)
-    for n in range(lo, hi):
-        if a.coefficient(n) != b.coefficient(n):
-            return False, (lo, hi)
-    return True, (lo, hi)
+    return first_mismatch(a, b) is None, (lo, hi)
 
 
 def first_mismatch(a, b):
-    """First index in the common window where a and b differ, or None."""
+    """First index of the union window [min(va, vb), min(Pa, Pb)) where a and b
+    differ, or None; coefficients below a window start count as zero."""
     lo = min(a.val, b.val)
     hi = min(a.prec, b.prec)
     for n in range(lo, hi):

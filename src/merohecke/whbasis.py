@@ -13,7 +13,7 @@ echelon basis.
 
 from fractions import Fraction
 
-from .qseries import LaurentSeries, InsufficientPrecision, as_coeff
+from .qseries import LaurentSeries, InsufficientPrecision, as_coeff, first_mismatch
 from . import forms
 from .forms import ModularForm, FormBasis, HOLOMORPHIC, CUSPIDAL
 
@@ -310,12 +310,10 @@ def bol_image_membership(h, k, in_s_shriek):
     if isinstance(sol, ObstructionWitness):
         return BolReport(False, obstruction=sol)
     image = sol.series.d_power(e)
-    lo = max(image.val, h.series.val)
-    hi = min(image.prec, h.series.prec)
-    for n in range(lo, hi):
-        a = image.coefficient(n)
-        b = h.series.coefficient(n)
-        if a != b:
-            return BolReport(False, witness=sol,
-                             mismatch={"index": n, "lhs": str(a), "rhs": str(b)})
-    return BolReport(True, witness=sol, window=(lo, hi))
+    n = first_mismatch(image, h.series)
+    if n is not None:
+        return BolReport(False, witness=sol,
+                         mismatch={"index": n, "lhs": str(image.coefficient(n)),
+                                   "rhs": str(h.series.coefficient(n))})
+    return BolReport(True, witness=sol,
+                     window=(min(image.val, h.series.val), min(image.prec, h.series.prec)))

@@ -255,6 +255,27 @@ def test_no_subcommand(capsys):
     assert main(["--help"]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "j", "--at", "-0.4,2.1", "--bits", "64"],
+    ["psi-sum", "--k", "3", "--ell", "-1", "--zz", "-0.25,1", "--at", "-.3,1.5",
+     "--bound", "3", "--bits", "53"],
+    ["psi-prop-check", "--k", "3", "--ell", "-1", "--zz", "-0.25,1", "--at", "0.1,1.5",
+     "--n", "2", "--bound", "3", "--bits", "53"],
+])
+def test_negative_point_coordinates(capsys, argv):
+    # "--at -0.4,2.1" parses like "--at=-0.4,2.1"
+    joined = " ".join(argv).replace("--at ", "--at=").replace("--zz ", "--zz=").split()
+    code, out, err = run(capsys, argv)
+    assert code in (EXIT_OK, EXIT_MISMATCH), err
+    assert (code, out) == run(capsys, joined)[:2]
+
+
+def test_point_option_missing_value(capsys):
+    code, _, err = run(capsys, ["eval", "j", "--at", "--json"])
+    assert code == EXIT_USAGE
+    assert "--at" in err
+
+
 # -- cache -------------------------------------------------------------------------
 
 def test_cache_roundtrip(capsys, tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+from merohecke import hecke
 from merohecke.forms import delta, eisenstein, j_function, sigma
 from merohecke.hecke import divisors, t_op, t_op_commutes_check, t_op_via_uv, u_op, v_op
 from merohecke.qseries import InsufficientPrecision, LaurentSeries, equals_to_precision
@@ -135,6 +136,17 @@ def test_multiplicativity_random():
             continue
         checked += 1
     assert checked >= 100
+
+
+def test_commutes_check_sees_pole_only_mismatch(monkeypatch):
+    # T_4 T_2 f has a q^-2 term below the window start of T_2 T_4 f
+    images = {(2, 4): LaurentSeries(-2, [1, 0, 5]), (4, 2): LaurentSeries(-1, [0, 5])}
+
+    def fake_t_op(f, weight, m):
+        return (m,) if f is None else images[f + (m,)]
+
+    monkeypatch.setattr(hecke, "t_op", fake_t_op)
+    assert not hecke.t_op_commutes_check(None, 12, 2, 4)
 
 
 def test_prime_power_recursion():

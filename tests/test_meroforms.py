@@ -15,11 +15,12 @@ from merohecke.meroforms import (
     IdentityReport,
     NamedForm,
     build,
+    _compare_series,
     build_expression,
     identity_ids,
     verify_identity,
 )
-from merohecke.qseries import equals_to_precision
+from merohecke.qseries import LaurentSeries, equals_to_precision
 
 
 # -- named expansions, zero tolerance -------------------------------------
@@ -214,6 +215,14 @@ def test_identity_report_shape():
     assert "FAIL" in repr(bad)
     with pytest.raises(AttributeError):
         bad.passed = True
+
+
+def test_compare_series_sees_pole_only_mismatch():
+    # the two series differ only at q^-2, below the second one's window start
+    rep = _compare_series("x", LaurentSeries(-2, [1, 0, 5]), LaurentSeries(-1, [0, 5]))
+    assert not rep.passed
+    assert rep.window == (-2, 1)
+    assert rep.mismatch == {"index": -2, "lhs": "1", "rhs": "0"}
 
 
 def test_gt_polynomials():

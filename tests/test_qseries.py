@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from merohecke.qseries import (
     LaurentSeries,
@@ -18,8 +19,11 @@ from merohecke.qseries import (
     loads,
     to_json_obj,
     from_json_obj,
-    _conv_school,
+    _KRON_MIN_LEN,
     _conv_kron,
+    _conv_school,
+    _convolve,
+    _slot_bits,
 )
 
 
@@ -119,19 +123,82 @@ def test_mul_against_schoolbook_oracle():
             assert c.coefficient(n) == total, (n, a, b)
 
 
+def _kron(a, b, n):
+    """The Kronecker path forced at any length: zero-pad or cut both lists
+    to n terms, so n = len(a) + len(b) - 1 gives the full product."""
+    a = (list(a) + [0] * n)[:n]
+    b = (list(b) + [0] * n)[:n]
+    return _conv_kron(a, b, n, _slot_bits(a, b, n))
+
+
+def _naive_product(a, b, n):
+    return [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
+            for k in range(n)]
+
+
 def test_kronecker_matches_schoolbook():
     rng = random.Random(23)
     for _ in range(60):
         a = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(rng.randint(1, 40))]
         b = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(rng.randint(1, 40))]
-        assert _conv_kron(a, b) == _conv_school(a, b)
+        full = len(a) + len(b) - 1
+        assert _kron(a, b, full) == _conv_school(a, b, full)
+        n = min(len(a), len(b))
+        assert _kron(a, b, n) == _conv_school(a, b, n)
 
 
 def test_kronecker_huge_coefficients():
-    # beyond the packing cutoff the byte-packed path must stay exact
+    # slots far wider than a machine word must stay exact
     a = [10 ** 50, -(10 ** 48), 3]
     b = [7, -(10 ** 51)]
-    assert _conv_kron(a, b) == _conv_school(a, b)
+    assert _kron(a, b, 4) == _conv_school(a, b, 4)
+    assert _kron(a, b, 2) == _conv_school(a, b, 2)
+
+
+_SIGNS = {
+    "zero": lambda bound: st.just(0),
+    "negative": lambda bound: st.integers(-bound, -1),
+    "mixed": lambda bound: st.integers(-bound, bound),
+}
+
+
+@st.composite
+def _coeff_lists(draw):
+    """Two lists with lengths on either side of the Kronecker crossover, a
+    kept length n up to the shorter one, and coefficients up to 10^60, each
+    list all zero, all negative or of mixed sign."""
+    bound = draw(st.sampled_from([1, 10 ** 6, 10 ** 60]))
+
+    def one_list():
+        size = draw(st.integers(1, 3 * _KRON_MIN_LEN))
+        coeffs = _SIGNS[draw(st.sampled_from(sorted(_SIGNS)))](bound)
+        return draw(st.lists(coeffs, min_size=size, max_size=size))
+
+    a, b = one_list(), one_list()
+    return a, b, draw(st.integers(1, min(len(a), len(b))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_coeff_lists())
+def test_kernel_paths_agree_property(case):
+    a, b, n = case
+    want = _naive_product(a, b, n)
+    assert _conv_school(a, b, n) == want
+    assert _kron(a, b, n) == want
+    assert _convolve(a, b, n) == want
+    full = len(a) + len(b) - 1
+    assert _kron(a, b, full) == _naive_product(a, b, full)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.fractions(max_denominator=6), min_size=1, max_size=2 * _KRON_MIN_LEN),
+       st.lists(st.integers(-50, 50), min_size=2 * _KRON_MIN_LEN, max_size=2 * _KRON_MIN_LEN))
+def test_convolve_fractions_normalized(a, b):
+    # Fraction inputs take schoolbook at every length; integral results are ints
+    n = len(a)
+    out = _convolve(a, b, n)
+    assert out == _naive_product(a, b, n)
+    assert all(type(c) is int or c.denominator != 1 for c in out)
 
 
 def test_scale_and_shift():
@@ -272,6 +339,8 @@ def test_first_mismatch():
     b = LaurentSeries(0, [1, 2, 4])
     assert first_mismatch(a, b) == 2
     assert first_mismatch(a, a) is None
+    # below a window start coefficients are zero: a pole-only difference counts
+    assert first_mismatch(LaurentSeries(-2, [1, 0, 5]), LaurentSeries(-1, [0, 5])) == -2
 
 
 # -- printing and serialization ----------------------------------------------

@@ -3,10 +3,11 @@ solver, j-polynomial decomposition, and derivative-image membership."""
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from merohecke import forms, meroforms
+from merohecke import forms, meroforms, whbasis
 from merohecke.forms import CUSPIDAL, HOLOMORPHIC, ModularForm, delta, j_function
 from merohecke.qseries import LaurentSeries, equals_to_precision
 from merohecke.whbasis import (
@@ -251,6 +252,16 @@ def test_bol_membership_of_shifted_image():
     assert rep.ok
     assert rep.witness.series == src.series
     assert rep.window[1] == 30
+
+
+def test_bol_sees_pole_only_mismatch(monkeypatch):
+    # a witness whose image misses h's q^-2 pole, with its window starting at q^-1
+    h = ModularForm(6, LaurentSeries(-2, [1, 0, 0, 0]))
+    fake = SimpleNamespace(series=LaurentSeries(-1, [0, 0, 0]))
+    monkeypatch.setattr(whbasis, "solve_principal_part", lambda *args: fake)
+    rep = bol_image_membership(h, 3, True)
+    assert not rep.ok
+    assert rep.mismatch == {"index": -2, "lhs": "0", "rhs": "1"}
 
 
 def test_bol_rejects_nonzero_constant():

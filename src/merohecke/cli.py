@@ -446,7 +446,7 @@ def main(argv=None):
     except (RegionGuard, DivergentTail) as e:
         print("numeric guard: %s" % e, file=sys.stderr)
         return EXIT_GUARD
-    except (ValueError, KeyError, qseries.QSeriesError,
+    except (ValueError, KeyError, ZeroDivisionError, qseries.QSeriesError,
             whbasis.NonUniqueSolution, whbasis.NotPolynomialInJ) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_USAGE

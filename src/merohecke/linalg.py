@@ -61,10 +61,6 @@ def mat_scale(a, c):
     return [[as_coeff(c * x) for x in row] for row in a]
 
 
-def mat_sub(a, b):
-    return [[as_coeff(x - y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_trace(a):
     return sum(a[i][i] for i in range(len(a)))
 

@@ -128,8 +128,6 @@ def _eval_node(node, precision):
         if isinstance(node.op, ast.UAdd):
             return v
         if isinstance(node.op, ast.USub):
-            if isinstance(v, ModularForm):
-                return ModularForm(v.weight, v.series.scale(-1))
             return -v
         raise ExpressionError("unsupported unary operator")
     if isinstance(node, ast.BinOp):
@@ -141,12 +139,6 @@ def _eval_node(node, precision):
         if isinstance(op, ast.Sub):
             return _combine_add(a, b, -1, precision)
         if isinstance(op, ast.Mult):
-            if isinstance(a, ModularForm) and isinstance(b, ModularForm):
-                return a * b
-            if isinstance(a, ModularForm):
-                return ModularForm(a.weight, a.series.scale(b))
-            if isinstance(b, ModularForm):
-                return ModularForm(b.weight, b.series.scale(a))
             return a * b
         if isinstance(op, ast.Div):
             if isinstance(b, ModularForm):
@@ -165,7 +157,8 @@ def _eval_node(node, precision):
                     inv = a.series.invert()
                     return ModularForm(-a.weight, inv.pow(-b) if -b > 1 else inv)
                 return a ** b
-            return a ** b
+            # Fraction keeps negative powers of scalars exact
+            return as_coeff(Fraction(a) ** b)
         raise ExpressionError("unsupported operator %s" % op.__class__.__name__)
     raise ExpressionError("unsupported syntax %s" % node.__class__.__name__)
 

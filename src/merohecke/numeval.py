@@ -68,6 +68,8 @@ class HPoint:
     __slots__ = ("x", "y")
 
     def __init__(self, x, y):
+        if not (math.isfinite(float(x)) and math.isfinite(float(y))):
+            raise ValueError("coordinates must be finite")
         if not float(y) > 0:
             raise ValueError("imaginary part must be positive")
         object.__setattr__(self, "x", x)
@@ -143,6 +145,8 @@ def eval_series(f, z, bits=200, min_height=None):
     of meromorphic quotients that only converge high in the cusp.  The
     returned bound models the unseen tail as geometric with ratio taken
     from the worst coefficient ratio in the last quarter of the window."""
+    if bits < 1:
+        raise ValueError("bits must be >= 1")
     with workprec(bits + _GUARD_BITS):
         zz = _as_mpc(z)
         y = zz.imag
@@ -427,28 +431,30 @@ def psi_truncated(seed, z, bound=40, bits=53):
     If ell + k is not divisible by the elliptic order of the center the
     full series vanishes identically: returns 0 with a VanishingSeries
     note.  A crude tail estimate of order bound^(1-2k) is reported."""
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
     k, ell = seed.k, seed.ell
     om = elliptic_order(_as_complex(seed.center))
     if (ell + k) % om:
         return EvalResult(mpmath.mpc(0) if bits > 53 else 0j, mpmath.mpf(0),
                           "VanishingSeries: ell + k = %d not divisible by the "
                           "elliptic order %d of the center" % (ell + k, om))
+    note = "tail estimate O(bound^%d), not certified" % (1 - 2 * k)
+    # each route rounds the tail estimate at its own working precision
     if bits <= 53:
-        return _psi_machine(k, ell, seed.center, z, bound)
-    return _psi_mp(k, ell, seed.center, z, bound, bits)
+        total = _psi_sum(k, ell, _as_complex(seed.center), _as_complex(z), bound)
+        return EvalResult(total, mpmath.mpf(bound) ** (1 - 2 * k), note)
+    with workprec(bits + _GUARD_BITS):
+        total = _psi_sum(k, ell, _as_mpc(seed.center), _as_mpc(z), bound)
+        return EvalResult(total, mpmath.mpf(bound) ** (1 - 2 * k), note)
 
 
-def _psi_summand_error(point_kind):
-    raise RegionGuard("evaluation point lies in the orbit of the center "
-                      "(pole of the kernel): %s" % point_kind)
-
-
-def _psi_machine(k, ell, center, z, bound):
-    zz = _as_complex(center)
-    zc = _as_complex(z)
+def _psi_sum(k, ell, zz, zc, bound):
+    # generic over the scalar type: complex for machine precision, mpc under
+    # the caller's working precision
     zzbar = zz.conjugate()
     w2k = -2 * k
-    total = 0j
+    total = type(zc)(0)
     for c in range(-bound, bound + 1):
         for d in range(-bound, bound + 1):
             if math.gcd(abs(c), abs(d)) != 1:
@@ -462,36 +468,11 @@ def _psi_machine(k, ell, center, z, bound):
                 dzbar = w - zzbar
                 x = (w - zz) / dzbar
                 if x == 0 and ell < 0:
-                    _psi_summand_error("w = center at row (%d, %d), t = %d" % (c, d, t))
+                    raise RegionGuard(
+                        "evaluation point lies in the orbit of the center (pole of "
+                        "the kernel): w = center at row (%d, %d), t = %d" % (c, d, t))
                 total += base * dzbar ** w2k * x ** ell
-    tail = mpmath.mpf(bound) ** (1 - 2 * k)
-    return EvalResult(total, tail, "tail estimate O(bound^%d), not certified" % (1 - 2 * k))
-
-
-def _psi_mp(k, ell, center, z, bound, bits):
-    with workprec(bits + _GUARD_BITS):
-        zz = _as_mpc(center)
-        zc = _as_mpc(z)
-        zzbar = mpmath.conj(zz)
-        w2k = -2 * k
-        total = mpmath.mpc(0)
-        for c in range(-bound, bound + 1):
-            for d in range(-bound, bound + 1):
-                if math.gcd(abs(c), abs(d)) != 1:
-                    continue
-                a, b = _bezout(c, d)
-                denom = c * zc + d
-                base = denom ** w2k
-                w0 = (a * zc + b) / denom
-                for t in range(-bound, bound + 1):
-                    w = w0 + t
-                    dzbar = w - zzbar
-                    x = (w - zz) / dzbar
-                    if x == 0 and ell < 0:
-                        _psi_summand_error("w = center at row (%d, %d), t = %d" % (c, d, t))
-                    total += base * dzbar ** w2k * x ** ell
-        tail = mpmath.mpf(bound) ** (1 - 2 * k)
-        return EvalResult(total, tail, "tail estimate O(bound^%d), not certified" % (1 - 2 * k))
+    return total
 
 
 def psi_section_check(bound=40, bits=53, tol=1e-3, precision=40):
@@ -530,6 +511,8 @@ def psi_two_variable_check(k, ell, center, z, n, bound=40, bits=53, tol=1e-2):
     variables separately: in z via the coset sum of transformed arguments,
     in the center via the rescaled sum over centers (r^2 center + r j)/n;
     the proposition asserts equality, checked here on truncated sums."""
+    if n < 1:
+        raise ValueError("operator index must be >= 1")
     pt = _as_complex(z)
     cz = _as_complex(center)
     seed = PoincareSeed(k, ell, cz)

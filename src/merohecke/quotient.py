@@ -14,7 +14,7 @@ the classical one on the dual space.
 from fractions import Fraction
 
 from .qseries import as_coeff
-from . import forms, linalg, whbasis
+from . import forms, hecke, linalg, whbasis
 from .forms import HOLOMORPHIC, CUSPIDAL
 from .whbasis import PrincipalPart, ObstructionWitness
 
@@ -53,32 +53,10 @@ def quotient_dimension(weight2k, kind):
 def hecke_on_principal_part(pp, weight, m):
     """Principal part of (f | T_m) for any f of the given weight whose
     principal part is pp; well defined because the operator cannot move
-    positive-index terms into the pole part or the constant."""
-    if m < 1:
-        raise ValueError("operator index must be >= 1")
-    if weight % 2:
-        raise ValueError("weight must be even")
-    divs = [r for r in range(1, m + 1) if m % r == 0]
-    terms = {}
-    for n in range(1, m * pp.max_pole + 1):
-        acc = 0
-        for r in divs:
-            if n % r:
-                continue
-            lam = pp.terms.get(m * n // (r * r))
-            if lam:
-                acc += _rpow(r, weight) * lam
-        if acc:
-            terms[n] = as_coeff(acc)
-    const = sum(_rpow(r, weight) for r in divs) * pp.constant
-    return PrincipalPart(terms, as_coeff(const))
-
-
-def _rpow(r, weight):
-    e = weight - 1
-    if e >= 0:
-        return r ** e
-    return Fraction(1, r ** (-e))
+    positive-index terms into the pole part or the constant.  On the window
+    [-max_pole, 1) the index-m operator yields exactly the pole terms and
+    the constant."""
+    return PrincipalPart.from_series(hecke.t_op(pp.to_series(1), weight, m))
 
 
 class QuotientClass:

@@ -45,10 +45,15 @@ def test_expand_expression(capsys):
     assert obj["series"]["coefficients"] == ["0", "1728", "-41472", "435456"]
 
 
-def test_expand_bad_expression(capsys):
-    code, out, err = run(capsys, ["expand", "E4 + zebra"])
+@pytest.mark.parametrize("expr, message", [
+    ("E4 + zebra", "unknown name"),
+    ("E4/0", "division by zero"),
+    ("1/0", "division by zero"),
+], ids=["unknown-name", "form-over-zero", "scalar-over-zero"])
+def test_expand_bad_expression(capsys, expr, message):
+    code, out, err = run(capsys, ["expand", expr])
     assert code == EXIT_USAGE
-    assert "unknown name" in err
+    assert message in err
 
 
 # -- hecke -----------------------------------------------------------------
@@ -206,6 +211,19 @@ def test_eval_bad_point(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "E4", "--at", "0,inf"], "finite"),
+    (["eval", "E4", "--at", "nan,1"], "finite"),
+    (["eval", "E4", "--at", "0,1", "--bits", "-50"], "bits"),
+    (["eval", "E4", "--at", "0,1", "--bits", "0"], "bits"),
+], ids=["y-inf", "x-nan", "bits-negative", "bits-zero"])
+def test_eval_bad_input(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_USAGE
+    assert message in err
+    assert out == ""
+
+
 def test_cm_check(capsys):
     code, out, _ = run(capsys, ["cm-check", "--bits", "150", "--prec", "30",
                                 "--tol", "1e-15"])
@@ -237,6 +255,19 @@ def test_psi_sum_pole_guard(capsys):
                                 "--zz", "0,1", "--at", "0,1", "--bound", "4"])
     assert code == EXIT_GUARD
     assert "pole" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["psi-sum", "--bound", "0"], "bound must be >= 1"),
+    (["psi-sum", "--bound", "-3"], "bound must be >= 1"),
+    (["psi-prop-check", "--n", "0"], "operator index must be >= 1"),
+], ids=["psi-sum-bound-zero", "psi-sum-bound-negative", "psi-prop-check-n-zero"])
+def test_psi_bad_bounds(capsys, argv, message):
+    code, out, err = run(capsys, argv + ["--k", "3", "--ell", "-1", "--zz", "0,1",
+                                         "--at", "0,1.5", "--bits", "53"])
+    assert code == EXIT_USAGE
+    assert message in err
+    assert out == ""
 
 
 def test_psi_prop_check(capsys):

@@ -42,6 +42,17 @@ def test_bernoulli_values():
     assert bernoulli(3) == 0
 
 
+def test_bernoulli_matches_sympy():
+    import sympy  # test-only oracle; keep the module importable without it
+
+    for k in range(61):
+        ref = sympy.bernoulli(k)
+        # sympy >= 1.12 takes B_1 = +1/2; this library uses B_1 = -1/2
+        if k == 1:
+            ref = -ref
+        assert bernoulli(k) == Fraction(int(ref.p), int(ref.q)), k
+
+
 def test_sigma_values():
     # direct divisor sums
     assert sigma(3, 6) == 1 + 8 + 27 + 216

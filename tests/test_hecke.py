@@ -9,7 +9,8 @@ import pytest
 from merohecke import hecke
 from merohecke.forms import delta, eisenstein, j_function, sigma
 from merohecke.hecke import divisors, t_op, t_op_commutes_check, t_op_via_uv, u_op, v_op
-from merohecke.qseries import InsufficientPrecision, LaurentSeries, equals_to_precision
+from merohecke.qseries import (
+    InsufficientPrecision, LaurentSeries, equals_to_precision, first_mismatch)
 
 TAU = {1: 1, 2: -24, 3: 252, 4: -1472, 5: 4830, 6: -6048, 7: -16744,
        8: 84480, 9: -113643, 10: -115920, 11: 534612, 12: -370944}
@@ -112,12 +113,19 @@ def test_t_op_matches_uv_route():
             b = t_op_via_uv(f, weight, m)
         except InsufficientPrecision:
             continue
-        lo = max(a.val, b.val)
-        hi = min(a.prec, b.prec)
-        for n in range(lo, hi):
-            assert a.coefficient(n) == b.coefficient(n), (f, weight, m, n)
+        assert first_mismatch(a, b) is None, (f, weight, m)
         checked += 1
     assert checked >= 200
+    # windows [val, 1), the shape of a principal part with its constant
+    for val in range(-4, 1):
+        for m in range(1, 9):
+            coeffs = [Fraction(rng.randint(-30, 30), rng.randint(1, 6)) for _ in range(1 - val)]
+            f = LaurentSeries(val, coeffs, 1)
+            for weight in (-10, -4, 0, 4):
+                a = t_op(f, weight, m)
+                b = t_op_via_uv(f, weight, m)
+                assert (a.val, a.prec) == (b.val, b.prec) == (m * min(val, 0), 1)
+                assert first_mismatch(a, b) is None, (f, weight, m)
 
 
 def test_multiplicativity_random():

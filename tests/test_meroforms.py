@@ -117,6 +117,17 @@ def test_expression_negative_power():
     assert f.coefficient(-1) == 1 and f.coefficient(0) == 24
 
 
+def test_expression_negative_scalar_power_is_exact():
+    e4 = build_expression("E4", 6).series
+    for expr in ("E4*3^-1", "3^-1*E4", "-(3^-2)*(-3)*E4"):
+        f = build_expression(expr, 6)
+        assert f.weight == 4
+        assert f.series == e4.scale(Fraction(1, 3))
+    assert build_expression("2^-1", 4).coefficient(0) == Fraction(1, 2)
+    with pytest.raises(ZeroDivisionError):
+        build_expression("E4*0^-1", 6)
+
+
 def test_expression_scalar_result():
     f = build_expression("7 - 3", 5)
     assert f.weight == 0

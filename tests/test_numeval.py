@@ -43,6 +43,9 @@ def test_hpoint_parse():
         HPoint(0, 0)
     with pytest.raises(ValueError):
         HPoint(0, -1)
+    for x, y in (("0", "inf"), ("inf", "1"), ("-inf", "1"), ("nan", "1"), (0, float("nan"))):
+        with pytest.raises(ValueError):
+            HPoint(x, y)
     with pytest.raises(AttributeError):
         p.x = "1"
 
@@ -97,6 +100,20 @@ def test_point_argument_forms():
 def test_eval_rejects_lower_half_plane():
     with pytest.raises(ValueError):
         eval_series(forms.delta(10).series, (0, -1), 80)
+
+
+def test_rejects_out_of_range_arguments():
+    e4 = forms.eisenstein(4, 10).series
+    for bits in (0, -50):
+        with pytest.raises(ValueError, match="bits"):
+            eval_series(e4, HPoint(0, 1), bits)
+    seed = PoincareSeed(3, -1, HPoint(0, 1))
+    for bound in (0, -3):
+        for bits in (53, 120):
+            with pytest.raises(ValueError, match="bound"):
+                psi_truncated(seed, HPoint(0, 2), bound, bits)
+    with pytest.raises(ValueError, match="index"):
+        psi_two_variable_check(3, -1, (0, 1), (0, 1.5), 0, bound=2)
 
 
 def test_region_guard():
@@ -267,10 +284,12 @@ def test_psi_vanishing_guard():
     assert r.tail_note.startswith("VanishingSeries")
 
 
-def test_psi_pole_guard():
+@pytest.mark.parametrize("bits", [53, 120])
+def test_psi_pole_guard(bits):
+    # 53 bits sums complex values, 120 bits mpc values, in the same loop
     seed = PoincareSeed(3, -1, HPoint(0, 1))
     with pytest.raises(RegionGuard):
-        psi_truncated(seed, HPoint(0, 1), bound=6)
+        psi_truncated(seed, HPoint(0, 1), bound=6, bits=bits)
 
 
 def test_psi_machine_vs_mp():

@@ -172,6 +172,24 @@ def test_scaled_charpoly_weight_24():
     assert charpoly(scaled) == hecke_charpoly_on_space(24, CUSPIDAL, 2)
 
 
+def test_charpoly_matches_sympy():
+    import sympy  # test-only oracle; keep the module importable without it
+
+    x = sympy.Symbol("x")
+    checked = 0
+    for weight2k in range(4, 30, 2):
+        for kind in (MOD_M, MOD_S):
+            for m in (2, 3, 5):
+                q = quotient_hecke_matrix(weight2k, kind, m)
+                if not q:
+                    continue
+                ref = sympy.Matrix(q).charpoly(x).all_coeffs()[::-1]
+                assert charpoly(q) == [Fraction(int(c.p), int(c.q)) for c in ref], (
+                    weight2k, kind, m)
+                checked += 1
+    assert checked == 63
+
+
 @pytest.mark.parametrize("weight2k", [4, 6, 8, 10, 12, 14, 16, 20, 24, 26])
 @pytest.mark.parametrize("kind", [MOD_M, MOD_S])
 def test_theorem_small_grid(weight2k, kind):

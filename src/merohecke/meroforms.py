@@ -3,18 +3,31 @@ exact verification of the identities between them.
 
 Each named form is stored as a construction string evaluated by a small
 whitelisted expression interpreter, so recomputing from the recorded
-formula reproduces the series bit-exactly.  Forms that are quotients by a
-function vanishing in the upper half-plane carry a validity height: their
-q-expansions are only valid above it, and the numeric layer refuses to
-evaluate them lower.
+formula reproduces the series bit-exactly.
+
+The interpreter compiles a construction to coef * N / prod(atom^e): the
+atoms are E_k, delta, A = E4^3 (j = A/delta) and each divisor that is not a
+monomial in them, such as E4^3 + 3375*delta.  Sums go over a common
+denominator, so g7 becomes E8 * sum(c_t A^t delta^(6-t)) / delta^7 and the
+polynomial work runs on holomorphic series with small coefficients.  Atom
+powers are built once per evaluation, and the only division is N / D at
+the end, to the requested precision.  The window is the one a direct walk
+of the tree with the qseries window rules gives, because every atom is
+stored from its true valuation.
+
+Forms that are quotients by a function vanishing in the upper half-plane
+carry a validity height: their q-expansions are only valid above it, and
+the numeric layer refuses to evaluate them lower.
 """
 
 import ast
 import math
 import re
+from collections import namedtuple
 from fractions import Fraction
 
-from .qseries import LaurentSeries, InsufficientPrecision, as_coeff, first_mismatch
+from .qseries import (LaurentSeries, InsufficientPrecision, ZeroLeadingCoefficient, as_coeff,
+                      first_mismatch)
 from . import forms, hecke, linalg, whbasis
 from .forms import ModularForm
 from .whbasis import PrincipalPart
@@ -86,96 +99,195 @@ _NAME_RE = re.compile(r"^E(\d+)$")
 
 
 def _leaf(name, precision):
+    """(atom key, ModularForm from the forms memo) of a leaf name."""
     if name in ("delta", "Delta"):
-        return forms.delta(precision)
+        return "delta", forms.delta(precision)
     if name in ("j", "J"):
-        return forms.j_function(precision)
+        return "j", forms.j_function(precision)
     m = _NAME_RE.match(name)
     if m:
-        return forms.eisenstein(int(m.group(1)), precision)
+        k = int(m.group(1))
+        return ("E", k), forms.eisenstein(k, precision)
     raise ExpressionError("unknown name %r (allowed: E<k>, delta, j)" % name)
 
 
-def _combine_add(a, b, sign, precision):
-    if isinstance(a, ModularForm) or isinstance(b, ModularForm):
-        if not isinstance(a, ModularForm):
+# coef * prod(atom^e for atom, e in exps.items()) * series, of the given
+# weight; series None stands for 1
+_Term = namedtuple("_Term", "weight coef exps series", defaults=(None,))
+
+
+class _Compiler:
+    """One evaluation of a construction at working precision p.
+
+    Atoms are E_k, delta, A = E4^3 (j is A/delta) and, for each divisor that
+    is not a monomial in atoms, its series with the leading zeros dropped.
+    Every atom's series starts at its true valuation, and its powers are
+    built once, incrementally, in `powers`.  A sum is put over the common
+    part of its terms' exponents, so only the cofactors are multiplied in,
+    and no division happens until the quotient of `fraction`."""
+
+    def __init__(self, p):
+        self.p = p
+        self.powers = {}
+
+    def power(self, atom, k):
+        pw = self.powers[atom]
+        while len(pw) < k:
+            pw.append(pw[-1].mul(pw[0]))
+        return pw[k - 1]
+
+    def leaf(self, name):
+        if name in ("j", "J"):
+            self.leaf("E4")
+            self.leaf("delta")
+            self.powers.setdefault("A", [self.power(("E", 4), 3)])
+            return _Term(0, 1, {"A": 1, "delta": -1})
+        key, f = _leaf(name, self.p)
+        self.powers.setdefault(key, [f.series])
+        return _Term(f.weight, 1, {key: 1})
+
+    def eval(self, node):
+        if isinstance(node, ast.Expression):
+            return self.eval(node.body)
+        if isinstance(node, ast.Constant):
+            if isinstance(node.value, int):
+                return node.value
+            raise ExpressionError("only integer constants are allowed")
+        if isinstance(node, ast.Name):
+            return self.leaf(node.id)
+        if isinstance(node, ast.UnaryOp):
+            v = self.eval(node.operand)
+            if isinstance(node.op, ast.UAdd):
+                return v
+            if isinstance(node.op, ast.USub):
+                return _mul(v, -1)
+            raise ExpressionError("unsupported unary operator")
+        if isinstance(node, ast.BinOp):
+            a = self.eval(node.left)
+            b = self.eval(node.right)
+            op = node.op
+            if isinstance(op, (ast.Add, ast.Sub)):
+                return self.add(a, b if isinstance(op, ast.Add) else _mul(b, -1))
+            if isinstance(op, ast.Mult):
+                return _mul(a, b)
+            if isinstance(op, ast.Div):
+                if isinstance(b, _Term):
+                    return _mul(a, self.reciprocal(b, node.right))
+                if b == 0:
+                    raise ZeroDivisionError("division by zero in construction")
+                if not isinstance(a, _Term):
+                    return as_coeff(Fraction(a) / Fraction(b))
+                return _mul(a, 1 / Fraction(b))
+            if isinstance(op, ast.Pow):
+                if not isinstance(b, int):
+                    raise ExpressionError("exponents must be integer constants")
+                if not isinstance(a, _Term):
+                    # Fraction keeps negative powers of scalars exact
+                    return as_coeff(Fraction(a) ** b)
+                if b < 0:
+                    a, b = self.reciprocal(a, node.left), -b
+                if b == 0:
+                    return _Term(0, 1, {})
+                return _Term(a.weight * b, a.coef ** b, {x: e * b for x, e in a.exps.items()},
+                             a.series.pow(b) if a.series is not None else None)
+            raise ExpressionError("unsupported operator %s" % op.__class__.__name__)
+        raise ExpressionError("unsupported syntax %s" % node.__class__.__name__)
+
+    def reciprocal(self, t, node):
+        """1/t; a divisor with a series part (the value of `node`) becomes an atom."""
+        if t.coef == 0:
+            raise ZeroLeadingCoefficient("division by a form that is zero through its window")
+        exps = {x: -e for x, e in t.exps.items()}
+        if t.series is not None:
+            s = t.series
+            v = s.valuation()
+            if v is None:
+                raise ZeroLeadingCoefficient("division by a form that is zero through its window")
+            x = ("divisor", ast.dump(node))
+            self.powers.setdefault(x, [LaurentSeries(v, s.coeffs[v - s.val:], s.prec)])
+            exps[x] = exps.get(x, 0) - 1
+        return _Term(-t.weight, as_coeff(1 / Fraction(t.coef)), exps)
+
+    def add(self, a, b):
+        if not isinstance(a, _Term):
+            if not isinstance(b, _Term):
+                return a + b
             a, b = b, a
-            if sign < 0:  # scalar - form
-                a = ModularForm(a.weight, a.series.scale(-1))
-                sign = 1
-        if not isinstance(b, ModularForm):
+        if not isinstance(b, _Term):
             if a.weight != 0:
                 raise ExpressionError("cannot add a constant to a weight-%d form" % a.weight)
-            b = ModularForm(0, LaurentSeries.from_coeff_map({0: b}, a.series.prec))
+            b = _Term(0, b, {})
         if a.weight != b.weight:
             raise ExpressionError("weight mismatch: %d vs %d" % (a.weight, b.weight))
-        series = a.series.add(b.series if sign > 0 else b.series.scale(-1))
-        return ModularForm(a.weight, series)
-    return a + b if sign > 0 else a - b
+        common = {}
+        for x in a.exps.keys() | b.exps.keys():
+            e = min(a.exps.get(x, 0), b.exps.get(x, 0))
+            if e:
+                common[x] = e
+        na = self.numerator(a, common)
+        nb = self.numerator(b, common)
+        if na is None and nb is None:
+            return _Term(a.weight, a.coef + b.coef, common)
+        # a bare constant is exact to any precision: match the other side
+        if na is None:
+            na = LaurentSeries.from_coeff_map({0: a.coef}, nb.prec)
+        if nb is None:
+            nb = LaurentSeries.from_coeff_map({0: b.coef}, na.prec)
+        return _Term(a.weight, 1, common, na.add(nb))
+
+    def numerator(self, t, common):
+        """t divided by the monomial `common` as a series, or None when that
+        is the constant t.coef."""
+        factors = [self.power(x, t.exps.get(x, 0) - common.get(x, 0))
+                   for x in t.exps.keys() | common.keys()
+                   if t.exps.get(x, 0) > common.get(x, 0)]
+        if t.series is not None:
+            factors.append(t.series)
+        if not factors:
+            return None
+        s = factors[0]
+        for f in factors[1:]:
+            s = s.mul(f)
+        return s if t.coef == 1 else s.scale(t.coef)
+
+    def fraction(self, t):
+        """t as (numerator, denominator) series; the denominator is the
+        product of the negative powers, None when there are none."""
+        den = {x: -e for x, e in t.exps.items() if e < 0}
+        d = self.numerator(_Term(0, 1, den), {})
+        n = self.numerator(t, {x: e for x, e in t.exps.items() if e < 0})
+        if n is None:
+            n = LaurentSeries.from_coeff_map({0: t.coef}, d.prec if d else self.p)
+        return n, d
 
 
-def _eval_node(node, precision):
-    if isinstance(node, ast.Expression):
-        return _eval_node(node.body, precision)
-    if isinstance(node, ast.Constant):
-        if isinstance(node.value, int):
-            return node.value
-        raise ExpressionError("only integer constants are allowed")
-    if isinstance(node, ast.Name):
-        return _leaf(node.id, precision)
-    if isinstance(node, ast.UnaryOp):
-        v = _eval_node(node.operand, precision)
-        if isinstance(node.op, ast.UAdd):
-            return v
-        if isinstance(node.op, ast.USub):
-            return -v
-        raise ExpressionError("unsupported unary operator")
-    if isinstance(node, ast.BinOp):
-        a = _eval_node(node.left, precision)
-        b = _eval_node(node.right, precision)
-        op = node.op
-        if isinstance(op, ast.Add):
-            return _combine_add(a, b, 1, precision)
-        if isinstance(op, ast.Sub):
-            return _combine_add(a, b, -1, precision)
-        if isinstance(op, ast.Mult):
+def _mul(a, b):
+    if not isinstance(a, _Term):
+        if not isinstance(b, _Term):
             return a * b
-        if isinstance(op, ast.Div):
-            if isinstance(b, ModularForm):
-                inv = b.series.invert()
-                if isinstance(a, ModularForm):
-                    return ModularForm(a.weight - b.weight, a.series.mul(inv))
-                return ModularForm(-b.weight, inv.scale(a))
-            if isinstance(a, ModularForm):
-                return ModularForm(a.weight, a.series.scale(_inv_scalar(b)))
-            return as_coeff(Fraction(a) / _as_fraction(b))
-        if isinstance(op, ast.Pow):
-            if not isinstance(b, int):
-                raise ExpressionError("exponents must be integer constants")
-            if isinstance(a, ModularForm):
-                if b < 0:
-                    inv = a.series.invert()
-                    return ModularForm(-a.weight, inv.pow(-b) if -b > 1 else inv)
-                return a ** b
-            # Fraction keeps negative powers of scalars exact
-            return as_coeff(Fraction(a) ** b)
-        raise ExpressionError("unsupported operator %s" % op.__class__.__name__)
-    raise ExpressionError("unsupported syntax %s" % node.__class__.__name__)
-
-
-def _as_fraction(b):
-    if b == 0:
-        raise ZeroDivisionError("division by zero in construction")
-    return Fraction(b)
-
-
-def _inv_scalar(b):
-    return 1 / _as_fraction(b)
+        a, b = b, a
+    if not isinstance(b, _Term):
+        return _Term(a.weight, a.coef * b, a.exps, a.series)
+    exps = dict(a.exps)
+    for x, e in b.exps.items():
+        e += exps.get(x, 0)
+        if e:
+            exps[x] = e
+        else:
+            del exps[x]
+    if a.series is None or b.series is None:
+        series = b.series if a.series is None else a.series
+    else:
+        series = a.series.mul(b.series)
+    return _Term(a.weight + b.weight, a.coef * b.coef, exps, series)
 
 
 def build_expression(expr, precision):
     """Evaluate an arithmetic expression in E<k>, delta, j (with ^, **, and
-    integer constants) to a ModularForm with window reaching precision."""
+    integer constants) to a ModularForm with window reaching precision.
+
+    A bare name is read from the forms memo; anything else is compiled to
+    one numerator over one denominator (see _Compiler) and divided once."""
     src = expr.replace("^", "**")
     try:
         tree = ast.parse(src, mode="eval")
@@ -184,10 +296,15 @@ def build_expression(expr, precision):
     last = None
     for pad in (16, 48, 160, 512):
         try:
-            v = _eval_node(tree, precision + pad)
-            if not isinstance(v, ModularForm):
-                v = ModularForm(0, LaurentSeries.from_coeff_map({0: v}, precision))
-            return ModularForm(v.weight, v.series.truncate(precision))
+            if isinstance(tree.body, ast.Name):
+                return _leaf(tree.body.id, precision + pad)[1].truncate(precision)
+            compiler = _Compiler(precision + pad)
+            v = compiler.eval(tree)
+            if not isinstance(v, _Term):
+                return ModularForm(0, LaurentSeries.from_coeff_map({0: v}, precision))
+            n, d = compiler.fraction(v)
+            return ModularForm(v.weight, n.truncate(precision) if d is None
+                               else n.div(d, precision))
         except InsufficientPrecision as e:
             last = e
     raise last

@@ -433,6 +433,8 @@ def psi_truncated(seed, z, bound=40, bits=53):
     note.  A crude tail estimate of order bound^(1-2k) is reported."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
+    if bits < 1:
+        raise ValueError("bits must be >= 1")
     k, ell = seed.k, seed.ell
     om = elliptic_order(_as_complex(seed.center))
     if (ell + k) % om:

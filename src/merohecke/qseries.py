@@ -7,17 +7,24 @@ provable window pessimistically and never extends precision:
 
     add:    window [min(va, vb), min(Pa, Pb))
     mul:    window [va + vb,     min(Pa + vb, Pb + va))
-    invert: window [-v*,         P - 2 v*)   with v* the true valuation
+    div:    window [vN - v*,     min(PN - v*, PD - 2 v* + vN))
+    invert: window [-v*,         P - 2 v*)
+
+where v* is the true valuation of the divisor (its first nonzero stored
+coefficient) and N/D are the dividend and divisor.  invert is the division
+of the constant 1, whose window never ends.
 
 Coefficients are Python ints when integral, fractions.Fraction otherwise;
 both print as "num" or "num/den" which is also the serialization format.
 
 A product keeps min(Pa - va, Pb - vb) coefficients, as many as the shorter
-factor stores, and mul computes only those (see _convolve).
+factor stores, and mul computes only those (see _convolve).  A quotient is
+computed straight to its target by one recurrence (see _divide).
 """
 
 import json
 from fractions import Fraction
+from operator import mul as _mul
 
 # Exact products go through one kernel, `_convolve`, with two paths:
 #
@@ -124,6 +131,48 @@ def _convolve(a, b, n):
         if slot_bits <= _KRON_SLOT_BITS_PER_COEFF * n:
             return _conv_kron(a, b, n, slot_bits)
     return _conv_school(a, b, n)
+
+
+def _divide(num, den, n):
+    """The first n coefficients of num/den, for normalized coefficient lists
+    with den[0] != 0 and len(den) >= n; num may be shorter (its missing
+    coefficients are zero).
+
+    The recurrence q_k = (num_k - sum_{i=1..k} den_i q_(k-i)) / den_0 stays in
+    integers when every input is an int and den_0 is a unit."""
+    num = list(num[:n]) + [0] * (n - len(num))
+    rest = den[1:n]
+    lead = den[0]
+    out = []
+    if lead in (1, -1) and {*map(type, num), *map(type, den[:n])} <= {int}:
+        for c in num:
+            out.append(lead * (c - sum(map(_mul, rest, reversed(out)))))
+        return out
+    lead = Fraction(lead)
+    for c in num:
+        out.append((c - sum(map(_mul, rest, reversed(out)))) / lead)
+    return [as_coeff(c) for c in out]
+
+
+def _divide_series(num, vn, pn, den, target):
+    """Quotient of the series with coefficients num on [vn, pn) (pn None: the
+    window never ends) by den, to the target precision or as far as provable."""
+    vstar = den.valuation()
+    if vstar is None:
+        raise ZeroLeadingCoefficient("division by a series that is zero through its window")
+    lo = vn - vstar
+    hi = den.prec - 2 * vstar + vn
+    if pn is not None:
+        hi = min(hi, pn - vstar)
+    if target is None:
+        target = hi
+    elif target > hi:
+        raise InsufficientPrecision(
+            "quotient provable only to precision %d, requested %d" % (hi, target))
+    if target <= lo:
+        return LaurentSeries._make(target, (), target)
+    coeffs = _divide(num, den.coeffs[vstar - den.val:], target - lo)
+    return LaurentSeries._make(lo, tuple(coeffs), target)
 
 
 class LaurentSeries:
@@ -248,59 +297,12 @@ class LaurentSeries:
 
     def invert(self, target_precision=None):
         """Multiplicative inverse, provable on [-v*, prec - 2 v*)."""
-        vstar = self.valuation()
-        if vstar is None:
-            raise ZeroLeadingCoefficient("series is zero through its window, cannot invert")
-        max_target = self.prec - 2 * vstar
-        if target_precision is None:
-            target_precision = max_target
-        if target_precision > max_target:
-            raise InsufficientPrecision(
-                "inverse requested to precision %d but input supports only %d"
-                % (target_precision, max_target))
-        length = target_precision + vstar  # window [-v*, target)
-        if length <= 0:
-            return LaurentSeries(target_precision, [], target_precision)
-        u = [self.coefficient(vstar + j) for j in range(length)]
-        if all(type(x) is int for x in u) and u[0] in (1, -1):
-            lead = u[0]
-            w = [lead]
-            for n in range(1, length):
-                acc = 0
-                for i in range(1, n + 1):
-                    if u[i]:
-                        acc += u[i] * w[n - i]
-                w.append(-lead * acc)
-        else:
-            u = [Fraction(x) for x in u]
-            w = [1 / u[0]]
-            for n in range(1, length):
-                acc = Fraction(0)
-                for i in range(1, n + 1):
-                    if u[i]:
-                        acc += u[i] * w[n - i]
-                w.append(-acc / u[0])
-        return LaurentSeries(-vstar, w, target_precision)
+        return _divide_series((1,), 0, None, self, target_precision)
 
     def div(self, other, target_precision=None):
-        """self / other.  With an explicit target the result window ends exactly there."""
-        vstar = other.valuation()
-        if vstar is None:
-            raise ZeroLeadingCoefficient("division by a series that is zero through its window")
-        if target_precision is None:
-            inv = other.invert()
-            return self.mul(inv)
-        need_inv = target_precision - self.val
-        if self.prec - vstar < target_precision:
-            raise InsufficientPrecision(
-                "dividend precision %d cannot support quotient precision %d"
-                % (self.prec, target_precision))
-        inv = other.invert(need_inv)
-        out = self.mul(inv)
-        if out.prec < target_precision:
-            raise InsufficientPrecision(
-                "quotient provable only to %d, requested %d" % (out.prec, target_precision))
-        return out.truncate(target_precision)
+        """self / other, provable on [va - v*, min(Pa - v*, Pb - 2 v* + va));
+        with an explicit target the result window ends exactly there."""
+        return _divide_series(self.coeffs, self.val, self.prec, other, target_precision)
 
     def pow(self, e):
         if e < 0 or e != int(e):

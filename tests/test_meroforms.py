@@ -1,11 +1,15 @@
 """Named weakly holomorphic and meromorphic forms, the whitelisted
 construction-expression evaluator, and the exact identity verifiers."""
 
+import ast
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from merohecke import forms
+from merohecke.forms import ModularForm
 from merohecke.linalg import poly_eval
 from merohecke.meroforms import (
     CONSTRUCTIONS,
@@ -20,7 +24,8 @@ from merohecke.meroforms import (
     identity_ids,
     verify_identity,
 )
-from merohecke.qseries import LaurentSeries, equals_to_precision
+from merohecke.qseries import (LaurentSeries, InsufficientPrecision, QSeriesError, as_coeff,
+                               equals_to_precision)
 
 
 # -- named expansions, zero tolerance -------------------------------------
@@ -166,6 +171,153 @@ def test_expression_errors():
         build_expression("E4 +", 6)  # parse error
     with pytest.raises(ZeroDivisionError):
         build_expression("E4/0", 6)
+
+
+def test_expression_negative_power_weight():
+    # a negative power of a form has the weight of the power
+    for expr, weight in (("E4^-2", -8), ("delta^-3", -36), ("(E4*E6)^-2", -20),
+                         ("j^-4", 0), ("(E4^3 + 3375*delta)^-2", -24)):
+        assert build_expression(expr, 6).weight == weight, expr
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+def test_construction_divides_once(monkeypatch, name):
+    # one numerator over one denominator: a single division, no inverse
+    calls = []
+    for meth in ("div", "invert"):
+        orig = getattr(LaurentSeries, meth)
+        monkeypatch.setattr(LaurentSeries, meth,
+                            lambda self, *a, _m=meth, _f=orig: calls.append(_m) or _f(self, *a))
+    forms.clear_cache()
+    build(name, 40)
+    assert calls == ([] if name == "F7" else ["div"])
+
+
+# -- the compiled evaluator against a direct tree walk ----------------------
+
+def _ref_leaf(name, precision):
+    if name == "delta":
+        return forms.delta(precision)
+    if name == "j":
+        return forms.j_function(precision)
+    return forms.eisenstein(int(name[1:]), precision)
+
+
+def _ref_add(a, b, sign):
+    if isinstance(a, ModularForm) or isinstance(b, ModularForm):
+        if not isinstance(a, ModularForm):
+            a, b = b, a
+            if sign < 0:
+                a = ModularForm(a.weight, a.series.scale(-1))
+                sign = 1
+        if not isinstance(b, ModularForm):
+            if a.weight != 0:
+                raise ExpressionError("constant against a weight-%d form" % a.weight)
+            b = ModularForm(0, LaurentSeries.from_coeff_map({0: b}, a.series.prec))
+        if a.weight != b.weight:
+            raise ExpressionError("weight mismatch")
+        return ModularForm(a.weight, a.series.add(b.series if sign > 0 else b.series.scale(-1)))
+    return a + b if sign > 0 else a - b
+
+
+def _ref_node(node, precision):
+    """Evaluate the tree directly on series, inverting every divisor where it
+    occurs; the weight of a negative power is weight * exponent."""
+    if isinstance(node, ast.Constant):
+        return node.value
+    if isinstance(node, ast.Name):
+        return _ref_leaf(node.id, precision)
+    if isinstance(node, ast.UnaryOp):
+        return -_ref_node(node.operand, precision)
+    a = _ref_node(node.left, precision)
+    b = _ref_node(node.right, precision)
+    if isinstance(node.op, (ast.Add, ast.Sub)):
+        return _ref_add(a, b, 1 if isinstance(node.op, ast.Add) else -1)
+    if isinstance(node.op, ast.Mult):
+        return a * b
+    if isinstance(node.op, ast.Div):
+        if isinstance(b, ModularForm):
+            inv = b.series.invert()
+            if isinstance(a, ModularForm):
+                return ModularForm(a.weight - b.weight, a.series.mul(inv))
+            return ModularForm(-b.weight, inv.scale(a))
+        if b == 0:
+            raise ZeroDivisionError
+        if isinstance(a, ModularForm):
+            return ModularForm(a.weight, a.series.scale(1 / Fraction(b)))
+        return as_coeff(Fraction(a) / Fraction(b))
+    if not isinstance(b, int):
+        raise ExpressionError("exponents must be integer constants")
+    if not isinstance(a, ModularForm):
+        return as_coeff(Fraction(a) ** b)
+    if b < 0:
+        inv = a.series.invert()
+        return ModularForm(a.weight * b, inv.pow(-b) if -b > 1 else inv)
+    return a ** b
+
+
+def _ref_build(expr, precision):
+    tree = ast.parse(expr.replace("^", "**"), mode="eval").body
+    last = None
+    for pad in (16, 48, 160, 512):
+        try:
+            v = _ref_node(tree, precision + pad)
+            if not isinstance(v, ModularForm):
+                v = ModularForm(0, LaurentSeries.from_coeff_map({0: v}, precision))
+            return ModularForm(v.weight, v.series.truncate(precision))
+        except InsufficientPrecision as e:
+            last = e
+    raise last
+
+
+_WEIGHT = {"E4": 4, "E6": 6, "E8": 8, "E10": 10, "delta": 12, "j": 0}
+
+
+@st.composite
+def _expressions(draw, depth=4):
+    """(expression, weight or None for a scalar).  Sums usually get operands
+    of equal weight, by multiplying the right one with (E6/E4)^k; sometimes
+    not, so that weight errors occur too."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        if draw(st.booleans()):
+            return str(draw(st.integers(-3, 5))), None
+        name = draw(st.sampled_from(sorted(_WEIGHT)))
+        return name, _WEIGHT[name]
+    op = draw(st.sampled_from("+-*/^"))
+    left, wl = draw(_expressions(depth - 1))
+    if op == "^":
+        e = draw(st.integers(-3, 3))
+        return "(%s)^%d" % (left, e), None if wl is None else wl * e
+    if op in "+-" and draw(st.booleans()):
+        # X - X: a zero form, a divisor that must be refused
+        right, wr = left, wl
+    else:
+        right, wr = draw(_expressions(depth - 1))
+    if op in "+-" and draw(st.integers(0, 5)) and (wl or 0) != (wr or 0):
+        right = "(%s)*(E6/E4)^%d" % (right, ((wl or 0) - (wr or 0)) // 2)
+        wr = wl or 0
+    if op in "+-":
+        w = wl if wl is not None else wr
+    elif op == "*":
+        w = None if wl is None and wr is None else (wl or 0) + (wr or 0)
+    else:
+        w = None if wl is None and wr is None else (wl or 0) - (wr or 0)
+    return "(%s)%s(%s)" % (left, op, right), w
+
+
+def _outcome(fn, expr, precision):
+    try:
+        f = fn(expr, precision)
+    except (ArithmeticError, ValueError, QSeriesError) as e:
+        return type(e)
+    return f.weight, f.series.val, f.series.prec, f.series.coeffs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_expressions(), st.integers(1, 40))
+def test_compiled_expression_matches_tree_walk(case, precision):
+    expr, _ = case
+    assert _outcome(build_expression, expr, precision) == _outcome(_ref_build, expr, precision)
 
 
 # -- identity verification -------------------------------------------------

@@ -112,6 +112,9 @@ def test_rejects_out_of_range_arguments():
         for bits in (53, 120):
             with pytest.raises(ValueError, match="bound"):
                 psi_truncated(seed, HPoint(0, 2), bound, bits)
+    for bits in (0, -50):
+        with pytest.raises(ValueError, match="bits"):
+            psi_truncated(seed, HPoint(0, 2), 2, bits)
     with pytest.raises(ValueError, match="index"):
         psi_two_variable_check(3, -1, (0, 1), (0, 1.5), 0, bound=2)
 

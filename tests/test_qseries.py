@@ -262,6 +262,72 @@ def test_div_explicit_target_precision():
         assert q.coefficient(n) == 1
 
 
+def _ref_inverse(s, target):
+    """Reference inverse on [-v*, target) by the textbook Fraction
+    recurrence w_n = -(sum_{i=1..n} u_i w_(n-i)) / u_0."""
+    v = s.valuation()
+    if target <= -v:
+        return LaurentSeries(target, [], target)
+    u = [Fraction(s.coefficient(v + i)) for i in range(target + v)]
+    w = []
+    for n in range(target + v):
+        acc = sum((u[i] * w[n - i] for i in range(1, n + 1)), Fraction(0))
+        w.append(((1 if n == 0 else 0) - acc) / u[0])
+    return LaurentSeries(-v, w, target)
+
+
+@st.composite
+def _series_for_division(draw, lead=None):
+    """A series with val in [-3, 4], 0-3 stored leading zeros and int or
+    Fraction coefficients; the first nonzero one is `lead` when given."""
+    if draw(st.booleans()):
+        coeff = st.integers(-10 ** 6, 10 ** 6)
+    else:
+        coeff = st.fractions(-100, 100, max_denominator=9)
+    zeros = draw(st.integers(0, 3))
+    first = lead if lead is not None else draw(
+        st.one_of(st.sampled_from([1, -1]), coeff.filter(bool)))
+    tail = draw(st.lists(coeff, max_size=24))
+    return LaurentSeries(draw(st.integers(-3, 4)), [0] * zeros + [first] + tail)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_series_for_division(), _series_for_division(), st.data())
+def test_division_recurrence_matches_inverse_times_numerator(num, den, data):
+    v = den.valuation()
+    inv_hi = den.prec - 2 * v
+    inv_target = data.draw(st.integers(inv_hi - 6, inv_hi), label="inv_target")
+    inv = den.invert(inv_target)
+    assert inv == _ref_inverse(den, inv_target)
+    assert den.invert() == _ref_inverse(den, inv_hi)
+    assert all(type(c) is int or c.denominator != 1 for c in inv.coeffs)
+    hi = min(num.prec - v, inv_hi + num.val)
+    target = data.draw(st.integers(num.val - v - 2, hi), label="target")
+    q = num.div(den, target)
+    assert (q.val, q.prec) == ((num.val - v, target) if target > num.val - v
+                               else (target, target))
+    assert q == num.mul(_ref_inverse(den, inv_hi)).truncate(target)
+    assert num.div(den) == num.mul(_ref_inverse(den, inv_hi))
+    assert all(type(c) is int or c.denominator != 1 for c in q.coeffs)
+    # the window rule is exact: one more coefficient is refused
+    with pytest.raises(InsufficientPrecision):
+        num.div(den, hi + 1)
+    with pytest.raises(InsufficientPrecision):
+        den.invert(inv_hi + 1)
+
+
+@pytest.mark.parametrize("lead", [1, -1, 3, Fraction(-2, 5)])
+def test_division_by_zero_series_raises(lead):
+    num = LaurentSeries(0, [lead, 1, 2])
+    for zero in (LaurentSeries(0, [0, 0, 0]), LaurentSeries(-2, [0]), LaurentSeries(4, [])):
+        with pytest.raises(ZeroLeadingCoefficient):
+            num.div(zero)
+        with pytest.raises(ZeroLeadingCoefficient):
+            num.div(zero, 1)
+        with pytest.raises(ZeroLeadingCoefficient):
+            zero.invert()
+
+
 def test_pow_window_rule_same_series():
     # P_k = P_1 - (k-1) for k-th power of a valuation-0 unit
     s = LaurentSeries(0, [1, 1, 1, 1, 1, 1])

@@ -3,6 +3,9 @@
 Eisenstein series, the discriminant form, the modular invariant j, echelon
 (row-reduced) bases of the holomorphic and cuspidal spaces in even weight,
 and exact characteristic polynomials of Hecke operators on those spaces.
+
+The forms and the bases are memoized per process (see _cached): each is
+built once at the largest precision asked for and truncated on request.
 """
 
 import math
@@ -126,8 +129,9 @@ _cache = {}
 
 
 def _cached(key, precision, builder):
-    # concurrent readers are fine; insertion happens under the lock and a
-    # racing recompute produces the identical value anyway
+    # the value's truncate(p) must give what builder(p) would.  Concurrent
+    # readers are fine; insertion happens under the lock and a racing
+    # recompute produces the identical value anyway
     with _cache_lock:
         hit = _cache.get(key)
     if hit is not None and hit[0] >= precision:
@@ -252,6 +256,14 @@ class FormBasis:
     def __getitem__(self, i):
         return self.elements[i]
 
+    def truncate(self, precision):
+        """The same basis with every window ending at precision.  Exact for
+        an echelon basis whose leading indices lie below precision: a
+        full-rank RREF with pivots on its first d columns is M_piv^-1 * M,
+        so its leading columns are those of the RREF of M truncated."""
+        return FormBasis(self.weight, self.kind,
+                         [f.truncate(precision) for f in self.elements], self.leading)
+
     def coords(self, series):
         """Coordinates of a series known to lie in the span: read off the
         coefficients at the leading indices."""
@@ -287,7 +299,9 @@ def echelonize(forms, weight, kind, window_start, precision):
 
 
 def basis(weight, kind, precision):
-    """Echelon basis of the holomorphic ("M") or cuspidal ("S") space."""
+    """Echelon basis of the holomorphic ("M") or cuspidal ("S") space, from
+    the memo: one build at the largest precision asked for so far serves
+    every request at or below it."""
     d = dimension(weight, kind)
     if d == 0:
         return FormBasis(weight, kind, [], [])
@@ -295,15 +309,19 @@ def basis(weight, kind, precision):
     if precision < s + d + 1:
         raise InsufficientPrecision(
             "basis of dimension %d from q^%d needs precision >= %d" % (d, s, s + d + 1))
-    if kind == HOLOMORPHIC:
-        span = _monomial_span(weight, precision)
-    else:
-        span = [delta(precision) * g for g in _monomial_span(weight - 12, precision)]
-        span = [ModularForm(weight, f.series.truncate(precision)) for f in span]
-    fb = echelonize(span, weight, kind, s, precision)
-    if len(fb) != d or list(fb.leading) != list(range(s, s + d)):
-        raise AssertionError("echelon basis of weight %d %s came out wrong" % (weight, kind))
-    return fb
+
+    def build(p):
+        if kind == HOLOMORPHIC:
+            span = _monomial_span(weight, p)
+        else:
+            span = [delta(p) * g for g in _monomial_span(weight - 12, p)]
+            span = [ModularForm(weight, f.series.truncate(p)) for f in span]
+        fb = echelonize(span, weight, kind, s, p)
+        if len(fb) != d or list(fb.leading) != list(range(s, s + d)):
+            raise AssertionError("echelon basis of weight %d %s came out wrong" % (weight, kind))
+        return fb
+
+    return _cached(("basis", weight, kind), precision, build)
 
 
 def hecke_matrix_on_space(weight, kind, m, precision=None):

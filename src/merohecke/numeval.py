@@ -163,17 +163,15 @@ def eval_series(f, z, bits=200, min_height=None):
         total = mpmath.mpc(0)
         qp = q ** f.val
         last_idx = None
-        last_mag = mpmath.mpf(0)
-        for n in range(f.val, f.prec):
-            c = f.coefficient(n)
+        for n, c in enumerate(f.coeffs, f.val):
             if c:
-                term = _coeff_num(c) * qp
-                total += term
+                last_term = _coeff_num(c) * qp
+                total += last_term
                 last_idx = n
-                last_mag = abs(term)
             qp *= q
         if last_idx is None:
             return EvalResult(mpmath.mpc(0), mpmath.mpf(0), "all stored coefficients are zero")
+        last_mag = abs(last_term)
         length = f.prec - f.val
         tail_lo = f.prec - max(2, (length + 3) // 4)
         ratio = None

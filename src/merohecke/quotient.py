@@ -6,9 +6,12 @@ principal part carry a Hecke action that only sees the principal part.
 Two quotients are implemented: classes modulo forms with free constant
 term ("modM!", dual to the cusp space in weight 2k) and classes modulo
 zero-constant-term forms ("modS!", dual to the full holomorphic space).
-The classes of q^-1 .. q^-d are a basis; the index-m action on them is an
-exact d x d rational matrix whose scaled characteristic polynomial matches
-the classical one on the dual space.
+For even 2k >= 2 the classes of q^-1 .. q^-d are a basis; the index-m
+action on them is an exact d x d rational matrix whose scaled
+characteristic polynomial matches the classical one on the dual space.
+quotient_hecke_matrix, theorem_check and eigen_witness refuse any other
+weight with ValueError: in weight 0 the class of q^-1 pairs to zero
+against the constants, and odd or negative weights have no quotient.
 """
 
 from fractions import Fraction
@@ -44,6 +47,11 @@ def _dual_space(kind):
     # classes mod free-constant forms pair against cusp forms; classes mod
     # zero-constant forms pair against the full holomorphic space
     return CUSPIDAL if kind == MOD_M else HOLOMORPHIC
+
+
+def _check_weight2k(weight2k):
+    if weight2k < 2 or weight2k % 2:
+        raise ValueError("weight2k must be even and >= 2, got %d" % weight2k)
 
 
 def quotient_dimension(weight2k, kind):
@@ -111,8 +119,9 @@ def class_of(pp, weight2k, kind):
 
 def quotient_hecke_matrix(weight2k, kind, m):
     """Exact matrix of the index-m Hecke operator on the quotient, in the
-    basis of the classes of q^-1 .. q^-d."""
+    basis of the classes of q^-1 .. q^-d; weight2k must be even and >= 2."""
     kind = _canon_kind(kind)
+    _check_weight2k(weight2k)
     w = 2 - weight2k
     d = quotient_dimension(weight2k, kind)
     if d == 0:
@@ -154,6 +163,7 @@ def eigen_witness(weight2k, m, eigenvalue, kind=None, precision=24):
 
     Returns the ModularForm witness, or the ObstructionWitness if the
     eigenvalue is wrong."""
+    _check_weight2k(weight2k)
     if kind is None:
         kinds = [k for k in (MOD_M, MOD_S) if quotient_dimension(weight2k, k) == 1]
         if not kinds:

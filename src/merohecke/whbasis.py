@@ -133,7 +133,7 @@ def wh_slice_basis(weight, max_pole, precision):
     """Echelon basis of the weight-w weakly holomorphic forms with pole
     order at most max_pole at the cusp: delta^-max_pole times the
     holomorphic space of weight w + 12*max_pole, re-reduced.  Window
-    [-max_pole, precision) on every element."""
+    [-max_pole, precision) on every element; memoized like forms.basis."""
     if weight % 2:
         raise ValueError("weight must be even")
     if max_pole < 0:
@@ -148,15 +148,20 @@ def wh_slice_basis(weight, max_pole, precision):
     if precision <= -a + d:
         raise InsufficientPrecision(
             "pole-bounded basis with leading indices up to %d needs precision > %d"
-            % (-a + d - 1, -a + d - 1))
-    dinv = forms.delta(precision + a + 1).series.invert()
-    dinv_pow = dinv.pow(a).truncate(precision)
-    hol = forms.basis(weight + 12 * a, HOLOMORPHIC, precision + a)
-    span = [ModularForm(weight, h.series.mul(dinv_pow).truncate(precision)) for h in hol]
-    fb = forms.echelonize(span, weight, "wh", -a, precision)
-    if len(fb) != d or list(fb.leading) != list(range(-a, -a + d)):
-        raise AssertionError("pole-bounded echelon basis came out wrong")
-    return fb
+            % (-a + d - 1, -a + d))
+
+    def build(p):
+        dinv = forms.delta(p + a + 1).series.invert()
+        dinv_pow = dinv.pow(a).truncate(p)
+        # any spanning set works: the reduced echelon form of the span is unique
+        hol = forms._monomial_span(weight + 12 * a, p + a)
+        span = [ModularForm(weight, h.series.mul(dinv_pow).truncate(p)) for h in hol]
+        fb = forms.echelonize(span, weight, "wh", -a, p)
+        if len(fb) != d or list(fb.leading) != list(range(-a, -a + d)):
+            raise AssertionError("pole-bounded echelon basis came out wrong")
+        return fb
+
+    return forms._cached(("wh", weight, a), precision, build)
 
 
 _DUAL_KINDS = {

@@ -7,6 +7,7 @@ import os
 import mpmath
 import pytest
 
+from merohecke import forms
 from merohecke.cli import EXIT_GUARD, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 
 
@@ -128,6 +129,279 @@ def test_expand_output_pinned(capsys, monkeypatch, target):
         assert hashlib.sha256(out.encode()).hexdigest() == want, (target, precision)
 
 
+# sha256 of the stdout of `quotient --weight2k W --kind K --m M --charpoly --check
+# --json` for m = 2, 3, 5, 7, 11, recorded with echelon bases rebuilt on
+# every request.
+PINNED_QUOTIENT = {
+    (4, "modM!"): (
+        "c1a681ed72819a8ba89ec4bc52dd066b1ed27214c2bdfba4f8f0b001ec0d88e9",
+        "b895a028b8c6688accfc0c4c189db98ca1817ac0253f6c74fa74df4558382789",
+        "a6f06bdaa5ec75eda92ff199f5d2adda9d390a390496bdec2216db7c4bdf2a41",
+        "1bfde396f35b6f685b46667ee5e6b567c57124d6b4f813ae849c84b6771dbb0d",
+        "9ac0e04ce63bd4f9f5ed186c4e8805d0380f6a56a1bd0ffbf34419baf7b8b4c9"),
+    (4, "modS!"): (
+        "a278d27ebecd0a6752bd81758d476528e1a85135115756689f909160266a0993",
+        "2ac4601dbda95e3bd1eacb09b514483dc34dc1fa736882f466ca3bb92ee23c23",
+        "bbf9d9d184423baa7ac44418b080226c8d91d60596a12d79ee18454a48a158e5",
+        "8191d71bb0296c82cc9967f2c900abb665d388c695f08a4d7cbcd379b4fb5e2e",
+        "39b44e70d0454b4e12dfa4a6ee0975ec549fd554338ee83852f649f3bdea91d1"),
+    (8, "modM!"): (
+        "c0386ae24a6a6ff8030b1144f97a3036a74b4b4e37dec33ab1c4984e6ef1a812",
+        "2906d2bed6314c8156f2f97fcae98b05b7521bc4be3b3ed40bcbe2268db28554",
+        "f59d5b13cc538a50aed9c74757230ec196b580bc3a5e445d38ae6c162d6e40cc",
+        "479040749ce7662eed9458c260b65b11d196d33253bfdf14eec6e85e0c24ce51",
+        "b812d0b557c29d88a2e5e728b04cb813ae7696378a8a94f61572a2c2482a888e"),
+    (8, "modS!"): (
+        "7c77c18eb0ad49fac67bd4269348ac11b08d2fb30354f12025ea9c8998ffdd13",
+        "d25eaacaa5f10d0c27bc6abf5190880dce42bd87aad7d1fd1409566c2772d796",
+        "c165e284c43f0d2e8e9dbb582421c2d2a443b9168209c8045bec91419276b2fc",
+        "d9fd97d8b1e9e21bf191c314a65360059358c7abdf93d38861a51656591f1bba",
+        "65d0ce116c42499521360e8dc410b4320f3e70516446ee7cb32543f75de1de7d"),
+    (12, "modM!"): (
+        "d42cd56a382c414402c96448ce56589723825423c879e77fb6627a56f817416e",
+        "e442ed89caaa9df02dedbcda283295b0267534f409431998e7842778c9cbb6ff",
+        "9890f45e60976de9179229cfec882e58f00bc6f04cc646783148488e1f5e96e9",
+        "502a68b1ec2e51c5008072aec235ee8b5ef02c06dbd5e839145bd32e6134a1a6",
+        "d203efad1afe72278a6bcd8002a8b5b7db082e0a18f7c2cc4aeb951dc54feab4"),
+    (12, "modS!"): (
+        "33a827ae28b08731933e76870df93d652c3ad59459a4ceed986ec9e563f10018",
+        "96979ffc0886a2c0169e07b641597d2b8e0f9e174b0dfb0f7faf61772f9e8ebe",
+        "632c8765b16ea527a71e8b17972acd9d2a609db27d8713fd68c0bea5843b441c",
+        "27100dc5eb7f0828f886718df45c22079b9ffb3c6faf6d94068e195bfcbc0cec",
+        "bc4fb4154597db77c9eb809d9fd3745047bb8c691d300fa5cdfab7fe8698a246"),
+    (16, "modM!"): (
+        "2e037ff925f1dee36e22e4a73e4eceeab03a67e139e9dd843752e3879db11ee9",
+        "62ca743630f0185efc4ef3f27cd8071cb04b83f5b7af0d44a4c5774feb540923",
+        "be14e7cac8847a9af8617031d79d1289146cf21ea0893fdfe60bc2a3bae4fcab",
+        "84d4db0ac622fc4cd3878945bb68a17bdb8f3e1877dd82524289a8eb3c09f869",
+        "3532e546e4a0a13638d7c552dc8a65d905bd58e1f26c0c4a51843416204d0737"),
+    (16, "modS!"): (
+        "388d3034cbf98fff1f1d6012379f76c08833c024247f63332e5b78887b68fd13",
+        "16c200e44775246d66b5d78a81e816cd51bb08bd53533054e19fc4a41a27f95a",
+        "17b1787473587256a9e689c4b0753276e1351d77fa1bdd31ffce89da84ae7df0",
+        "d2d9e95166196318efa5d37bd152e0675893629e16fb477670e5fd2d311292d0",
+        "aba9b6e160658298ca0e9e7237a1c9aedc2108040b9a67a6eb8711769422c916"),
+    (20, "modM!"): (
+        "e5ddebc23b6229c53864f405c9982ed9b06439bd7c9573d4403fcfce80aa8dbd",
+        "08b802b29098af764555dab7e9c099eb9751dc45c585eb7da42eb406e5ece4ca",
+        "c52c176ade94d679adaab7b62cc1722afe4522630e1d57602aeb8a911aa00ff4",
+        "42cdfed39313d5442f2b28dce9db0febb5670d9808c230008b7267f93170ad67",
+        "6198afe3b5b8f5d5c145002afb12efc71548bb1fddaa16ce05893f1d4dfa861d"),
+    (20, "modS!"): (
+        "02cac0fd4d5c9047177c597800bc51359f43e94b60c0cdaf1f992454a6f68dca",
+        "4dc69332bd05c63d6c23d2df2b795d8a94957788c5155271ec46655487d1fce7",
+        "9b2632137401186295487adcc745fc11eae1804b7614125f2ff0bc1067bc3236",
+        "8901ae55698784d444d6a72c071be7a5e379be58abe30a9de6f6c6db79d72948",
+        "ece5e523d77225059e606537261ea246458de31de77cdf7815de463c67593dca"),
+    (24, "modM!"): (
+        "484892b59c9cf7e16d0b0e53b11457d2440b551fc53d210612195eb7b7d4665b",
+        "af0d31be36894eaa05d9deb07f0280715708409480ac42abc3691be5f75413d1",
+        "36e160cea45f80bcac1297edf3355961d844b78e5e55ea93cde39e0c15541632",
+        "d71b13d0d442b46020d90e10157e45c990fd08e37fdf2bed42c0df0c49836f07",
+        "6fb2d14d6b7ffc627cb301c5c3c580d152d08d80f6eaed89e71d2aa91bb0f20c"),
+    (24, "modS!"): (
+        "d82a59a753074a0ecbce7215d825c83337ca7d5bd2c9f4623c0ec05a78e076a2",
+        "4bf406c5008d099bd017519ed59758a34c5b45191a270b4226484f1794b8c365",
+        "1fe6ea3bb36bdd3e7c9f76958ade9e86de8a03428fee210d0e63058d68737473",
+        "762edeb47a4b6a4318eec29d646ceeac53a3b3ecd4808f68086f59951ed711ff",
+        "9d0cc2fe6c846dcc72c14d02f63407c026550c94766c6e74372ffc1b9ae497c5"),
+    (28, "modM!"): (
+        "b5a6206793493c8ca677c3aa7958a90e1ea54e11e98494696cc4fcd6923a3c5b",
+        "7a55457b211a96b82c8fe6db344c7478d86e1ff598288417432ed877f60fcdd4",
+        "782e2467996a408f0fc60aac2483aab20c05ea98ed3e1eacca2730be946112d1",
+        "7d486cb364a7c8d9ce60db17a42086fff80fe83026be34240233a4638f9aa723",
+        "58aff44490b7f913d40bc3bc0c78240e936797d5d054cf5418fcc1a8ed8d282b"),
+    (28, "modS!"): (
+        "717d25b37bce3b1deebb517bc3f3d5bfe379720a651645444799c0bb281604ad",
+        "714db06c7fdebedb3e9291fdf353b8eb9955b5e1a9cff235def9bc91f17b4d91",
+        "642dd51be6288b2baacdb9ce44296b554b39f96e5036c6e32c29629d225c3d32",
+        "0b03471182aa987a40e1ee2b40043d7292768b8311470342709ec0c91320823c",
+        "2eb3e2a6421322ab6982dab1828e5055509caf5db1d50ba99d14363e40cc284d"),
+    (32, "modM!"): (
+        "a71f0f133dfc9c67ebcca261070ef53e3800b8b3b2dec820d9f2ab8a0be04531",
+        "30fb373d4c20e76c80d0a214fb05a0654ac00d3b5ca0008c94bcd09bd033480f",
+        "310d63070960f03282e9d20c92fd4de0c2b638b785e467fb15a478bcd732c8a4",
+        "02252e95c9871f239e665836fb6955d4b9022ca6da74afac8eaad9eb3b5a3f55",
+        "eaf27c83aa57457b93f57da34bcdf483578a3573aaebafe6617020cfc3711828"),
+    (32, "modS!"): (
+        "b997bd5efee124685c3513ff2bee6961dfef95be941bd252b2ad88a439a919d1",
+        "9bfee50e715fba9390b7b51e238aa4f415260e1c2f574c94726e6e5f0176a082",
+        "7a53ba0b4c3feefa14b1bae2acfc955e780571af6c969679a666fec9d5882b66",
+        "e282b4f3f2623a70f3cd1c59b927e138514577e7fa49a8cf1eec7dcefd22c0a3",
+        "def8638edda6030a1c979a80cf11c01cd7b049945720a34a0f0b31728379d723"),
+    (36, "modM!"): (
+        "9059b00b5321c056575f95e8f8b0d4d528c7e5053810d9e827cd2f0eecaada1e",
+        "97965f5853a58159e0481c2635a1f72d61cb31c0c6f6ecdf17420bea814d84a5",
+        "e2d40e11fa12c42ce6c1b52af1b8c5050f37499e5dffea22dc1682f26bb61624",
+        "c262e975406d272095f1206135f002b5f6cff0aa24cb7a49d02581c727927b9d",
+        "13a556c0a236427087f0246030af6140439fb780b815a7959570d110749097f2"),
+    (36, "modS!"): (
+        "23f3d12efd6b3852012d47575fe2cad9b970eb6eeb8fd9e4554a03c4676b107b",
+        "4c871b592ddb8fe33fcf4fdf4e1909c684842621cffa0e38431523d7e3f1a0d8",
+        "b012665fe33299b5d779a6a9233e2275e66eef5ca5398c46c81ca9ee88358584",
+        "45f33102b45eee15bde49879129cdf9fee2aa4d17caa9b5f30284b3fe672a972",
+        "78b2c3c0f20ec6f6c0244d94ceb62533d7df78b8b2be662c512d61ca98d48975"),
+    (40, "modM!"): (
+        "ed21ca7dc07b660ddee540d093a65d19c9eaa3f121add0e83a7f4d14577cc234",
+        "bc523740689eaf6731f413b17a124b8542da20ca0c9cfedb0b281837bdbeff69",
+        "b68345d43a87e4c08eb23da79be22633989e78e818233361f5d71b1123221680",
+        "f7380baf1d6673fe26c0293c32c19ba3a3c3502d098f33b1f28ec02d2fc2405f",
+        "81a0ab56519d71bdd738e379cc8cc2f426c8b1d2642c230618b1529ff8b815b2"),
+    (40, "modS!"): (
+        "c128b6f8481866631e55e7ad875bf0115210f82241bf8f2690c7dce6b55815d2",
+        "c8de995aadbc02b106c61f843e7ee975660f40b9cb5aad868faceed604516cb8",
+        "00026360302be10fabbcebc913d81df944e4af69e64d0df78a20eef36e768062",
+        "1406d8081bd26f8034f80348765250f855a105adae00aa6b81332e3b26463f08",
+        "0cf3e935c45849ca627454cb00d78e605e67448d25e1c5eb5b6ebf9acc2f2025"),
+    (44, "modM!"): (
+        "4fcf5996e37d8e4d375636d3216d3fd5385d4da2324f690b842495a9dde994a3",
+        "780e55923e725d1076431adb35c1e8f1f4d5dea912d421a022b998d471fe0226",
+        "747c4f3d36af8d80c9cdb6eaa81ddc7abd2c11d17e6067183573461dd6e74237",
+        "0b9f31482c892b78c23a88d0aa89b088f36c9cd333502928bfd21f3865aa7a11",
+        "1f54d70810eadac8490b501782e8290395fc050a1849c8318ba0a22cca22a7b3"),
+    (44, "modS!"): (
+        "73dbacc8aa11185d3795f0e07a141c0316c054af1420fb6e72ab527a105be56a",
+        "3aecca0e57019217220cfee1acce66ecb0eafccc81a8f9734ffdf4613bd75989",
+        "4fa2d0c5ec3a0dc148bcef2386d0f76e09416c03cea4adbb73c40a355f9fd881",
+        "1d9efba26749d6676b64a6f8bcbfd689a3e0d7488d105fda74469e2b529f52bc",
+        "5efc443305f4726cbdc03c38919718599ee5b35b05ef0af6b08e7c9b9074abf0"),
+    (48, "modM!"): (
+        "e4b01af62e2bfb2870b8aa0e27cfceb4fb4b2456b651e3799c794204dc9bcf1a",
+        "af2379af6e5fd1cc80a34d38bae3f0d61d33f35cac3d9ef233ff5c71ef17d1aa",
+        "c684823068876c0baf1e5ec3ed1e5087f6b818b95bcbf9b6aa04e0dcd0000138",
+        "56119dbc2d7b3397758de98bac6971b6673e84ae8398dc8a8edc27e4f224b1e8",
+        "5650f43fb29c907897d6126d377656939666d7e30dfd9ca8cdfbf281a7112d55"),
+    (48, "modS!"): (
+        "cde41f15e2a0169d90e0e603bd3c4cdd85e54e187362de71e7df8ac629bf2088",
+        "b14aa7db86ea7b045703467a7363a5d439249590207a6a18b4df0df07e090e60",
+        "d0e52e5d3e810f4d5950d5e6ba2ffb785856a1beff95459103b9392812df0032",
+        "d80b8463c9acdf40a4daeb811791e3dbcc94f0d5f459b9be277eae1fd8a8efa3",
+        "c0ab1b4fabdcf553139c958b3b2de6ba3e11005ff85d8a498514eb728bcea7f9"),
+    (52, "modM!"): (
+        "340d40ea62a30c42fa29d9d3203db19a039216ecf2274e29ffe15a74a22917dd",
+        "0fb5f5dda8554dfc8780db7709019db28b94541d741666492ad1537fb6a76c82",
+        "f82efd6275f1e4904afd9af9896abba0433840d43ab8a6a960c72cd34e4fb80c",
+        "419235647e848f1ef9b2f4ffb1ab9ae12c9f5779535614cf160e4d47c550e4d6",
+        "be4cb8d55068ede89cc0bdea55bf62a23cee761fa5c08a3ce834955ae8a65554"),
+    (52, "modS!"): (
+        "df876e9795e6d066cf549d3803d3af706e2441fa4e27c4a6b4dae00027c5116d",
+        "d9ac9523041dc42096bc96902cea6534ab9f67013b24e8aa99ab8c16c3134086",
+        "bc322d5ee8e1398edc81d8efa4fccdccabd7bcd582c8d1fe895a01f6751da70d",
+        "5476dccb962d33359341113f416cd0ae16dfe5c1b213a5b3f3d23e86877da814",
+        "a96d0cd62d4189344af5f8c295ddc9f0b7c322ed0eeaa0178aa5d80b87697180"),
+    (56, "modM!"): (
+        "36c67f82875bd560dabf673f66216dae46712707252287adb996f692621bbadd",
+        "33b41159210d64b607e55ed6532196be8bf38a1389e15a9333a47735f5a074ef",
+        "5234b9916b649f152d2482cb34faae4741e917f64a9ec8566d59ac67dcd75c5e",
+        "4aeb50a49755b71d2aa8edb583fdee6bb4a81c827f96bc7be0016eb4bda77d38",
+        "8772cdf87b418a06bb915f30622ecadeacb82d5506181c3f8538af147dd7ddb7"),
+    (56, "modS!"): (
+        "20b93c86b727532448a6a65538d0a602207ff613c3ef6f8a076c71eab8684f69",
+        "98fba793030ad435514ce7ecb914bcacd95f30a56b1bc90ad257f5eb7ff22f2f",
+        "ded8dfef8bbb17db74973a4b27ba7ed0e66e642dece22e292e8bc85830fd78bf",
+        "85d834e48a3f35263ed34cee3e6cf90c70e2b92eaddf540efa7f1598fc4744e1",
+        "c753e2d8d25bf286fb68fce02afcdd5d19ae773016bfe0327298b8166c0c1a9a"),
+    (60, "modM!"): (
+        "1f9e864a1f6b36389f885451991c1f0a6f2c5fce8a439829a3440b6c7168379f",
+        "bfa8ec2c07a4e033e34b62407849225b68d2676cb3730c21e5dc19fe24f9a0b4",
+        "258c0a6ca6becbc74d15554cd2db271e7e6cc6cff7dbf5dc84d421797e7e4754",
+        "d6a3de31a577316f3feacd9a18700067ab4b6e058d1c9b103951dd4a1172cadb",
+        "b0a1b4198a04d222511a227f8548f492e59af683ac6479428d74c12b95c2fe48"),
+    (60, "modS!"): (
+        "02cf5afce83476cdc4971dd148b8b481be372ed17db851179727e2b24d5b0466",
+        "53ff580c6e05c302a6a0af2afc4291f5e736cfb88c7915ad5ec074bda3a881ed",
+        "8451653d071df0ff6b85f8092e9d0eb67f3b196fc6036bf4e948c0badecfe91a",
+        "85e1ed25fa0c1b7e74d9e36090c52ae1d001d246c0a83fc178bd88ada9fac231",
+        "9968d7b24e886c52f44cd9a2fd15fc7371d59491e6275460def166cdb71f0b2e"),
+}
+
+# (weight, pp, prec, sshriek, exit code, sha256 of the stdout of `solve-pp
+# --weight W --pp PP --prec P [--sshriek] --json`), recorded like the above:
+# both routes, solvable and obstructed, weights -2 .. -34.
+PINNED_SOLVE_PP = [
+    (-2, "2:-35/2,4:37/6", 24, False, 0,
+     "91671e5ed9510d8314a7cc17074f4e38333c6c84c91ba9aaeda48bbdd21bd045"),
+    (-34,
+     "1:-4693010856245058661620423269120/800970893461476494022464969589,"
+     "2:33/5,3:-1063443531481070507145768128/444983829700820274456924983105,"
+     "4:-26866145846200215828260608/800970893461476494022464969589,"
+     "6:462032358229774704851/1067961191281968658696619959452,"
+     "7:-826965845665951872/444983829700820274456924983105",
+     36, True, 0,
+     "0b2e6f8b27a745070cecdf94388f64ce9927dd026d481e36cd2897b1635370bc"),
+    (-30, "0:4,3:27/4", 12, False, 1,
+     "f5695dfac02074bd34ab3ef2ff934a6cb9d64bd2c0ff3304fcd1a9d7ce790511"),
+    (-10, "1:16,2:-32,3:-4/7", 24, True, 1,
+     "9e0c18e49857ffd420359d5c4428b0b238722f0afb9d9b1019a4f7afe4415050"),
+    (-24, "0:2,2:-2031638875/1840637048,5:-5,8:-264996375/230079631", 24, False, 0,
+     "8e0be93eaf2d19961d11dd23b2775639b2e4f4eff0a28f80ad8534ef985e6282"),
+    (-4, "3:-23/5,4:55522488/6009215,8:-4606876/18027645", 12, True, 0,
+     "b33124c83ad30eb762d1cb299224658e0685002d3caec4f678e12cc2d684a08a"),
+    (-18, "6:11", 36, False, 1,
+     "e8ef7df742d8e69e6020dd288a254c0bf4eb6bbbfe3d0b69f9f115c7936a8576"),
+    (-32, "6:-1,8:-2", 36, True, 1,
+     "23ef6d568d5facb2f5575a3bdeeb4027bd6d4101ee1786d249a3818d606e4bd8"),
+    (-12, "3:-4/7,4:-11/6", 12, False, 0,
+     "87045998a84acbf76a1791fff80f4198d5f5485fc1f6f8004a166820d3083fb5"),
+    (-26,
+     "1:11,2:355899732828288130880164194064/481126809938261269300387,"
+     "3:-22243733301768008180010262129/1924507239753045077201548,"
+     "4:10182711049644697494448/12028170248456531732509675,5:17/3,"
+     "6:-437753756114554217616821672/974281790124979070333283675,"
+     "8:415620859169171326304/2405634049691306346501935",
+     24, True, 0,
+     "fd2e8b7ba173c4b4b94177e372f21e969541193bf82335e7bd3b8b1dece859c9"),
+    (-6, "0:-2,2:27/7,6:-7/3,8:-23", 36, False, 0,
+     "baf83f1271aecb9928ca8269b6bea2b9ebb5198b6e05e6b1676bf8a839a75326"),
+    (-20, "5:28/5", 12, True, 1,
+     "c9260e5106430e89be04a5cd09e09f3c81b9f05885116125d685de0233cb5e7d"),
+    (-34,
+     "1:-1/2,2:-37443439350597621321691103357/46616401795726137816,3:29/2,"
+     "4:-111498452416558110163/367751614166283976104,6:-26/7,"
+     "7:-94344844352472247061/735503228332567952208,"
+     "8:1963913685345964329731/211824929759779570235904",
+     36, False, 0,
+     "4095c1cb61556e0663f9814c8795d40b82a1859cd18cd7862fc8f302c3ecc539"),
+    (-14, "1:-1243055764253/336,3:-15307653645/13888,4:-38/7,7:10/3", 12, True, 0,
+     "c41c6ec6ca398c2fa229b5b10f2ae73f8b53f0796a9f201e2409829829133f9c"),
+    (-28, "3:-35/9,8:7", 12, False, 1,
+     "0c8d7957177b85c3e1678ebd0d030b1a178aa585b0cc4128dcd9bddb76a66b03"),
+    (-8, "7:3/5", 12, True, 1,
+     "f1027ccbf570edd3b304ae06e159c9cbee0f1007452d327313c0f301562f6dc0"),
+    (-22,
+     "3:-5188134391685490877/125133019453474578,"
+     "5:-120649901100603895/62566509726737289,"
+     "6:35919555063086343910/563098587540635601,"
+     "7:503052227186329454/20855503242245763,8:3",
+     36, False, 0,
+     "d75ced8d5f7fda5c1d6b1882baed112c9f73c3ecbec9486052aea1b82a61f52e"),
+    (-2, "1:-8/3,3:-1945/84,5:-1/4,8:7/6", 12, True, 0,
+     "0f41677e8a1e4d2c387813d3a8ee66161b6c9c17325442b675672f963406b206"),
+    (-16, "2:-14/3,8:-31/7", 24, False, 1,
+     "e3b0321b1d938c75ffaee9e8b5f1d96219d576794e54f46977cbb286304c2564"),
+    (-30, "2:3/5,3:13/3", 12, True, 1,
+     "acb3e74629a4743a1843db80c2e9f2025fdd2e6e232c13c724b135b099a9ed62"),
+]
+
+
+def test_quotient_and_solver_output_pinned(capsys, monkeypatch):
+    # one process, one memo: after the first cases most bases are hits
+    monkeypatch.delenv("MEROHECKE_CACHE_DIR", raising=False)
+    forms.clear_cache()
+    for (weight2k, kind), digests in PINNED_QUOTIENT.items():
+        for m, want in zip((2, 3, 5, 7, 11), digests):
+            code, out, _ = run(capsys, ["quotient", "--weight2k", str(weight2k), "--kind", kind,
+                                        "--m", str(m), "--charpoly", "--check", "--json"])
+            assert code == EXIT_OK
+            assert hashlib.sha256(out.encode()).hexdigest() == want, (weight2k, kind, m)
+    for weight, pp, precision, sshriek, exit_code, want in PINNED_SOLVE_PP:
+        argv = ["solve-pp", "--weight", str(weight), "--pp", pp, "--prec", str(precision),
+                "--json"] + (["--sshriek"] if sshriek else [])
+        code, out, _ = run(capsys, argv)
+        assert code == exit_code, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == want, argv
+
+
 # -- hecke -----------------------------------------------------------------
 
 def test_hecke_name_route(capsys):
@@ -232,6 +506,16 @@ def test_quotient_kind_validation(capsys):
     code, _, _ = run(capsys, ["quotient", "--weight2k", "12", "--kind", "modX",
                               "--m", "2"])
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("weight2k", ["0", "5", "-4"])
+@pytest.mark.parametrize("kind", ["modM!", "modS!"])
+def test_quotient_weight_outside_domain(capsys, weight2k, kind):
+    code, out, err = run(capsys, ["quotient", "--weight2k", weight2k, "--kind", kind,
+                                  "--m", "2", "--check"])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "weight2k must be even and >= 2" in err
 
 
 # -- verify ----------------------------------------------------------------------

@@ -5,8 +5,9 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from merohecke import linalg
+from merohecke import forms, linalg
 from merohecke.qseries import equals_to_precision
 from merohecke.forms import (
     CUSPIDAL,
@@ -26,6 +27,7 @@ from merohecke.forms import (
     j_function,
     sigma,
 )
+from merohecke.whbasis import wh_slice_basis
 
 # classical tau values, standard tables
 TAU = {1: 1, 2: -24, 3: 252, 4: -1472, 5: 4830, 6: -6048, 7: -16744,
@@ -208,6 +210,68 @@ def test_cache_consistency_across_precisions():
     assert hi.series.truncate(6) == lo.series.truncate(6)
     lo2 = delta(6)
     assert lo2.series == lo.series.truncate(lo2.series.prec)
+
+
+def _basis_state(fb):
+    return (fb.weight, fb.kind, fb.leading,
+            [(f.weight, f.series.val, f.series.prec, f.series.coeffs) for f in fb])
+
+
+@st.composite
+def precision_sequences(draw, lowest):
+    """Requests at or above the lowest valid precision: rising, falling,
+    repeated, or in any order."""
+    ps = draw(st.lists(st.integers(lowest, lowest + 40), min_size=1, max_size=4))
+    order = draw(st.sampled_from(["rising", "falling", "repeated", "any"]))
+    if order == "rising":
+        ps.sort()
+    elif order == "falling":
+        ps.sort(reverse=True)
+    elif order == "repeated":
+        ps = [ps[0]] * len(ps)
+    return ps
+
+
+def assert_memo_matches_fresh_builds(request, key, precisions):
+    fresh = {}
+    for p in set(precisions):
+        clear_cache()
+        fresh[p] = _basis_state(request(p))
+    clear_cache()
+    for p in precisions:
+        assert _basis_state(request(p)) == fresh[p], p
+    assert key in forms._cache
+    clear_cache()
+    assert key not in forms._cache
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(2, 40), st.sampled_from([HOLOMORPHIC, CUSPIDAL]))
+def test_memoized_basis_matches_fresh_build(data, half_weight, kind):
+    weight = 2 * half_weight
+    d = dimension(weight, kind)
+    if d == 0:
+        assert basis(weight, kind, 5).elements == ()
+        return
+    s = 0 if kind == HOLOMORPHIC else 1
+    precisions = data.draw(precision_sequences(s + d + 1))
+    assert_memo_matches_fresh_builds(lambda p: basis(weight, kind, p),
+                                     ("basis", weight, kind), precisions)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(-17, 0), st.integers(0, 12))
+def test_memoized_wh_slice_basis_matches_fresh_build(data, half_weight, max_pole):
+    weight = 2 * half_weight
+    d = dim_modular(weight + 12 * max_pole)
+    if d == 0:
+        assert wh_slice_basis(weight, max_pole, 5).elements == ()
+        return
+    # pole order 0 is the holomorphic basis, memoized under its own key
+    key = ("wh", weight, max_pole) if max_pole else ("basis", weight, HOLOMORPHIC)
+    precisions = data.draw(precision_sequences(-max_pole + d + 1))
+    assert_memo_matches_fresh_builds(lambda p: wh_slice_basis(weight, max_pole, p),
+                                     key, precisions)
 
 
 def test_cache_thread_smoke():

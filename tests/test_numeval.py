@@ -1,13 +1,15 @@
 """Arbitrary-precision numeric layer: series evaluation on the upper
 half-plane, special-point checks, and truncated elliptic Poincare sums."""
 
+import hashlib
 import math
+import random
 
 import mpmath
 import pytest
 
 from merohecke import forms
-from merohecke.meroforms import build, build_expression
+from merohecke.meroforms import CONSTRUCTIONS, build, build_expression
 from merohecke.numeval import (
     DivergentTail,
     EvalResult,
@@ -154,6 +156,45 @@ def test_tail_bound_covers_truncation():
     lo = eval_series(forms.delta(30).series, (0.1, 0.8), 200)
     hi = eval_series(forms.delta(90).series, (0.1, 0.8), 200)
     assert abs(lo.value - hi.value) <= 3 * lo.err_bound
+
+
+# sha256 over 20 evaluations per form of the exact mantissas of value and
+# err_bound plus tail_note, or the DivergentTail message: bits 64..512,
+# precision 100..400, x in [-0.5, 0.5], y in [0.5, 2.5], drawn from a fixed
+# seed.  Recorded from the loop that read every coefficient through
+# coefficient(n) and took abs() of every nonzero term.
+PINNED_EVAL = {
+    "E4": "c9a803c85aa4af9ed1809dc0a7a2ef3c7850572be182ebc74ef80ec133d7e8c3",
+    "E6": "664e4a02cad1ef2db060225fa230bf3139a75480918d1b22f80e2393d0c0b570",
+    "E10": "9d62b9dd46dd6ecf017db72090a9b510eebd902e542237079bb5ce3de844ef9f",
+    "delta": "bbbad3293e7bd96f2b747a5d4e5cbac35bea6624484f89292edc30d3e07430ea",
+    "j": "8eee66e0919d65fe1b24f5a9cd3f905962d17c33efc1c058869f533c0352c922",
+    "G": "5a7c8f63467fc12d99974975b2f08456ae38f0841ebe0f71c24fecc9dbb1594c",
+    "f6i": "c935d8d8cb4c978220df0d1b772185734fbd1ceb80071982dc844478749ba281",
+    "g7": "9448f8045ab6e8034fea054471e83985e9d22a65a570bd385a84eacb12454ca1",
+}
+
+
+def test_eval_series_pinned():
+    rng = random.Random(160)
+    for name, want in PINNED_EVAL.items():
+        h = hashlib.sha256()
+        for _ in range(20):
+            bits = rng.randint(64, 512)
+            precision = rng.randint(100, 400)
+            z = complex(rng.randint(-500, 500) / 1000, rng.randint(500, 2500) / 1000)
+            if name in CONSTRUCTIONS:
+                series = build(name, precision).series
+            else:
+                series = build_expression(name, precision).series
+            try:
+                r = eval_series(series, z, bits)
+                rec = repr((r.value.real._mpf_, r.value.imag._mpf_, r.err_bound._mpf_,
+                            r.tail_note))
+            except DivergentTail as e:
+                rec = "DivergentTail: %s" % e
+            h.update(rec.encode() + b"\n")
+        assert h.hexdigest() == want, name
 
 
 # -- modular transformation behavior ----------------------------------------

@@ -163,6 +163,19 @@ def test_matrix_empty_space():
     assert quotient_hecke_matrix(4, MOD_M, 5) == []
 
 
+@pytest.mark.parametrize("weight2k", [0, -2, -4, 1, 3, 5])
+@pytest.mark.parametrize("kind", [MOD_M, MOD_S])
+def test_matrix_rejects_weight_outside_domain(weight2k, kind):
+    # weight 0: the class of q^-1 pairs to zero against the constants;
+    # odd or negative weights have no quotient to act on
+    with pytest.raises(ValueError, match="even and >= 2"):
+        quotient_hecke_matrix(weight2k, kind, 2)
+    with pytest.raises(ValueError, match="even and >= 2"):
+        theorem_check(weight2k, kind, 2)
+    with pytest.raises(ValueError, match="even and >= 2"):
+        eigen_witness(weight2k, 2, 1, kind=kind)
+
+
 def test_scaled_charpoly_weight_24():
     # two-dimensional case: after clearing the m^(1-2k) normalization the
     # matrix must carry the classical weight-24 Hecke charpoly

@@ -646,6 +646,154 @@ def test_psi_prop_check(capsys):
     assert obj["pass"] is True
 
 
+# -- pinned psi-sum output ----------------------------------------------------
+#
+# Centers i, rho = -0.5 + (sqrt(3)/2)i and a generic point; the negative real
+# parts of rho, the generic center and the argument check that coordinates
+# keep their sign on every route.  (k, ell, center) runs over every
+# combination whose series does not vanish (ell + k divisible by the
+# elliptic order 2, 3 or 1 of the center) at bounds 1, 2 and 4; the larger
+# bounds run a cover that meets every k, ell and center (bound 8) or the
+# normalization case and one generic pole (bound 16).  bits 53 is the
+# machine-precision route, the others the fixed-point route.
+
+_PSI_CENTERS = ("0,1", "-0.5,0.8660254037844386", "-0.31,1.17")
+_PSI_AT = "-0.21,1.37"
+_PSI_ALL = tuple((k, ell, c) for c, order in enumerate((2, 3, 1))
+                 for k in (2, 3, 4) for ell in range(-3, 3) if (k + ell) % order == 0)
+_PSI_COVER = ((3, -3, 0), (4, -1, 1), (2, 2, 2), (2, -2, 1), (4, 0, 0), (3, 1, 2))
+_PSI_PAIR = ((3, -1, 0), (4, -3, 2))
+_PSI_PLAN = tuple(
+    [(bits, bound, combo) for bits in (53, 120, 200)
+     for bound, combos in ((1, _PSI_ALL), (2, _PSI_ALL), (4, _PSI_ALL), (8, _PSI_COVER),
+                           (16, _PSI_PAIR))
+     for combo in combos]
+    + [(80, bound, combo) for bound, combo in zip((1, 2, 4, 8, 16, 4), _PSI_COVER)]
+    + [(512, bound, combo)
+       for bound, combos in ((1, _PSI_ALL), (2, _PSI_ALL), (4, _PSI_COVER), (8, _PSI_PAIR))
+       for combo in combos])
+
+
+def _psi_argv(bits, bound, combo):
+    k, ell, c = combo
+    return ["psi-sum", "--k", str(k), "--ell", str(ell), "--zz=" + _PSI_CENTERS[c],
+            "--at=" + _PSI_AT, "--bound", str(bound), "--bits", str(bits), "--json"]
+
+
+# first 16 hex digits of the sha256 of each case's stdout, in _PSI_PLAN order
+PINNED_PSI = (
+    "cf6b83d28f6e7abb", "415cfe7311a951b5", "dc58bf5951078811", "6dcc6290ecb9b983",
+    "0d3fb5db26775242", "d4250d3f00d7259c", "6c2658121d5e5d2d", "1e0d3f287636619f",
+    "1d98873764c80742", "b3241ea1b78faac2", "afde0dd618986d9d", "7c47697dfe3e4c6e",
+    "6b33532cd58c23a9", "8d492563b356cfd8", "4e791500f86a5593", "727ad7a233bff2a8",
+    "a844bdb9ebb59c2d", "b6b4d60539dd485a", "eec29e7cbfb81586", "d3dfadeea18bdb88",
+    "00e694fcbaf9af27", "f2083b20aa2fd2ed", "4fab47baa1867bfe", "0f46d3a87fc496d4",
+    "4865e3577706c182", "4ebdd0130b2e9330", "5c6633c9135ad013", "f24f24e617024fa1",
+    "2dd2ff55bca0da78", "dfb7aeab5690906f", "93dc8bc1b388ff1f", "fb73f0c4aa3af481",
+    "75dc1e8346a23552", "1a47e4ea3e5f46a8", "1ce1cda3cc74ee6e", "04376b6aa256ebb1",
+    "8c73b7d79bdf9864", "214b2e70df1b2e14", "648d732afe38e830", "11027560f4183c43",
+    "d4278fa7a5778f26", "fd5dfabd75e643a5", "673f1d14402226c8", "cef42714df25d828",
+    "c3d141db2d4b471d", "a0323ec62fcd51c7", "6c56e14e99fa7ef4", "ba3edbc0a92ec5ab",
+    "9c0cdcb3121f8b2d", "888e74883b46564d", "9c29766372db98cf", "dcd769ca35226908",
+    "5d5b75a9431447eb", "b0b95c3562fb89c0", "e2265af7b384da43", "80088648235e85cd",
+    "f11fb39c82e592ef", "184f3188cc7fe72b", "5ca04e1ed5e48991", "f470de6d942a41f0",
+    "e40d45e42b34958b", "11847175c9d19041", "844aa0dd051d4adf", "a6e044c492c7fbc9",
+    "4e4a7fe0e35f222c", "32871f3bbe23ab20", "00a53e5cca73a67a", "6e54eee7095f3892",
+    "dd32467120ae9770", "d7d22edf32ef5fdf", "2ff2c07595f7e3f8", "6db9e2873eaf6dbe",
+    "44414e354d372687", "90717ff9c11a31df", "803b51e5d5accc7c", "e1116ad4e0824416",
+    "89f0a5232efc6d31", "c8d172b1ba800c04", "1d2defd34eb9216a", "440aa08175272956",
+    "a8d0de971b5f02fc", "519e9fdd19a99944", "d1109165d9b72390", "3db986ea8ee9beb4",
+    "ff480d27bf606bbe", "8c6567a490fca084", "a342dbf4bb165de9", "21394effdea82d0b",
+    "6e54f79a3720bd81", "fe03fdb9b9455b57", "2770e8043904114b", "6ff74ff15bfa9d56",
+    "8c92bfcde2e5b462", "b53a1592a1a56731", "20fb59521dd89cf4", "6e5b22f6aff077b2",
+    "2e254de0616c5c08", "c94b4f2f9e25e6dc", "e70b1eb11cc91ac2", "3bdc144d2d665c10",
+    "f46df00e1d2b556c", "270a6812fffd6a3c", "6ad79f900f468b8d", "9ac36c4be4693ef6",
+    "67b0787d561e7843", "ec23cef9013fb8f5", "a1e8024f62db745a", "a031e314abed79f2",
+    "7cba2aa7cad2a5c9", "c271f944a9adae26", "17fe901499937d16", "223747bb340f4cd0",
+    "0772ca4842a1add0", "a9abfdb7cb1883e3", "78a5936b908f5c8a", "33163032f0938b53",
+    "63fc8e378075e11b", "9781994d673f37d3", "36fb84832012dd96", "f5e1a517cc3feadf",
+    "032cc2a1c395979b", "f76a18582152711b", "07850045034bc8c3", "8f47dbd22358f4b5",
+    "80d11142e93f3d3c", "7ef3f563e5466716", "02efb24787190146", "196fed346ffabc0f",
+    "6afe698d8d380197", "cc98e28e523c32d8", "6dd40479d0a48646", "c8814e02496089b2",
+    "f75cc182aa083cbe", "167473407cc12135", "e311852c40e72a02", "aae935aad5afcbf9",
+    "55c6ea1a342faafc", "971d83f39a943fe6", "156bd0a2d502e296", "da942d2308fafa77",
+    "d28bc9b570715660", "be22b0b647026a49", "a5e567d1e7bbabd6", "724d365915576866",
+    "33b02fe566036795", "f6b71970b76b6492", "b22154601a051dbe", "d53a89d4cd0d0b98",
+    "dcf6c9152e4cc878", "4a5f1950fc5b13e6", "871f4ff2615c7e46", "6200d26f07445be4",
+    "658ff52b371a7b46", "80ed1e5d5b8d6511", "d796285041a9412c", "1e29095a02bb9894",
+    "6cc417a4e4339f40", "2e4947c2571e3562", "dc2eb220e5554fe9", "f5c588d167a36d4e",
+    "9a6dc76a9707541f", "159be03029432b68", "bf4992990881b7b7", "b76bd9dae6234f5a",
+    "e1776c3939fd81c4", "d64a6c80487dd515", "fffb8ca3ad781e48", "14a6408067391424",
+    "d907f1d93e7b5491", "386cd482de318f56", "63a94349169f1021", "ba6c8183d6669c3b",
+    "dc37951e9692f051", "842600a7619846fe", "75f2c7b053c9d6ee", "73ef1a3a4b81e77c",
+    "2ce58b52f4ed858b", "64fb84252cd4fe55", "88008bffec0ba247", "5d19d7d50fc6dc62",
+    "f20be5707672a5dc", "95dacfb99d1938c3", "b7ae1308ee6abe36", "e37a4b31addb4e39",
+    "a0b53f378a39ba95", "3ebbcbd1b532e308", "577d9833ff473f57", "3ea43da202c64d0c",
+    "f7f7fafdecf63f41", "5025c42d50e3fa2c", "ca5e1c6ff6f626d3", "d27eef777a28107c",
+    "de0e59edf18faa90", "07b782e884011287", "51611b1feac37c95", "8c02804384e64efb",
+    "77cea1c810d7daaa", "e04201f2a64bdbe8", "2ff3b22710c82566", "a1c75606010e2773",
+    "2e851b2d724d2aff", "dc16fc5fc533b82b", "278630dc6814f14b", "a1a26aa078dc79e7",
+    "f6763229b61078bd", "ef32b8e92f26769f", "aba86fda8bf4648a", "1a3738d0be425bfe",
+    "10422b4637fa877e", "3e65d1b1b3049fb0", "83024809ff8528a3", "dadff61b5833ea69",
+    "a195dc3f42fd8f9a", "510933665951318d", "a031e314abed79f2", "7cba2aa7cad2a5c9",
+    "c271f944a9adae26", "17fe901499937d16", "223747bb340f4cd0", "0772ca4842a1add0",
+    "a9abfdb7cb1883e3", "78a5936b908f5c8a", "33163032f0938b53", "63fc8e378075e11b",
+    "9781994d673f37d3", "36fb84832012dd96", "f5e1a517cc3feadf", "032cc2a1c395979b",
+    "f76a18582152711b", "07850045034bc8c3", "8f47dbd22358f4b5", "80d11142e93f3d3c",
+    "7ef3f563e5466716", "02efb24787190146", "196fed346ffabc0f", "6afe698d8d380197",
+    "cc98e28e523c32d8", "6dd40479d0a48646", "c8814e02496089b2", "f75cc182aa083cbe",
+    "167473407cc12135", "e311852c40e72a02", "aae935aad5afcbf9", "55c6ea1a342faafc",
+    "971d83f39a943fe6", "156bd0a2d502e296", "da942d2308fafa77", "d28bc9b570715660",
+    "be22b0b647026a49", "a5e567d1e7bbabd6", "724d365915576866", "33b02fe566036795",
+    "f6b71970b76b6492", "b22154601a051dbe", "d53a89d4cd0d0b98", "dcf6c9152e4cc878",
+    "4a5f1950fc5b13e6", "871f4ff2615c7e46", "6200d26f07445be4", "658ff52b371a7b46",
+    "80ed1e5d5b8d6511", "d796285041a9412c", "1e29095a02bb9894", "6cc417a4e4339f40",
+    "2e4947c2571e3562", "dc2eb220e5554fe9", "f5c588d167a36d4e", "9a6dc76a9707541f",
+    "159be03029432b68", "bf4992990881b7b7", "b76bd9dae6234f5a", "e1776c3939fd81c4",
+    "d64a6c80487dd515", "fffb8ca3ad781e48", "14a6408067391424", "d907f1d93e7b5491",
+    "386cd482de318f56", "63a94349169f1021", "ba6c8183d6669c3b", "dc37951e9692f051",
+    "842600a7619846fe", "75f2c7b053c9d6ee", "73ef1a3a4b81e77c", "2ce58b52f4ed858b",
+    "64fb84252cd4fe55", "88008bffec0ba247", "5d19d7d50fc6dc62", "f20be5707672a5dc",
+    "95dacfb99d1938c3", "b7ae1308ee6abe36", "e37a4b31addb4e39", "a0b53f378a39ba95",
+    "3ebbcbd1b532e308", "577d9833ff473f57", "3ea43da202c64d0c", "f7f7fafdecf63f41",
+    "5025c42d50e3fa2c", "ca5e1c6ff6f626d3", "d27eef777a28107c", "de0e59edf18faa90",
+    "07b782e884011287", "51611b1feac37c95", "8c02804384e64efb", "77cea1c810d7daaa",
+    "e04201f2a64bdbe8", "2ff3b22710c82566", "a1c75606010e2773", "2e851b2d724d2aff",
+    "dc16fc5fc533b82b", "278630dc6814f14b", "a1a26aa078dc79e7", "f6763229b61078bd",
+    "ef32b8e92f26769f", "aba86fda8bf4648a", "1a3738d0be425bfe", "10422b4637fa877e",
+    "3e65d1b1b3049fb0", "83024809ff8528a3", "dadff61b5833ea69", "a195dc3f42fd8f9a",
+    "510933665951318d", "032fed3ff984d71d", "4da9e17f0337ffb0", "c500528e96dc974e",
+    "4eccb02a7c69df46", "3e26d322e8db404e", "02dce1cbc8d02afc", "a031e314abed79f2",
+    "7cba2aa7cad2a5c9", "c271f944a9adae26", "17fe901499937d16", "223747bb340f4cd0",
+    "0772ca4842a1add0", "a9abfdb7cb1883e3", "78a5936b908f5c8a", "33163032f0938b53",
+    "63fc8e378075e11b", "9781994d673f37d3", "36fb84832012dd96", "f5e1a517cc3feadf",
+    "032cc2a1c395979b", "f76a18582152711b", "07850045034bc8c3", "8f47dbd22358f4b5",
+    "80d11142e93f3d3c", "7ef3f563e5466716", "02efb24787190146", "196fed346ffabc0f",
+    "6afe698d8d380197", "cc98e28e523c32d8", "6dd40479d0a48646", "c8814e02496089b2",
+    "f75cc182aa083cbe", "167473407cc12135", "e311852c40e72a02", "aae935aad5afcbf9",
+    "55c6ea1a342faafc", "971d83f39a943fe6", "156bd0a2d502e296", "da942d2308fafa77",
+    "d28bc9b570715660", "be22b0b647026a49", "a5e567d1e7bbabd6", "724d365915576866",
+    "33b02fe566036795", "f6b71970b76b6492", "b22154601a051dbe", "d53a89d4cd0d0b98",
+    "dcf6c9152e4cc878", "4a5f1950fc5b13e6", "871f4ff2615c7e46", "6200d26f07445be4",
+    "658ff52b371a7b46", "80ed1e5d5b8d6511", "d796285041a9412c", "1e29095a02bb9894",
+    "6cc417a4e4339f40", "2e4947c2571e3562", "dc2eb220e5554fe9", "f5c588d167a36d4e",
+    "9a6dc76a9707541f", "159be03029432b68", "bf4992990881b7b7", "b76bd9dae6234f5a",
+    "e1776c3939fd81c4", "d64a6c80487dd515", "fffb8ca3ad781e48", "14a6408067391424",
+    "d907f1d93e7b5491", "386cd482de318f56", "63a94349169f1021", "ba6c8183d6669c3b",
+    "dc37951e9692f051", "2ce58b52f4ed858b", "577d9833ff473f57", "07b782e884011287",
+    "b7ae1308ee6abe36", "f20be5707672a5dc", "2ff3b22710c82566", "e211d73565906853",
+    "90a4d0c340597dc4",
+)
+
+
+def test_psi_sum_output_pinned(capsys):
+    assert len(PINNED_PSI) == len(_PSI_PLAN)
+    for case, want in zip(_PSI_PLAN, PINNED_PSI):
+        code, out, _ = run(capsys, _psi_argv(*case))
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == want, (case, out)
+
+
 # -- argparse behavior ----------------------------------------------------------
 
 def test_no_subcommand(capsys):

@@ -7,8 +7,23 @@ Poincare sums with their two-variable Hecke relation.
 Tail bounds are heuristic (ratio test over the last quarter of the stored
 window) and are surfaced in every result rather than hidden; truncated
 group sums report a crude O(B^(1-2k)) tail estimate.
+
+A truncated Poincare sum takes one of two routes, chosen by bits alone.
+At bits <= 53 it is summed in binary64 complex.  Above, each value is a
+Gaussian fixed-point number, two Python ints scaled by 2^F with
+F = bits + 30 + 16 + log2((2 bound + 1)^3), the last term for the count of
+summands.  Sums are exact; each product is floored to F fractional bits
+and each quotient takes one integer division, so a summand is off by a few
+units of 2^-F and the total by the summand count times that (fixed-point
+error accounting as in Brent and Zimmermann, Modern Computer Arithmetic,
+ch. 3).  The total is rounded to an mpc at bits + 30.  The 16 spare bits
+keep the error below that working precision, so the 40 printed digits
+(about 133 bits) are those an mpc summation at bits + 30 prints wherever
+the working precision covers them, that is from bits = 103 up; below, the
+printed digits past bits + 30 are rounding noise of either route.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -444,14 +459,117 @@ def psi_truncated(seed, z, bound=40, bits=53):
     if bits <= 53:
         total = _psi_sum(k, ell, _as_complex(seed.center), _as_complex(z), bound)
         return EvalResult(total, mpmath.mpf(bound) ** (1 - 2 * k), note)
+    # 16 bits for the units each summand loses in its quotients and
+    # products, and log2 of the summand count for their sum
+    fixed = _fixed_type(bits + _GUARD_BITS + 16 + ((2 * bound + 1) ** 3).bit_length())
     with workprec(bits + _GUARD_BITS):
-        total = _psi_sum(k, ell, _as_mpc(seed.center), _as_mpc(z), bound)
-        return EvalResult(total, mpmath.mpf(bound) ** (1 - 2 * k), note)
+        total = _psi_sum(k, ell, fixed.from_mpc(_as_mpc(seed.center)),
+                         fixed.from_mpc(_as_mpc(z)), bound)
+        return EvalResult(total.to_mpc(), mpmath.mpf(bound) ** (1 - 2 * k), note)
+
+
+class _Fixed:
+    """A Gaussian fixed-point number (re + i im) / 2^F with int parts, F
+    being the class attribute set by _fixed_type.  type(x)(0) is zero; other
+    ints are taken as parts already scaled by 2^F.
+
+    Sums with ints and with each other are exact.  A product is floored to
+    F fractional bits, which costs under one unit of 2^-F per part.  A
+    quotient x / y takes one integer division r = 2^(3F) // (c^2 + d^2) for
+    y = c + d i, and is off by under 1 + |x| |y| units per part; negative
+    powers start from the reciprocal."""
+
+    __slots__ = ("re", "im")
+    F = 0
+
+    def __init__(self, re, im=0):
+        self.re = re
+        self.im = im
+
+    @classmethod
+    def from_mpc(cls, v):
+        """The value of an mpc, exact where its parts' last bits weigh at
+        least 2^-F, else cut toward zero."""
+        return cls(_mpf_to_fixed(v.real, cls.F), _mpf_to_fixed(v.imag, cls.F))
+
+    def to_mpc(self):
+        """The value rounded to the working precision."""
+        return mpmath.mpc(mpmath.mpf((self.re, -self.F)), mpmath.mpf((self.im, -self.F)))
+
+    def __add__(self, other):
+        if other.__class__ is int:
+            return self.__class__(self.re + (other << self.F), self.im)
+        return self.__class__(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        if other.__class__ is int:
+            return self.__class__(self.re - (other << self.F), self.im)
+        return self.__class__(self.re - other.re, self.im - other.im)
+
+    def __rmul__(self, n):
+        # n * self for an int n
+        return self.__class__(n * self.re, n * self.im)
+
+    def __mul__(self, other):
+        f = self.F
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return self.__class__((a * c - b * d) >> f, (a * d + b * c) >> f)
+
+    def __truediv__(self, other):
+        f = self.F
+        a, b, c, d = self.re, self.im, other.re, other.im
+        r = (1 << 3 * f) // (c * c + d * d)
+        return self.__class__(((a * c + b * d) * r) >> 2 * f, ((b * c - a * d) * r) >> 2 * f)
+
+    def __pow__(self, n):
+        # binary powering on the int parts, squaring with two products
+        f = self.F
+        a, b = self.re, self.im
+        if n < 0:
+            r = (1 << 3 * f) // (a * a + b * b)
+            a, b, n = (a * r) >> f, (-b * r) >> f, -n
+        elif n == 0:
+            return self.__class__(1 << f)
+        re = None
+        while True:
+            if n & 1:
+                if re is None:
+                    re, im = a, b
+                else:
+                    re, im = (re * a - im * b) >> f, (re * b + im * a) >> f
+            n >>= 1
+            if not n:
+                return self.__class__(re, im)
+            a, b = ((a + b) * (a - b)) >> f, (a * b) >> (f - 1)
+
+    def conjugate(self):
+        return self.__class__(self.re, -self.im)
+
+    def __eq__(self, n):
+        # against an int n only: the pole guard asks x == 0
+        return self.re == n << self.F and not self.im
+
+    __hash__ = None
+
+
+@functools.lru_cache(maxsize=64)
+def _fixed_type(frac):
+    """The _Fixed class with 2^-frac as its unit."""
+    return type("_Fixed%d" % frac, (_Fixed,), {"__slots__": (), "F": frac})
+
+
+def _mpf_to_fixed(v, frac):
+    # _mpf_ is (sign, mantissa, exponent, bit count): the mantissa is
+    # unsigned, so the sign is applied here
+    sign, man, exp, _ = v._mpf_
+    shift = exp + frac
+    n = man << shift if shift >= 0 else man >> -shift
+    return -n if sign else n
 
 
 def _psi_sum(k, ell, zz, zc, bound):
-    # generic over the scalar type: complex for machine precision, mpc under
-    # the caller's working precision
+    # generic over the scalar type: complex for machine precision, _Fixed
+    # above it
     zzbar = zz.conjugate()
     w2k = -2 * k
     total = type(zc)(0)
@@ -510,9 +628,17 @@ def psi_two_variable_check(k, ell, center, z, n, bound=40, bits=53, tol=1e-2):
     """The index-n Hecke operator applied to the kernel in the two
     variables separately: in z via the coset sum of transformed arguments,
     in the center via the rescaled sum over centers (r^2 center + r j)/n;
-    the proposition asserts equality, checked here on truncated sums."""
+    the proposition asserts equality, checked here on truncated sums.
+
+    For ell >= 0 the kernel has no pole at the center and the full sum is a
+    cusp form of weight 2k; where that space is zero both sides are
+    truncation noise, so the check is refused as vacuous."""
     if n < 1:
         raise ValueError("operator index must be >= 1")
+    if ell >= 0 and forms.dim_cusp(2 * k) == 0:
+        raise ValueError(
+            "vacuous check: for ell >= 0 the full sum is a weight-%d cusp form and "
+            "that space is zero, so both sides would be truncation noise" % (2 * k))
     pt = _as_complex(z)
     cz = _as_complex(center)
     seed = PoincareSeed(k, ell, cz)

@@ -7,8 +7,9 @@ import random
 
 import mpmath
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from merohecke import forms
+from merohecke import forms, numeval
 from merohecke.meroforms import CONSTRUCTIONS, build, build_expression
 from merohecke.numeval import (
     DivergentTail,
@@ -119,6 +120,8 @@ def test_rejects_out_of_range_arguments():
             psi_truncated(seed, HPoint(0, 2), 2, bits)
     with pytest.raises(ValueError, match="index"):
         psi_two_variable_check(3, -1, (0, 1), (0, 1.5), 0, bound=2)
+    with pytest.raises(ValueError, match="vacuous"):
+        psi_two_variable_check(5, 0, (0.2, 1.3), (0, 1.5), 2, bound=2)
 
 
 def test_region_guard():
@@ -330,7 +333,7 @@ def test_psi_vanishing_guard():
 
 @pytest.mark.parametrize("bits", [53, 120])
 def test_psi_pole_guard(bits):
-    # 53 bits sums complex values, 120 bits mpc values, in the same loop
+    # 53 bits sums complex values, 120 bits fixed-point values, in the same loop
     seed = PoincareSeed(3, -1, HPoint(0, 1))
     with pytest.raises(RegionGuard):
         psi_truncated(seed, HPoint(0, 1), bound=6, bits=bits)
@@ -343,6 +346,87 @@ def test_psi_machine_vs_mp():
     rel = abs(complex(m53.value) - complex(mp.value)) / abs(complex(mp.value))
     assert rel < 1e-12
     assert isinstance(m53.value, complex)
+
+
+def _psi_direct(k, ell, center, z, bound, prec):
+    """The truncated sum re-summed term by term in mpc at prec bits: its
+    value, the sum of the summands' magnitudes, and the least |w - center|
+    over the translates w (a pole of the kernel when ell < 0)."""
+    with mpmath.workprec(prec):
+        zz, zc = mpmath.mpc(*center), mpmath.mpc(*z)
+        value, scale, closest = mpmath.mpc(0), mpmath.mpf(0), mpmath.inf
+        for c in range(-bound, bound + 1):
+            for d in range(-bound, bound + 1):
+                if math.gcd(c, d) != 1:
+                    continue
+                # the top row fixes which translates the truncation keeps
+                a, b = numeval._bezout(c, d)
+                for t in range(-bound, bound + 1):
+                    w = (a * zc + b) / (c * zc + d) + t
+                    closest = min(closest, abs(w - zz))
+                    if w == zz and ell < 0:
+                        continue
+                    wbar = w - mpmath.conj(zz)
+                    term = ((c * zc + d) * wbar) ** (-2 * k) * ((w - zz) / wbar) ** ell
+                    value += term
+                    scale += abs(term)
+        return value, scale, closest
+
+
+@settings(max_examples=40, deadline=None)
+@given(cx=st.floats(-0.5, 0.5), cy=st.floats(0.8, 2), zx=st.floats(-0.5, 0.5),
+       zy=st.floats(0.8, 2), k=st.integers(2, 4), ell=st.integers(-3, 2),
+       bits=st.sampled_from([54, 80, 200, 512]), bound=st.integers(1, 3))
+@example(cx=-0.31, cy=1.17, zx=-0.21, zy=1.37, k=3, ell=-1, bits=54, bound=3)
+@example(cx=-0.5, cy=math.sqrt(3) / 2, zx=0.4, zy=0.8, k=4, ell=-1, bits=512, bound=2)
+@example(cx=0.0, cy=1.0, zx=0.5, zy=2.0, k=2, ell=2, bits=80, bound=1)
+@example(cx=0.0, cy=1.0, zx=0.0, zy=1.0, k=2, ell=0, bits=54, bound=1)
+@example(cx=0.25, cy=1.5, zx=0.25, zy=1.5, k=3, ell=-3, bits=200, bound=2)
+def test_psi_fixed_point_matches_mpc(cx, cy, zx, zy, k, ell, bits, bound):
+    # the allowance of the benchmark's Poincare oracle: 2^-bits times the
+    # sum of the summands' magnitudes, against a re-summation at bits + 64
+    assume((k + ell) % elliptic_order(complex(cx, cy)) == 0)
+    value, scale, closest = _psi_direct(k, ell, (cx, cy), (zx, zy), bound, bits + 64)
+    try:
+        res = psi_truncated(PoincareSeed(k, ell, (cx, cy)), (zx, zy), bound, bits)
+    except RegionGuard:
+        # only a translate that meets the center to within the precision
+        assert ell < 0 and closest < mpmath.mpf(2) ** -bits
+        return
+    assert isinstance(res.value, mpmath.mpc)
+    with mpmath.workprec(bits + 64):
+        assert abs(res.value - value) <= mpmath.mpf(2) ** -bits * scale
+
+
+def test_fixed_point_scalar():
+    frac = 100
+    fixed = numeval._fixed_type(frac)
+    unit = 2 ** frac
+    with mpmath.workprec(64):
+        x = fixed.from_mpc(mpmath.mpc(-0.75, 0.5))
+        y = fixed.from_mpc(mpmath.mpc(0.375, -1.25))
+    # the sign of each part survives the conversion, and values are exact
+    assert (x.re, x.im) == (-3 * unit // 4, unit // 2)
+    assert (y.re, y.im) == (3 * unit // 8, -5 * unit // 4)
+    # zero and the pole test
+    assert fixed(0) == 0 and x - x == 0 and (x - x).im == 0
+    assert not x == 0 and not fixed(1) == 0 and not fixed(0, 1) == 0
+    assert x ** 0 == 1 and fixed(0) + 2 == 2 and fixed(0) - 2 == -2
+    # reciprocal: 1/x = conj(x)/|x|^2 = (-12 - 8i)/13, one integer division
+    r = x ** -1
+    assert abs(r.re - (-12 * unit) // 13) <= 1 and abs(r.im - (-8 * unit) // 13) <= 1
+    # negative powers through the reciprocal, quotients, products
+    with mpmath.workprec(200):
+        xv = mpmath.mpc(-0.75, 0.5)
+        yv = mpmath.mpc(0.375, -1.25)
+        for got, want in [(x ** -3, xv ** -3), (y ** -6, yv ** -6), (x ** 5, xv ** 5),
+                          (x / y, xv / yv), (x * y, xv * yv), (x.conjugate(), xv.conjugate()),
+                          (2 * x - 1, 2 * xv - 1)]:
+            assert abs(got.to_mpc() - want) <= 64 * mpmath.mpf(2) ** -frac, (got.to_mpc(), want)
+    # int parts round-trip: to_mpc rounds at the working precision
+    with mpmath.workprec(frac + 10):
+        back = fixed.from_mpc(x.to_mpc())
+        assert (back.re, back.im) == (x.re, x.im)
 
 
 def test_psi_section_small_bound():

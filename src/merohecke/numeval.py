@@ -549,8 +549,6 @@ class _Fixed:
         # against an int n only: the pole guard asks x == 0
         return self.re == n << self.F and not self.im
 
-    __hash__ = None
-
 
 @functools.lru_cache(maxsize=64)
 def _fixed_type(frac):

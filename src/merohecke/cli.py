@@ -193,7 +193,8 @@ def _matrix_strs(mat):
 def _cmd_quotient(args):
     kind = args.kind
     mat = quotient.quotient_hecke_matrix(args.weight2k, kind, args.m)
-    scaled = linalg.mat_scale(mat, args.m ** (args.weight2k - 1)) if mat else []
+    if args.charpoly or args.check:
+        cp = quotient.scaled_charpoly(mat, args.weight2k, args.m)
     obj = {"weight2k": args.weight2k, "kind": kind, "m": args.m,
            "matrix": _matrix_strs(mat)}
     lines = ["%d x %d matrix of T_%d on the %s quotient in weight 2k=%d:"
@@ -201,13 +202,12 @@ def _cmd_quotient(args):
     for row in mat:
         lines.append("  [" + ", ".join(str(x) for x in row) + "]")
     if args.charpoly:
-        cp = linalg.charpoly(scaled)
         obj["scaled_charpoly"] = [str(c) for c in cp]
         lines.append("charpoly of %d^%d * matrix: %s"
                      % (args.m, args.weight2k - 1, linalg.poly_str(cp)))
     code = EXIT_OK
     if args.check:
-        ok = quotient.theorem_check(args.weight2k, kind, args.m)
+        ok = quotient.matches_dual(cp, args.weight2k, kind, args.m)
         obj["check"] = bool(ok)
         lines.append("theorem check: %s" % ("pass" if ok else "FAIL"))
         if not ok:

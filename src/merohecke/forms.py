@@ -324,15 +324,13 @@ def basis(weight, kind, precision):
     return _cached(("basis", weight, kind), precision, build)
 
 
-def hecke_matrix_on_space(weight, kind, m, precision=None):
+def hecke_matrix_on_space(weight, kind, m):
     """Exact matrix of the index-m Hecke operator on the echelon basis."""
     d = dimension(weight, kind)
     if d == 0:
         return []
     s = 0 if kind == HOLOMORPHIC else 1
-    if precision is None:
-        precision = m * (s + d + 1) + 2
-    fb = basis(weight, kind, precision)
+    fb = basis(weight, kind, m * (s + d + 1) + 2)
     cols = []
     for f in fb:
         image = hecke.t_op(f.series, weight, m)

@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals, enough for small Hecke matrices."""
 
 from fractions import Fraction
+from math import lcm
 
-from .qseries import as_coeff
+from .qseries import as_coeff, terms_str
 
 
 def rref(rows):
@@ -57,14 +58,6 @@ def mat_mul(a, b):
                     row[j] += x * bt[j]
     return out
 
-def mat_scale(a, c):
-    return [[as_coeff(c * x) for x in row] for row in a]
-
-
-def mat_trace(a):
-    return sum(a[i][i] for i in range(len(a)))
-
-
 def mat_solve(a, b):
     """Solve A x = b exactly; returns x or None when A is singular."""
     d = len(a)
@@ -89,43 +82,37 @@ def mat_inverse(a):
 def charpoly(a):
     """Characteristic polynomial det(xI - A), ascending coefficients, monic.
 
-    Faddeev-LeVerrier: exact over the rationals, fine for the small
-    dimensions that appear here.
+    Faddeev-LeVerrier on the integer matrix L*A, L the common denominator
+    of A, mapped back by scale_roots(p, 1/L); the loop's divisions by k are
+    exact because charpoly(L*A) has integer coefficients.
     """
     d = len(a)
     if d == 0:
         return [1]
+    den = lcm(*(x.denominator for row in a for x in row))
+    b = [[x.numerator * (den // x.denominator) for x in row] for row in a]
     coeffs = [0] * (d + 1)
     coeffs[d] = 1
     m = mat_identity(d)
-    c = 1
     for k in range(1, d + 1):
-        m = mat_mul(a, m)
-        c = as_coeff(Fraction(-mat_trace(m), k))
+        m = mat_mul(b, m)
+        c = -sum(m[i][i] for i in range(d)) // k
         coeffs[d - k] = c
         for i in range(d):
-            m[i][i] = as_coeff(m[i][i] + c)
-    return [as_coeff(x) for x in coeffs]
+            m[i][i] += c
+    return scale_roots(coeffs, Fraction(1, den))
+
+
+def scale_roots(p, c):
+    """c^d * p(x/c) for an ascending degree-d polynomial p: the
+    characteristic polynomial of c*A when p is that of A."""
+    d = len(p) - 1
+    return [as_coeff(x * c ** (d - e)) for e, x in enumerate(p)]
 
 
 def poly_str(coeffs, var="x"):
     """Human form of an ascending coefficient list."""
-    parts = []
-    for e in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[e]
-        if not c:
-            continue
-        mag = abs(c)
-        if e == 0:
-            term = str(mag)
-        else:
-            vp = var if e == 1 else "%s^%d" % (var, e)
-            term = vp if mag == 1 else "%s*%s" % (mag, vp)
-        if not parts:
-            parts.append(term if c > 0 else "-" + term)
-        else:
-            parts.append(("+ " if c > 0 else "- ") + term)
-    return " ".join(parts) if parts else "0"
+    return terms_str(((e, coeffs[e]) for e in range(len(coeffs) - 1, -1, -1)), var)
 
 
 def poly_eval(coeffs, x):

@@ -381,22 +381,26 @@ class LaurentSeries:
         return "LaurentSeries(val=%d, prec=%d, %s)" % (self.val, self.prec, str(self))
 
     def __str__(self):
-        parts = []
-        for n, c in self.coeff_items():
-            if not c:
-                continue
-            mag = abs(c)
-            if n == 0:
-                term = str(mag)
-            else:
-                qp = "q" if n == 1 else "q^%d" % n
-                term = qp if mag == 1 else "%s*%s" % (mag, qp)
-            if not parts:
-                parts.append(term if c > 0 else "-" + term)
-            else:
-                parts.append(("+ " if c > 0 else "- ") + term)
-        body = " ".join(parts) if parts else "0"
-        return "%s + O(q^%d)" % (body, self.prec)
+        return "%s + O(q^%d)" % (terms_str(self.coeff_items(), "q"), self.prec)
+
+
+def terms_str(items, var):
+    """Nonzero terms c*var^n of (n, c) pairs, in order: "-3*q^-1 + q - 1/2*q^2"."""
+    parts = []
+    for n, c in items:
+        if not c:
+            continue
+        mag = abs(c)
+        if n == 0:
+            term = str(mag)
+        else:
+            vp = var if n == 1 else "%s^%d" % (var, n)
+            term = vp if mag == 1 else "%s*%s" % (mag, vp)
+        if not parts:
+            parts.append(term if c > 0 else "-" + term)
+        else:
+            parts.append(("+ " if c > 0 else "- ") + term)
+    return " ".join(parts) if parts else "0"
 
 
 def equals_to_precision(a, b):

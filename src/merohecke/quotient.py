@@ -7,8 +7,10 @@ Two quotients are implemented: classes modulo forms with free constant
 term ("modM!", dual to the cusp space in weight 2k) and classes modulo
 zero-constant-term forms ("modS!", dual to the full holomorphic space).
 For even 2k >= 2 the classes of q^-1 .. q^-d are a basis; the index-m
-action on them is an exact d x d rational matrix whose scaled
-characteristic polynomial matches the classical one on the dual space.
+action on them is an exact d x d rational matrix Q, found by one row
+reduction.  The paper's normalization is written once, in scaled_charpoly:
+charpoly(m^(2k-1) * Q), read off charpoly(Q) by linalg.scale_roots, which
+matches_dual compares exactly with the classical charpoly on the dual space.
 quotient_hecke_matrix, theorem_check and eigen_witness refuse any other
 weight with ValueError: in weight 0 the class of q^-1 pairs to zero
 against the constants, and odd or negative weights have no quotient.
@@ -133,26 +135,33 @@ def quotient_hecke_matrix(weight2k, kind, m):
         coord_cols.append(class_of(pp, weight2k, kind).coords)
         image = hecke_on_principal_part(pp, w, m)
         cols.append(class_of(image, weight2k, kind).coords)
-    # express image coordinates back in the q^-i class basis
-    cmat = [[coord_cols[i][j] for i in range(d)] for j in range(d)]
-    cinv = linalg.mat_inverse(cmat)
-    if cinv is None:
+    # express image coordinates back in the q^-i class basis: the coordinate
+    # vectors are the columns of C and U, and reducing [C | U] leaves [I | C^-1 U]
+    red, pivots = linalg.rref(list(zip(*coord_cols, *cols)))
+    if pivots[:d] != list(range(d)):
         raise SingularCoordinateMatrix(
             "classes of q^-1 .. q^-%d are not independent in weight 2k=%d %s"
             % (d, weight2k, kind))
-    umat = [[cols[i][j] for i in range(d)] for j in range(d)]
-    return linalg.mat_mul(cinv, umat)
+    return [row[d:] for row in red]
+
+
+def scaled_charpoly(q, weight2k, m):
+    """charpoly(m^(2k-1) * q), the index-m quotient matrix q in weight 2k
+    scaled to the normalization of the dual space."""
+    return linalg.scale_roots(linalg.charpoly(q), m ** (weight2k - 1))
+
+
+def matches_dual(scaled_cp, weight2k, kind, m):
+    """Whether scaled_cp is exactly the charpoly of T_m on the dual space."""
+    dual = _dual_space(_canon_kind(kind))
+    return scaled_cp == forms.hecke_charpoly_on_space(weight2k, dual, m)
 
 
 def theorem_check(weight2k, kind, m):
     """charpoly(m^(2k-1) * quotient matrix) against the charpoly of the
     index-m operator on the dual space; exact equality."""
-    kind = _canon_kind(kind)
     q = quotient_hecke_matrix(weight2k, kind, m)
-    scaled = linalg.mat_scale(q, Fraction(m) ** (weight2k - 1))
-    lhs = linalg.charpoly(scaled)
-    rhs = forms.hecke_charpoly_on_space(weight2k, _dual_space(kind), m)
-    return lhs == rhs
+    return matches_dual(scaled_charpoly(q, weight2k, m), weight2k, kind, m)
 
 
 def eigen_witness(weight2k, m, eigenvalue, kind=None, precision=24):

@@ -7,7 +7,7 @@ import os
 import mpmath
 import pytest
 
-from merohecke import forms
+from merohecke import forms, linalg, quotient
 from merohecke.cli import EXIT_GUARD, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 
 
@@ -493,6 +493,21 @@ def test_quotient_matrix(capsys):
     assert obj["matrix"] == [["-3/256"]]
     assert obj["scaled_charpoly"] == ["24", "1"]
     assert obj["check"] is True
+
+
+def test_quotient_check_builds_once(capsys, monkeypatch):
+    # the matrix and its charpoly are made once and shared by --charpoly and
+    # --check; the second charpoly is the dual space's
+    calls = []
+    for mod, name in ((quotient, "quotient_hecke_matrix"), (linalg, "charpoly")):
+        orig = getattr(mod, name)
+        monkeypatch.setattr(mod, name,
+                            lambda *a, _n=name, _f=orig: calls.append(_n) or _f(*a))
+    code, out, _ = run(capsys, ["quotient", "--weight2k", "24", "--kind", "modM!",
+                                "--m", "2", "--charpoly", "--check", "--json"])
+    assert code == EXIT_OK
+    assert json.loads(out)["check"] is True
+    assert sorted(calls) == ["charpoly", "charpoly", "quotient_hecke_matrix"]
 
 
 def test_quotient_text(capsys):

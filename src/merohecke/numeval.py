@@ -461,11 +461,47 @@ def psi_truncated(seed, z, bound=40, bits=53):
         return EvalResult(total, mpmath.mpf(bound) ** (1 - 2 * k), note)
     # 16 bits for the units each summand loses in its quotients and
     # products, and log2 of the summand count for their sum
-    fixed = _fixed_type(bits + _GUARD_BITS + 16 + ((2 * bound + 1) ** 3).bit_length())
+    frac = bits + _GUARD_BITS + 16 + ((2 * bound + 1) ** 3).bit_length()
+    fixed = _fixed_type(frac)
     with workprec(bits + _GUARD_BITS):
-        total = _psi_sum(k, ell, fixed.from_mpc(_as_mpc(seed.center)),
-                         fixed.from_mpc(_as_mpc(z)), bound)
+        center, pt = _as_mpc(seed.center), _as_mpc(z)
+        near_pole = functools.partial(_psi_near_pole, k, ell, center, pt, frac, bits)
+        total = _psi_sum(k, ell, fixed.from_mpc(center), fixed.from_mpc(pt), bound, near_pole)
         return EvalResult(total.to_mpc(), mpmath.mpf(bound) ** (1 - 2 * k), note)
+
+
+def _psi_near_pole(k, ell, center, z, frac, bits, x, c, d, t):
+    """For ell < 0, the summand at row (c, d) and translate t when its
+    x = (w - center) / (w - conj(center)) lies too close to 0 for units of
+    2^-frac, else None.
+
+    The fixed point holds x to a few units, absolute, so x^ell keeps its
+    relative precision only while x spans bits + _GUARD_BITS bits or more.
+    Below that the summand is retaken with the unit squared, and again,
+    until x does; it comes back as a fixed point of 2^-frac.  A translate
+    within 2^-bits of the center is refused with RegionGuard."""
+    if max(abs(x.re), abs(x.im)) >> (bits + _GUARD_BITS):
+        return None
+    w2k = -2 * k
+    a, b = _bezout(c, d)
+    fine = frac
+    while True:
+        fine *= 2
+        fixed = _fixed_type(fine)
+        zz, zc = fixed.from_mpc(center), fixed.from_mpc(z)
+        denom = c * zc + d
+        w = (a * zc + b) / denom + t
+        diff = w - zz
+        if not max(abs(diff.re), abs(diff.im)) >> (fine - bits - 1):
+            raise RegionGuard(
+                "evaluation point lies within 2^-%d of the orbit of the center (pole "
+                "of the kernel): w near center at row (%d, %d), t = %d" % (bits, c, d, t))
+        dzbar = w - zz.conjugate()
+        x = diff / dzbar
+        if max(abs(x.re), abs(x.im)) >> (bits + _GUARD_BITS):
+            term = denom ** w2k * dzbar ** w2k * x ** ell
+            shift = fine - frac
+            return _fixed_type(frac)(term.re >> shift, term.im >> shift)
 
 
 class _Fixed:
@@ -546,7 +582,7 @@ class _Fixed:
         return self.__class__(self.re, -self.im)
 
     def __eq__(self, n):
-        # against an int n only: the pole guard asks x == 0
+        # against an int n only
         return self.re == n << self.F and not self.im
 
 
@@ -565,9 +601,11 @@ def _mpf_to_fixed(v, frac):
     return -n if sign else n
 
 
-def _psi_sum(k, ell, zz, zc, bound):
+def _psi_sum(k, ell, zz, zc, bound, near_pole=None):
     # generic over the scalar type: complex for machine precision, _Fixed
-    # above it
+    # above it.  For ell < 0 the complex route refuses an exact pole, and
+    # the fixed route hands each x to near_pole(x, c, d, t), which returns
+    # None or the summand retaken at a finer unit
     zzbar = zz.conjugate()
     w2k = -2 * k
     total = type(zc)(0)
@@ -583,10 +621,17 @@ def _psi_sum(k, ell, zz, zc, bound):
                 w = w0 + t
                 dzbar = w - zzbar
                 x = (w - zz) / dzbar
-                if x == 0 and ell < 0:
-                    raise RegionGuard(
-                        "evaluation point lies in the orbit of the center (pole of "
-                        "the kernel): w = center at row (%d, %d), t = %d" % (c, d, t))
+                if ell < 0:
+                    if near_pole is None:
+                        if x == 0:
+                            raise RegionGuard(
+                                "evaluation point lies in the orbit of the center (pole of "
+                                "the kernel): w = center at row (%d, %d), t = %d" % (c, d, t))
+                    else:
+                        term = near_pole(x, c, d, t)
+                        if term is not None:
+                            total += term
+                            continue
                 total += base * dzbar ** w2k * x ** ell
     return total
 

@@ -382,11 +382,16 @@ def _psi_direct(k, ell, center, z, bound, prec):
 @example(cx=0.0, cy=1.0, zx=0.5, zy=2.0, k=2, ell=2, bits=80, bound=1)
 @example(cx=0.0, cy=1.0, zx=0.0, zy=1.0, k=2, ell=0, bits=54, bound=1)
 @example(cx=0.25, cy=1.5, zx=0.25, zy=1.5, k=3, ell=-3, bits=200, bound=2)
+# z within 2^-126 and 2^-149 of the center: summands near the pole
+@example(cx=0.0, cy=0.875, zx=2.0 ** -126, zy=0.875, k=2, ell=-1, bits=80, bound=1)
+@example(cx=0.0, cy=1.0, zx=2.0 ** -149, zy=1.0, k=2, ell=-2, bits=200, bound=1)
 def test_psi_fixed_point_matches_mpc(cx, cy, zx, zy, k, ell, bits, bound):
     # the allowance of the benchmark's Poincare oracle: 2^-bits times the
-    # sum of the summands' magnitudes, against a re-summation at bits + 64
+    # sum of the summands' magnitudes, against a re-summation at
+    # 2 (bits + 64): a translate w kept off the pole by 2^-bits or more
+    # then has w - center to bits + 64 bits, relative
     assume((k + ell) % elliptic_order(complex(cx, cy)) == 0)
-    value, scale, closest = _psi_direct(k, ell, (cx, cy), (zx, zy), bound, bits + 64)
+    value, scale, closest = _psi_direct(k, ell, (cx, cy), (zx, zy), bound, 2 * (bits + 64))
     try:
         res = psi_truncated(PoincareSeed(k, ell, (cx, cy)), (zx, zy), bound, bits)
     except RegionGuard:

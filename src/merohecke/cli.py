@@ -16,13 +16,14 @@ import os
 import re
 import sys
 import tempfile
+from fractions import Fraction
 
 from . import forms, hecke, linalg, meroforms, numeval, qseries, quotient, whbasis
 from .forms import ModularForm
 from .numeval import HPoint, PoincareSeed, RegionGuard, DivergentTail
 from .whbasis import ObstructionWitness, PrincipalPart
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -45,6 +46,17 @@ def _cache_path(construction, precision):
     return os.path.join(d, key + ".json")
 
 
+# cache entries hold coefficients as "%x" or "%x/%x": hex conversion is
+# linear and has no digit limit, unlike int <-> decimal str
+def _to_hex(c):
+    return "%x" % c if type(c) is int else "%x/%x" % (c.numerator, c.denominator)
+
+
+def _from_hex(text):
+    num, _, den = text.partition("/")
+    return Fraction(int(num, 16), int(den, 16)) if den else int(num, 16)
+
+
 def _cache_load(construction, precision):
     path = _cache_path(construction, precision)
     if not path or not os.path.exists(path):
@@ -54,8 +66,12 @@ def _cache_load(construction, precision):
             obj = json.load(fh)
         if obj.get("format") != FORMAT_VERSION:
             return None
-        return ModularForm(int(obj["weight"]), qseries.from_json_obj(obj["series"]))
-    except (ValueError, KeyError, OSError):
+        series = obj["series"]
+        coeffs = [_from_hex(c) for c in series["coefficients"]]
+        return ModularForm(int(obj["weight"]), qseries.LaurentSeries(
+            int(series["valuation"]), coeffs, int(series["precision"])))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError):
+        # a missing, corrupt or malformed entry is a miss
         return None
 
 
@@ -69,14 +85,15 @@ def _cache_store(construction, precision, form):
         "construction": construction,
         "precision": precision,
         "weight": form.weight,
-        "series": qseries.to_json_obj(form.series),
+        "series": {"valuation": form.series.val, "precision": form.series.prec,
+                   "coefficients": [_to_hex(c) for c in form.series.coeffs]},
     }
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
             json.dump(obj, fh)
         os.replace(tmp, path)
-    except OSError:
+    except (OSError, ValueError):
         try:
             os.unlink(tmp)
         except OSError:

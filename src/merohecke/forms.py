@@ -159,42 +159,38 @@ def eisenstein(weight, precision):
         raise InsufficientPrecision("Eisenstein series needs precision >= 1")
 
     def build(p):
-        factor = Fraction(-2 * weight) / bernoulli(weight)
-        coeffs = [1] + [as_coeff(factor * sigma(weight - 1, n)) for n in range(1, p)]
+        # sigma_{weight-1}(n) for every n < p from one divisor sieve
+        sig = [0] * p
+        for d in range(1, p):
+            dr = d ** (weight - 1)
+            for m in range(d, p, d):
+                sig[m] += dr
+        # an int for weights 2, 4, 6, 8, 10 and 14, so no Fraction arises
+        scale = as_coeff(Fraction(-2 * weight) / bernoulli(weight))
+        coeffs = [scale * s for s in sig]
+        coeffs[0] = 1
         return ModularForm(weight, LaurentSeries(0, coeffs, p))
 
     return _cached(("E", weight), precision, build)
 
 
-def _eta24(precision):
-    # 24th power of prod (1 - q^n), window [0, precision)
-    def build(p):
-        coeffs = [0] * p
-        k = 0
-        while True:
-            hit = False
-            for kk in (k, -k) if k else (0,):
-                g = kk * (3 * kk - 1) // 2
-                if g < p:
-                    coeffs[g] += (-1) ** (kk % 2)
-                    hit = True
-            if not hit:
-                break
-            k += 1
-        euler = LaurentSeries(0, coeffs, p)
-        return ModularForm(12, euler ** 24)
-
-    return _cached(("eta24",), precision, build)
-
-
 def delta(precision):
-    """The discriminant cusp form, window [1, precision)."""
+    """The discriminant cusp form, window [1, precision).
+
+    Delta = q * prod (1 - q^n)^24 = q * (eta~^3)^8, where Jacobi's identity
+    gives the sparse eta~^3 = sum_m (-1)^m (2m+1) q^(m(m+1)/2); the eighth
+    power takes three squarings."""
     if precision < 2:
         raise InsufficientPrecision("delta needs precision >= 2")
 
     def build(p):
-        e = _eta24(p - 1)
-        return ModularForm(12, e.series.shift(1))
+        coeffs = [0] * (p - 1)
+        m = 0
+        while m * (m + 1) // 2 < p - 1:
+            coeffs[m * (m + 1) // 2] = (-1) ** m * (2 * m + 1)
+            m += 1
+        eta3 = LaurentSeries(0, coeffs, p - 1)
+        return ModularForm(12, (eta3 ** 8).shift(1))
 
     return _cached(("delta",), precision, build)
 

@@ -96,7 +96,8 @@ def _slot_bits(a, b, n):
 
 def _conv_kron(a, b, n, slot_bits):
     """The first n coefficients of the product of the integer lists a and b
-    (each of length n) from one big-integer product.
+    (each of length n) from one big-integer product; a square (b is a) packs
+    its operand once and squares the packed integer.
 
     Each list is packed as the signed integer sum(x_i 2^(S i)), S = 8 * slot:
     every coefficient goes in biased by half = 2^(S-1), so its slot is a
@@ -113,7 +114,8 @@ def _conv_kron(a, b, n, slot_bits):
         return int.from_bytes(raw, "little") - biases
 
     width = 8 * slot * n
-    prod = (pack(a) * pack(b) + biases) & ((1 << width) - 1)
+    pa = pack(a)
+    prod = (pa * (pa if b is a else pack(b)) + biases) & ((1 << width) - 1)
     raw = prod.to_bytes(slot * n, "little")
     return [int.from_bytes(raw[i:i + slot], "little") - half
             for i in range(0, slot * n, slot)]
@@ -121,9 +123,11 @@ def _conv_kron(a, b, n, slot_bits):
 
 def _convolve(a, b, n):
     """The first n coefficients of the product of two normalized coefficient
-    sequences, each at least n long, as a list of normalized coefficients."""
+    sequences, each at least n long, as a list of normalized coefficients.
+    A square (b is a) stays one object, so the Kronecker path packs once."""
+    square = b is a
     a = a[:n]
-    b = b[:n]
+    b = a if square else b[:n]
     if not {*map(type, a), *map(type, b)} <= {int}:
         return [as_coeff(c) for c in _conv_school(a, b, n)]
     if n >= _KRON_MIN_LEN:

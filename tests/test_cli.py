@@ -3,12 +3,15 @@
 import hashlib
 import json
 import os
+from fractions import Fraction
 
 import mpmath
 import pytest
 
-from merohecke import forms, linalg, quotient
+from merohecke import cli, forms, linalg, quotient
 from merohecke.cli import EXIT_GUARD, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from merohecke.forms import ModularForm
+from merohecke.qseries import LaurentSeries
 
 
 def run(capsys, argv):
@@ -870,7 +873,7 @@ def test_cache_roundtrip(capsys, tmp_path, monkeypatch):
     files = list((tmp_path / "cache").iterdir())
     assert len(files) == 1 and files[0].suffix == ".json"
     stored = json.loads(files[0].read_text())
-    assert stored["format"] == 1
+    assert stored["format"] == cli.FORMAT_VERSION
     assert stored["construction"] == "E4^2*E6/delta^2"
     code, second, _ = run(capsys, ["expand", "g", "--prec", "10", "--json"])
     assert code == EXIT_OK
@@ -887,7 +890,37 @@ def test_cache_corruption_is_ignored(capsys, tmp_path, monkeypatch):
     assert code == EXIT_OK
     assert second == first
     # the rerun repaired the entry
-    assert json.loads(path.read_text())["format"] == 1
+    assert json.loads(path.read_text())["format"] == cli.FORMAT_VERSION
+
+
+@pytest.mark.parametrize("payload", ["[1, 2]", '{"format": 2, "weight": 4, "series": '
+                                     '{"valuation": 0, "precision": 1, "coefficients": [1]}}',
+                                     '{"format": 2, "weight": 4, "series": '
+                                     '{"valuation": 0, "precision": 1, "coefficients": ["1/0"]}}'])
+def test_cache_malformed_entry_is_a_miss(capsys, tmp_path, monkeypatch, payload):
+    # valid JSON of the wrong shape must not crash the command
+    monkeypatch.setenv("MEROHECKE_CACHE_DIR", str(tmp_path))
+    code, first, _ = run(capsys, ["expand", "E4", "--prec", "6"])
+    (path,) = list(tmp_path.glob("*.json"))
+    path.write_text(payload)
+    assert run(capsys, ["expand", "E4", "--prec", "6"])[:2] == (code, first)
+
+
+def test_cache_roundtrip_past_the_decimal_digit_limit(tmp_path, monkeypatch):
+    # CPython refuses int <-> decimal str above 4300 digits; the cache
+    # stores hex, which has no such limit
+    monkeypatch.setenv("MEROHECKE_CACHE_DIR", str(tmp_path))
+    big = 7 ** 6000 + 1
+    assert big > 10 ** 4300
+    series = LaurentSeries(-1, [big, -big, Fraction(big, 3 ** 9000), 0], 3)
+    form = ModularForm(-12, series)
+    cli._cache_store("big", 3, form)
+    (path,) = list(tmp_path.glob("*.json"))
+    stored = json.loads(path.read_text())
+    assert stored["series"]["coefficients"][0] == "%x" % big
+    loaded = cli._cache_load("big", 3)
+    assert loaded == form
+    assert [type(c) for c in loaded.series.coeffs] == [int, int, Fraction, int]
 
 
 def test_cache_format_version_gate(capsys, tmp_path, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from merohecke import forms, linalg
-from merohecke.qseries import equals_to_precision
+from merohecke.qseries import LaurentSeries, equals_to_precision
 from merohecke.forms import (
     CUSPIDAL,
     HOLOMORPHIC,
@@ -88,6 +88,49 @@ def test_eisenstein_rejects_bad_weight():
         eisenstein(5, 4)
     with pytest.raises(ValueError):
         eisenstein(0, 4)
+
+
+def _trial_sigma(r, n):
+    return sum(d ** r for d in range(1, n + 1) if n % d == 0)
+
+
+def _typed(coeffs):
+    return [(type(c), c) for c in coeffs]
+
+
+@pytest.mark.parametrize("precision", [1, 2, 50, 600])
+@pytest.mark.parametrize("weight", [2, 4, 6, 8, 10, 12, 14, 16])
+def test_eisenstein_matches_divisor_sums(weight, precision):
+    # the sieve-built series against a trial-division reference and sympy,
+    # value and type: int when integral, Fraction otherwise
+    from sympy import divisor_sigma  # test-only oracle
+
+    clear_cache()
+    got = eisenstein(weight, precision).series
+    assert (got.val, got.prec) == (0, precision)
+    factor = Fraction(-2 * weight) / bernoulli(weight)
+    ref = [Fraction(1)] + [factor * _trial_sigma(weight - 1, n) for n in range(1, precision)]
+    ref = [c.numerator if c.denominator == 1 else c for c in ref]
+    assert _typed(got.coeffs) == _typed(ref)
+    assert all(int(divisor_sigma(n, weight - 1)) * factor == got.coefficient(n)
+               for n in range(1, precision))
+
+
+@pytest.mark.parametrize("precision", [2, 3, 50, 600])
+def test_delta_matches_euler_product(precision):
+    # Jacobi's eta^3 route against q * prod (1 - q^n)^24 by pentagonal
+    # numbers and a 24th power
+    clear_cache()
+    got = delta(precision).series
+    n = precision - 1
+    euler = [0] * n
+    for k in range(-n, n + 1):
+        g = k * (3 * k - 1) // 2
+        if 0 <= g < n:
+            euler[g] += (-1) ** (k % 2)
+    ref = (LaurentSeries(0, euler, n) ** 24).shift(1)
+    assert got == ref
+    assert all(type(c) is int for c in got.coeffs)
 
 
 def test_delta_tau_values():

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from merohecke.qseries import (
     LaurentSeries,
@@ -38,6 +38,34 @@ def _rand_series(rng, minval=-5, maxval=5, maxlen=12, rational=False):
         else:
             coeffs.append(num)
     return LaurentSeries(val, coeffs)
+
+
+def _seeded_examples(seed, count, case):
+    """The count cases a seeded loop drew with case(rng), as @examples, so a
+    property test keeps every case the loop used to run."""
+    rng = random.Random(seed)
+    cases = [case(rng) for _ in range(count)]
+
+    def apply(test):
+        for args in reversed(cases):
+            test = example(*args)(test)
+        return test
+
+    return apply
+
+
+@st.composite
+def _series(draw, rational=None):
+    """A series with val in [-5, 5] and 1 to 3 * _KRON_MIN_LEN int or
+    Fraction coefficients, long enough for either product path."""
+    if rational is None:
+        rational = draw(st.booleans())
+    if rational:
+        coeff = st.fractions(-50, 50, max_denominator=9)
+    else:
+        coeff = st.integers(-10 ** 6, 10 ** 6)
+    coeffs = draw(st.lists(coeff, min_size=1, max_size=3 * _KRON_MIN_LEN))
+    return LaurentSeries(draw(st.integers(-5, 5)), coeffs)
 
 
 # -- construction and access ----------------------------------------------
@@ -108,19 +136,23 @@ def test_mul_window_rule():
     assert (c.val, c.prec) == (-1, min(4 - 2, 0 + 1))
 
 
-def test_mul_against_schoolbook_oracle():
-    rng = random.Random(11)
-    for _ in range(200):
-        a = _rand_series(rng, rational=rng.random() < 0.4)
-        b = _rand_series(rng, rational=rng.random() < 0.4)
-        c = a.mul(b)
-        for n in range(c.val, c.prec):
-            total = 0
-            for i in range(a.val, a.prec):
-                j = n - i
-                if b.val <= j < b.prec:
-                    total += a.coefficient(i) * b.coefficient(j)
-            assert c.coefficient(n) == total, (n, a, b)
+def _mixed_pair(rng):
+    a = _rand_series(rng, rational=rng.random() < 0.4)
+    return a, _rand_series(rng, rational=rng.random() < 0.4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_series(), _series())
+@_seeded_examples(11, 200, _mixed_pair)
+def test_mul_against_schoolbook_oracle(a, b):
+    c = a.mul(b)
+    for n in range(c.val, c.prec):
+        total = 0
+        for i in range(a.val, a.prec):
+            j = n - i
+            if b.val <= j < b.prec:
+                total += a.coefficient(i) * b.coefficient(j)
+        assert c.coefficient(n) == total, (n, a, b)
 
 
 def _kron(a, b, n):
@@ -136,15 +168,22 @@ def _naive_product(a, b, n):
             for k in range(n)]
 
 
-def test_kronecker_matches_schoolbook():
-    rng = random.Random(23)
-    for _ in range(60):
-        a = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(rng.randint(1, 40))]
-        b = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(rng.randint(1, 40))]
-        full = len(a) + len(b) - 1
-        assert _kron(a, b, full) == _conv_school(a, b, full)
-        n = min(len(a), len(b))
-        assert _kron(a, b, n) == _conv_school(a, b, n)
+def _int_lists(rng):
+    a = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(rng.randint(1, 40))]
+    return a, [rng.randint(-10 ** 6, 10 ** 6) for _ in range(rng.randint(1, 40))]
+
+
+_ints = st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=40)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ints, _ints)
+@_seeded_examples(23, 60, _int_lists)
+def test_kronecker_matches_schoolbook(a, b):
+    full = len(a) + len(b) - 1
+    assert _kron(a, b, full) == _conv_school(a, b, full)
+    n = min(len(a), len(b))
+    assert _kron(a, b, n) == _conv_school(a, b, n)
 
 
 def test_kronecker_huge_coefficients():
@@ -201,6 +240,34 @@ def test_convolve_fractions_normalized(a, b):
     assert all(type(c) is int or c.denominator != 1 for c in out)
 
 
+@st.composite
+def _square_operands(draw):
+    """A tuple of ints (the form series coefficients take) and a kept length
+    n up to its length, on both sides of _KRON_MIN_LEN and of the slot-width
+    rule: with up to 48 terms, 2^40 coefficients fit the Kronecker slot limit
+    from n = 16 and 10^60 ones never do."""
+    bound = draw(st.sampled_from([1, 10 ** 6, 2 ** 40, 10 ** 60]))
+    size = draw(st.integers(1, 3 * _KRON_MIN_LEN))
+    coeffs = _SIGNS[draw(st.sampled_from(sorted(_SIGNS)))](bound)
+    a = tuple(draw(st.lists(coeffs, min_size=size, max_size=size)))
+    return a, draw(st.integers(1, size))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_square_operands())
+@example(((3, -1, 4, 1, -5) * 4, 20))                  # Kronecker
+@example(((2 ** 40 - 1, -(2 ** 40)) * 10, 16))         # Kronecker, slot at the limit
+@example(((10 ** 60, -(10 ** 60) + 7) * 10, 20))       # too wide: schoolbook
+@example(((-7,) * 15, 15))                             # short: schoolbook
+@example(((0,) * 40, 33))                              # all zero
+@example(((-(10 ** 6),) * 48, 30))                     # negative, cut from a longer tuple
+def test_convolve_square_matches_product(case):
+    a, n = case
+    want = _conv_school(a, a, n)
+    assert _convolve(a, a, n) == want
+    assert _convolve(a, list(a), n) == want
+
+
 def test_scale_and_shift():
     s = LaurentSeries(0, [1, 2]).scale(Fraction(1, 2)).shift(-3)
     assert s.val == -3
@@ -241,16 +308,15 @@ def test_invert_zero_lead_raises():
         LaurentSeries(0, [0, 0, 0]).invert()
 
 
-def test_invert_round_trip_random():
-    rng = random.Random(5)
-    for _ in range(120):
-        s = _rand_series(rng, rational=True)
-        if s.is_zero() or s.coefficient(s.valuation()) == 0:
-            continue
-        inv = s.invert()
-        prod = s.mul(inv)
-        for n in range(prod.val, prod.prec):
-            assert prod.coefficient(n) == (1 if n == 0 else 0)
+@settings(max_examples=100, deadline=None)
+@given(_series(rational=True))
+@_seeded_examples(5, 120, lambda rng: (_rand_series(rng, rational=True),))
+def test_invert_round_trip_random(s):
+    assume(not s.is_zero())
+    inv = s.invert()
+    prod = s.mul(inv)
+    for n in range(prod.val, prod.prec):
+        assert prod.coefficient(n) == (1 if n == 0 else 0)
 
 
 def test_div_explicit_target_precision():
@@ -372,21 +438,19 @@ def test_truncate():
 # -- ring laws on random inputs ---------------------------------------------
 
 
-def test_ring_laws_random():
-    rng = random.Random(77)
-    for _ in range(150):
-        a = _rand_series(rng)
-        b = _rand_series(rng)
-        c = _rand_series(rng)
-        lhs = a.mul(b.add(c))
-        rhs = a.mul(b).add(a.mul(c))
-        lo = max(lhs.val, rhs.val)
-        hi = min(lhs.prec, rhs.prec)
-        for n in range(lo, hi):
-            assert lhs.coefficient(n) == rhs.coefficient(n)
-        ab = a.mul(b)
-        ba = b.mul(a)
-        assert ab == ba
+@settings(max_examples=100, deadline=None)
+@given(_series(), _series(), _series())
+@_seeded_examples(77, 150, lambda rng: tuple(_rand_series(rng) for _ in range(3)))
+def test_ring_laws_random(a, b, c):
+    lhs = a.mul(b.add(c))
+    rhs = a.mul(b).add(a.mul(c))
+    lo = max(lhs.val, rhs.val)
+    hi = min(lhs.prec, rhs.prec)
+    for n in range(lo, hi):
+        assert lhs.coefficient(n) == rhs.coefficient(n)
+    ab = a.mul(b)
+    ba = b.mul(a)
+    assert ab == ba
 
 
 # -- comparison helpers -------------------------------------------------------
@@ -422,13 +486,13 @@ def test_str_constant_and_negative_powers():
     assert str(s) == "q^-1 + 744 + 1/2*q + O(q^2)"
 
 
-def test_json_round_trip_bit_exact():
-    rng = random.Random(3)
-    for _ in range(80):
-        s = _rand_series(rng, rational=True)
-        t = loads(dumps(s))
-        assert t.val == s.val and t.prec == s.prec
-        assert t == s
+@settings(max_examples=100, deadline=None)
+@given(_series())
+@_seeded_examples(3, 80, lambda rng: (_rand_series(rng, rational=True),))
+def test_json_round_trip_bit_exact(s):
+    t = loads(dumps(s))
+    assert t.val == s.val and t.prec == s.prec
+    assert t == s
 
 
 def test_json_shape():

@@ -1,15 +1,20 @@
 #!/usr/bin/env python3
-"""Time merohecke.numeval.psi_truncated above 53 bits and check it against
-an independent re-summation.
+"""Time both routes of merohecke.numeval.psi_truncated and check them
+against an independent re-summation.
 
-    python3 bench/psi_routes.py [--bits 80,200,512] [--bounds 2,4,8,16] [--reps 3]
+    python3 bench/psi_routes.py [--bits 53,80,200,512] [--bounds 2,4,8,16] [--reps 3]
 
 For each bits and bound, prints the summands per call, the best-of-reps
 time of psi_truncated summed over three fixed cases (center, point, k,
 ell), and the largest difference over those cases from
 perfbench/oracle.psi_reference, a term-by-term mpmath re-summation at
 bits + 64: relative to the value, and as a share of the oracle's allowance
-2^-bits * sum |summands|.  Run it from the root of a checkout.
+2^-bits * sum |summands|.  At bits 53 (the binary64 route, which computes
+each pair of rows (c, d) and (-c, -d) once) it also prints the best time of
+the same sum with every row computed, unshared_s, and asserts that both
+give the same complex values.  There the share of the allowance may pass
+1, since binary64 rounds each operation of a summand to 2^-53.  Run it
+from the root of a checkout.
 """
 
 import argparse
@@ -25,6 +30,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import mpmath  # noqa: E402
 
 import oracle  # noqa: E402
+from merohecke import numeval  # noqa: E402
 from merohecke.numeval import HPoint, PoincareSeed, psi_truncated  # noqa: E402
 
 # (k, ell, center, point): the normalization case, a pole at rho, and a
@@ -45,21 +51,56 @@ def run_cases(bits, bound):
             for k, ell, center, z in CASES]
 
 
+def unshared(k, ell, center, z, bound):
+    """The binary64 sum with every row computed, in psi_truncated's order
+    and operations; none of the cases meets a pole."""
+    zz, zc = HPoint(*center).to_complex(), HPoint(*z).to_complex()
+    zzbar = zz.conjugate()
+    total = 0j
+    for c in range(-bound, bound + 1):
+        for d in range(-bound, bound + 1):
+            if math.gcd(c, d) != 1:
+                continue
+            a, b = numeval._bezout(c, d)
+            denom = c * zc + d
+            base = denom ** (-2 * k)
+            w0 = (a * zc + b) / denom
+            for t in range(-bound, bound + 1):
+                w = w0 + t
+                dzbar = w - zzbar
+                total += base * dzbar ** (-2 * k) * ((w - zz) / dzbar) ** ell
+    return total
+
+
+def run_unshared(bound):
+    return [unshared(k, ell, center, z, bound) for k, ell, center, z in CASES]
+
+
+def best_of(reps, fn, *args):
+    best = float("inf")
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        out = fn(*args)
+        best = min(best, time.perf_counter() - t0)
+    return best, out
+
+
 def main():
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--bits", default="80,200,512")
+    p.add_argument("--bits", default="53,80,200,512")
     p.add_argument("--bounds", default="2,4,8,16")
     p.add_argument("--reps", type=int, default=3)
     args = p.parse_args()
-    print("%5s %5s %9s %9s %10s %10s" % ("bits", "bound", "summands", "time_s", "rel_err",
-                                          "allowance"))
+    print("%5s %5s %9s %9s %10s %10s %10s" % ("bits", "bound", "summands", "time_s",
+                                               "unshared_s", "rel_err", "allowance"))
     for bits in [int(x) for x in args.bits.split(",")]:
         for bound in [int(x) for x in args.bounds.split(",")]:
-            best = float("inf")
-            for _ in range(args.reps):
-                t0 = time.perf_counter()
-                values = run_cases(bits, bound)
-                best = min(best, time.perf_counter() - t0)
+            best, values = best_of(args.reps, run_cases, bits, bound)
+            base = "-"
+            if bits <= 53:
+                t_base, want = best_of(args.reps, run_unshared, bound)
+                assert values == want, (bound, values, want)
+                base = "%.3f" % t_base
             rel = share = 0.0
             for (k, ell, center, z), value in zip(CASES, values):
                 ref, scale = oracle.psi_reference(k, ell, center, z, bound, bits)
@@ -67,8 +108,8 @@ def main():
                     err = abs(value - ref)
                     rel = max(rel, float(err / abs(ref)))
                     share = max(share, float(err / (mpmath.mpf(2) ** -bits * scale)))
-            print("%5d %5d %9d %9.3f %10.2e %10.2e" % (bits, bound, summands(bound), best, rel,
-                                                      share), flush=True)
+            print("%5d %5d %9d %9.3f %10s %10.2e %10.2e" % (bits, bound, summands(bound), best,
+                                                           base, rel, share), flush=True)
 
 
 if __name__ == "__main__":

@@ -91,7 +91,8 @@ def _cache_store(construction, precision, form):
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(obj, fh)
+            # json.dump would stream through the pure-Python encoder
+            fh.write(json.dumps(obj))
         os.replace(tmp, path)
     except (OSError, ValueError):
         try:

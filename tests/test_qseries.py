@@ -275,6 +275,35 @@ def test_scale_and_shift():
     assert s.coefficient(-2) == 1
 
 
+def _types(s):
+    return [type(c) for c in s.coeffs]
+
+
+def test_add_scale_d_power_result_types():
+    # integral results are plain ints, whether the inputs were ints or
+    # Fractions that add or scale to integers; the rest stay Fractions
+    ints = LaurentSeries(-1, [2, -4, 0, 6])
+    halves = LaurentSeries(0, [Fraction(1, 2), Fraction(1, 3), 5])
+    assert _types(ints.add(ints)) == [int] * 4
+    assert _types(halves.add(halves)) == [int, Fraction, int]
+    assert halves.add(halves).coeffs == (1, Fraction(2, 3), 10)
+    assert _types(ints.add(halves)) == [int, Fraction, Fraction, int]
+    assert _types(ints.sub(ints)) == [int] * 4
+    assert _types(ints.scale(3)) == [int] * 4
+    assert ints.scale(Fraction(1, 2)).coeffs == (1, -2, 0, 3)
+    assert _types(ints.scale(Fraction(1, 2))) == [int] * 4
+    assert _types(ints.scale(Fraction(1, 4))) == [Fraction, int, int, Fraction]
+    assert _types(ints.scale(Fraction(4, 2))) == [int] * 4
+    assert _types(halves.scale(6)) == [int] * 3
+    assert _types(ints.d_power(2)) == [int] * 4
+    assert halves.d_power(1).coeffs == (0, Fraction(1, 3), 10)
+    assert _types(halves.d_power(1)) == [int, Fraction, int]
+    # an empty window and the zero series
+    empty = ints.add(LaurentSeries(-3, [], -3))
+    assert (empty.val, empty.prec, empty.coeffs) == (-3, -3, ())
+    assert _types(LaurentSeries.zero(3).scale(Fraction(1, 7))) == [int] * 3
+
+
 # -- inversion, division, powers -------------------------------------------
 
 

@@ -11,10 +11,10 @@ perfbench/oracle.psi_reference, a term-by-term mpmath re-summation at
 bits + 64: relative to the value, and as a share of the oracle's allowance
 2^-bits * sum |summands|.  At bits 53 (the binary64 route, which computes
 each pair of rows (c, d) and (-c, -d) once) it also prints the best time of
-the same sum with every row computed, unshared_s, and asserts that both
-give the same complex values.  There the share of the allowance may pass
-1, since binary64 rounds each operation of a summand to 2^-53.  Run it
-from the root of a checkout.
+the same sum with every row computed, unshared_s, by the reference loop of
+tests/test_numeval.py, and asserts that both give the same complex values.
+There the share of the allowance may pass 1, since binary64 rounds each
+operation of a summand to 2^-53.  Run it from the root of a checkout.
 """
 
 import argparse
@@ -26,12 +26,13 @@ import time
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 import mpmath  # noqa: E402
 
 import oracle  # noqa: E402
-from merohecke import numeval  # noqa: E402
 from merohecke.numeval import HPoint, PoincareSeed, psi_truncated  # noqa: E402
+from test_numeval import _psi_binary64_unshared  # noqa: E402
 
 # (k, ell, center, point): the normalization case, a pole at rho, and a
 # kernel without a pole at a generic center
@@ -51,29 +52,14 @@ def run_cases(bits, bound):
             for k, ell, center, z in CASES]
 
 
-def unshared(k, ell, center, z, bound):
-    """The binary64 sum with every row computed, in psi_truncated's order
-    and operations; none of the cases meets a pole."""
-    zz, zc = HPoint(*center).to_complex(), HPoint(*z).to_complex()
-    zzbar = zz.conjugate()
-    total = 0j
-    for c in range(-bound, bound + 1):
-        for d in range(-bound, bound + 1):
-            if math.gcd(c, d) != 1:
-                continue
-            a, b = numeval._bezout(c, d)
-            denom = c * zc + d
-            base = denom ** (-2 * k)
-            w0 = (a * zc + b) / denom
-            for t in range(-bound, bound + 1):
-                w = w0 + t
-                dzbar = w - zzbar
-                total += base * dzbar ** (-2 * k) * ((w - zz) / dzbar) ** ell
-    return total
+def _pair(coords):
+    w = HPoint(*coords).to_complex()
+    return w.real, w.imag
 
 
 def run_unshared(bound):
-    return [unshared(k, ell, center, z, bound) for k, ell, center, z in CASES]
+    return [_psi_binary64_unshared(k, ell, _pair(center), _pair(z), bound)
+            for k, ell, center, z in CASES]
 
 
 def best_of(reps, fn, *args):

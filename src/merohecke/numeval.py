@@ -617,14 +617,19 @@ def _psi_sum(k, ell, zz, zc, bound, near_pole=None):
     each row with c < 0, and of (0, -1), are kept on a stack, and its
     mirror adds them again in the same t order: the rows with c > 0 meet
     the mirrors in exactly the reverse order, so each is the top of the
-    stack.  The stack holds about half the summands, a peak of 2.7 MiB at
-    bound 30 and 6.3 MiB at bound 40 (tracemalloc).  The fixed route
+    stack.  The stack holds about half the summands, so it grows as bound^3:
+    a peak of 2.7 MiB at bound 30, 6.3 MiB at bound 40 and 97 MiB at
+    bound 100 (tracemalloc).  Rows are shared only for k <= 50: CPython
+    raises a complex to an integer power of magnitude up to 100 by repeated
+    squaring, which is sign-symmetric for an even power, but above that
+    takes a polar power, whose angle atan2(-y, -x) differs from atan2(y, x)
+    by a rounded pi.  The fixed route
     computes every row, because _Fixed floors its products toward -infinity,
     so a row and its negative differ in the last units."""
     zzbar = zz.conjugate()
     w2k = -2 * k
     total = type(zc)(0)
-    share = isinstance(zc, complex)
+    share = isinstance(zc, complex) and k <= 50
     stack = []
     for c in range(-bound, bound + 1):
         for d in range(-bound, bound + 1):
@@ -656,7 +661,8 @@ def _psi_sum(k, ell, zz, zc, bound, near_pole=None):
                             continue
                 term = base * dzbar ** w2k * x ** ell
                 total += term
-                terms.append(term)
+                if share:
+                    terms.append(term)
             if share:
                 stack.append(terms)
     return total

@@ -199,6 +199,21 @@ def _pp_request(rng):
     return weight, terms
 
 
+def _solvable_request(weight, terms):
+    """The principal part to solve for the request (weight, terms), or None
+    where it has a nonzero obstruction or rebalances to zero."""
+    pp = PrincipalPart(terms) if terms else PrincipalPart({2: 1})
+    # one cusp condition at most in this weight range; rebalance with
+    # the q^-1 slot, whose pairing coefficient is the dual's leading 1
+    vec = obstruction(weight, pp, CUSPIDAL)
+    if len(vec) == 1:
+        pp = pp + PrincipalPart({1: 1}).scale(-vec[0])
+    elif any(vec):
+        return None
+    assert obstruction(weight, pp, CUSPIDAL) == [0] * len(vec)
+    return None if pp.is_zero() else pp
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from([0, -4, -10, -12]),
        st.dictionaries(st.integers(2, 4), st.builds(Fraction, st.integers(-9, 9),
@@ -206,22 +221,22 @@ def _pp_request(rng):
 @_seeded_examples(101, 120, _pp_request)
 def test_solver_round_trip_random(weight, terms):
     # zero-obstruction requests solve and reproduce their negative part
-    pp = PrincipalPart(terms) if terms else PrincipalPart({2: 1})
-    # one cusp condition at most in this weight range; rebalance with
-    # the q^-1 slot, whose pairing coefficient is the dual's leading 1
-    vec = obstruction(weight, pp, CUSPIDAL)
-    if len(vec) == 1:
-        pp = pp + PrincipalPart({1: 1}).scale(-vec[0])
-    else:
-        assume(not any(vec))
-    assert obstruction(weight, pp, CUSPIDAL) == [0] * len(vec)
-    assume(not pp.is_zero())
+    pp = _solvable_request(weight, terms)
+    assume(pp is not None)
     sol = solve_principal_part(weight, pp, False, 9)
     assert not isinstance(sol, ObstructionWitness), (weight, pp)
     assert PrincipalPart.from_series(sol.series).terms == pp.terms
     # solutions are two-sided: their own class re-obstructs to zero
     back = obstruction(weight, PrincipalPart.from_series(sol.series), CUSPIDAL)
     assert not any(back)
+
+
+def test_solver_round_trip_seeded_cases_reach_solver():
+    # hypothesis drops an @example that fails assume() without a word, so
+    # most of the seeded requests must still reach the solver above
+    rng = random.Random(101)
+    reached = sum(_solvable_request(*_pp_request(rng)) is not None for _ in range(120))
+    assert reached >= 60
 
 
 # -- decomposition ------------------------------------------------------------

@@ -4,9 +4,10 @@ Exit codes: 0 success / all checks pass, 1 verification mismatch or
 obstructed request, 2 usage or parse error, 3 numeric guard tripped
 (validity-height or divergent-tail errors).
 
-Set MEROHECKE_CACHE_DIR to enable a flat-file series cache keyed by
-(construction string, precision); entries are invalidated by bumping the
-format version.
+Set MEROHECKE_CACHE_DIR to enable a flat-file series cache with one entry
+per construction string, holding the longest window built so far; every
+shorter precision is served from it (see _cache_load).  Entries are
+invalidated by bumping the format version.
 """
 
 import argparse
@@ -23,7 +24,7 @@ from .forms import ModularForm
 from .numeval import HPoint, PoincareSeed, RegionGuard, DivergentTail
 from .whbasis import ObstructionWitness, PrincipalPart
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -37,12 +38,11 @@ def _cache_dir():
     return os.environ.get("MEROHECKE_CACHE_DIR")
 
 
-def _cache_path(construction, precision):
+def _cache_path(construction):
     d = _cache_dir()
     if not d:
         return None
-    key = hashlib.sha256(
-        ("%d|%s|%d" % (FORMAT_VERSION, construction, precision)).encode()).hexdigest()
+    key = hashlib.sha256(("%d|%s" % (FORMAT_VERSION, construction)).encode()).hexdigest()
     return os.path.join(d, key + ".json")
 
 
@@ -58,7 +58,15 @@ def _from_hex(text):
 
 
 def _cache_load(construction, precision):
-    path = _cache_path(construction, precision)
+    """The cached form of construction truncated to precision, or None.
+
+    An entry holds the longest window [val, prec) built so far.  A build
+    truncated to P gives what a build at P gives (the invariant forms._cached
+    serves its hits on too), so every val < P <= prec is a hit, and only the
+    coefficients below P are converted.  An empty window, P <= val, is a
+    miss: the builder decides whether it exists (the constant 7 has none at
+    P = 0).  So is an entry whose list does not fill its declared window."""
+    path = _cache_path(construction)
     if not path or not os.path.exists(path):
         return None
     try:
@@ -67,23 +75,30 @@ def _cache_load(construction, precision):
         if obj.get("format") != FORMAT_VERSION:
             return None
         series = obj["series"]
-        coeffs = [_from_hex(c) for c in series["coefficients"]]
-        return ModularForm(int(obj["weight"]), qseries.LaurentSeries(
-            int(series["valuation"]), coeffs, int(series["precision"])))
+        val, prec = int(series["valuation"]), int(series["precision"])
+        hexes = series["coefficients"]
+        if not val < precision <= prec or len(hexes) != prec - val:
+            return None
+        coeffs = [_from_hex(c) for c in hexes[:precision - val]]
+        return ModularForm(int(obj["weight"]), qseries.LaurentSeries(val, coeffs, precision))
     except (OSError, ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError):
         # a missing, corrupt or malformed entry is a miss
         return None
 
 
-def _cache_store(construction, precision, form):
-    path = _cache_path(construction, precision)
+def _cache_store(construction, form):
+    """Make form the entry of construction, replacing any shorter one.
+
+    Writers do not lock: a concurrent writer may replace a longer entry with
+    a shorter one, which costs later requests a hit but never gives a wrong
+    answer, since each entry is written whole and renamed into place."""
+    path = _cache_path(construction)
     if not path:
         return
     os.makedirs(os.path.dirname(path), exist_ok=True)
     obj = {
         "format": FORMAT_VERSION,
         "construction": construction,
-        "precision": precision,
         "weight": form.weight,
         "series": {"valuation": form.series.val, "precision": form.series.prec,
                    "coefficients": [_to_hex(c) for c in form.series.coeffs]},
@@ -114,7 +129,9 @@ def _build_form(name_or_expr, precision):
         form = meroforms.build(name_or_expr, precision).form
     else:
         form = meroforms.build_expression(name_or_expr, precision)
-    _cache_store(construction, precision, form)
+    # an empty window serves nothing and would replace a longer entry
+    if form.series.prec > form.series.val:
+        _cache_store(construction, form)
     return form
 
 

@@ -604,9 +604,10 @@ def _mpf_to_fixed(v, frac):
 def _psi_sum(k, ell, zz, zc, bound, near_pole=None):
     """The truncated sum over rows (c, d) and translates t, generic over the
     scalar type: complex for machine precision, _Fixed above it.  For
-    ell < 0 the complex route refuses an exact pole, and the fixed route
-    hands each x to near_pole(x, c, d, t), which returns None or the summand
-    retaken at a finer unit.
+    ell < 0 the complex route refuses a summand whose x ** ell leaves
+    binary64, at an exact pole or within rounding of one, and the fixed
+    route hands each x to near_pole(x, c, d, t), which returns None or the
+    summand retaken at a finer unit.
 
     The complex route computes each pair of rows (c, d) and (-c, -d) once.
     _bezout(-c, -d) is -_bezout(c, d), and every operation of a summand is
@@ -648,24 +649,37 @@ def _psi_sum(k, ell, zz, zc, bound, near_pole=None):
                 w = w0 + t
                 dzbar = w - zzbar
                 x = (w - zz) / dzbar
-                if ell < 0:
-                    if near_pole is None:
-                        if x == 0:
-                            raise RegionGuard(
-                                "evaluation point lies in the orbit of the center (pole of "
-                                "the kernel): w = center at row (%d, %d), t = %d" % (c, d, t))
-                    else:
-                        term = near_pole(x, c, d, t)
-                        if term is not None:
-                            total += term
-                            continue
-                term = base * dzbar ** w2k * x ** ell
+                if ell < 0 and near_pole is not None:
+                    term = near_pole(x, c, d, t)
+                    if term is not None:
+                        total += term
+                        continue
+                try:
+                    term = base * dzbar ** w2k * x ** ell
+                except (OverflowError, ZeroDivisionError):
+                    _refuse_pole(x, ell, c, d, t)
+                    raise
                 total += term
                 if share:
                     terms.append(term)
             if share:
                 stack.append(terms)
     return total
+
+
+def _refuse_pole(x, ell, c, d, t):
+    """Raise RegionGuard when the binary64 x ** ell fails, for ell < 0: x is
+    0, or so near it that x ** ell overflows or x ** -ell underflows to 0."""
+    try:
+        x ** ell
+    except (OverflowError, ZeroDivisionError):
+        if x == 0:
+            where = "in the orbit of the center (pole of the kernel): w = center"
+        else:
+            where = ("within rounding of the orbit of the center (pole of the kernel): "
+                     "w near center")
+        raise RegionGuard("evaluation point lies %s at row (%d, %d), t = %d"
+                          % (where, c, d, t)) from None
 
 
 def psi_section_check(bound=40, bits=53, tol=1e-3, precision=40):

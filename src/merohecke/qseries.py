@@ -71,8 +71,80 @@ def as_coeff(x):
     if isinstance(x, int):
         return int(x)
     if isinstance(x, str):
-        return as_coeff(Fraction(x))
+        try:
+            return as_coeff(Fraction(x))
+        except ValueError as e:
+            # past CPython's str -> int digit limit, or not a number at all
+            coeff = _dec_coeff(x)
+            if coeff is None:
+                raise e
+            return coeff
     raise TypeError("coefficient must be int, Fraction or 'num/den' string, got %r" % (x,))
+
+
+# -- decimal text past CPython's digit limit ----------------------------
+
+# CPython 3.11 refuses int <-> decimal str conversions above 4300 digits.
+# Where str() or int() refuses, _dec_str and _dec_int split at the powers
+# 10^(_DEC_LEAF * 2^i) and convert pieces below the limit (Brent and
+# Zimmermann, Modern Computer Arithmetic, section 1.7).  No interpreter
+# setting changes.
+_DEC_LEAF = 2048
+
+
+def _dec_str(c):
+    """str(c) for an int or Fraction c of any size."""
+    if type(c) is not int:
+        return "%s/%s" % (_dec_str(c.numerator), _dec_str(c.denominator))
+    if c < 0:
+        return "-" + _dec_str(-c)
+    pows = [10 ** _DEC_LEAF]
+    while pows[-1] <= c:
+        pows.append(pows[-1] * pows[-1])
+
+    def digits(n, i, width):
+        # n < pows[i], zero-padded to width
+        if i == 0:
+            return str(n).zfill(width)
+        hi, lo = divmod(n, pows[i - 1])
+        if not hi:
+            return digits(lo, i - 1, width)
+        w = _DEC_LEAF << (i - 1)
+        return digits(hi, i - 1, width - w) + digits(lo, i - 1, w)
+
+    return digits(c, len(pows) - 1, 0)
+
+
+def _dec_int(text):
+    """The int of a string of ASCII decimal digits of any length."""
+    pows = [10 ** _DEC_LEAF]
+    while _DEC_LEAF << len(pows) < len(text):
+        pows.append(pows[-1] * pows[-1])
+
+    def value(d, i):
+        # len(d) <= _DEC_LEAF * 2^(i + 1)
+        while i >= 0 and _DEC_LEAF << i >= len(d):
+            i -= 1
+        if i < 0:
+            return int(d)
+        w = _DEC_LEAF << i
+        return value(d[:-w], i - 1) * pows[i] + value(d[-w:], i - 1)
+
+    return value(text, len(pows) - 1)
+
+
+def _dec_coeff(text):
+    """The normalized coefficient of "[+-]digits" or "[+-]digits/digits" of
+    any length, None for any other text."""
+    num, slash, den = text.strip().partition("/")
+    neg = num[:1] == "-"
+    if num[:1] in ("+", "-"):
+        num = num[1:]
+    parts = (num, den) if slash else (num,)
+    if not all(p.isascii() and p.isdigit() for p in parts):
+        return None
+    n = -_dec_int(num) if neg else _dec_int(num)
+    return as_coeff(Fraction(n, _dec_int(den))) if slash else n
 
 
 def _conv_school(a, b, n):
@@ -405,11 +477,15 @@ def terms_str(items, var):
         if not c:
             continue
         mag = abs(c)
-        if n == 0:
-            term = str(mag)
-        else:
-            vp = var if n == 1 else "%s^%d" % (var, n)
-            term = vp if mag == 1 else "%s*%s" % (mag, vp)
+        try:
+            if n == 0:
+                term = str(mag)
+            else:
+                vp = var if n == 1 else "%s^%d" % (var, n)
+                term = vp if mag == 1 else "%s*%s" % (mag, vp)
+        except ValueError:
+            # past CPython's int -> str digit limit
+            term = _dec_str(mag) if n == 0 else "%s*%s" % (_dec_str(mag), vp)
         if not parts:
             parts.append(term if c > 0 else "-" + term)
         else:
@@ -440,11 +516,12 @@ def first_mismatch(a, b):
 # -- serialization ----------------------------------------------------
 
 def to_json_obj(s):
-    return {
-        "valuation": s.val,
-        "precision": s.prec,
-        "coefficients": [str(c) for c in s.coeffs],
-    }
+    try:
+        coeffs = [str(c) for c in s.coeffs]
+    except ValueError:
+        # past CPython's int -> str digit limit
+        coeffs = [_dec_str(c) for c in s.coeffs]
+    return {"valuation": s.val, "precision": s.prec, "coefficients": coeffs}
 
 
 def from_json_obj(obj):

@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, and the series cache."""
 
+import decimal
 import hashlib
 import json
 import os
@@ -8,7 +9,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from merohecke import cli, forms, linalg, quotient
+from merohecke import cli, forms, linalg, meroforms, qseries, quotient
 from merohecke.cli import EXIT_GUARD, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from merohecke.forms import ModularForm
 from merohecke.qseries import LaurentSeries
@@ -430,6 +431,23 @@ def test_hecke_file_route_matches_name_route(capsys, tmp_path):
     assert json.loads(by_file) == json.loads(by_name)
 
 
+def test_hecke_file_past_the_decimal_digit_limit(capsys, tmp_path):
+    # a series file, the text output and --json all carry coefficients of
+    # more than 4300 decimal digits, which str() and int() refuse
+    big = 7 ** 6000 + 1
+    series = LaurentSeries(-1, [big, 0, -Fraction(big, 3 ** 9000), 1], 3)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"series": qseries.to_json_obj(series), "weight": 0}))
+    code, text, _ = run(capsys, ["hecke", str(path), "--m", "1"])
+    assert code == EXIT_OK
+    assert text == "window [-1, 3)\n%s\n" % series
+    code, out, _ = run(capsys, ["hecke", str(path), "--m", "1", "--json"])
+    assert code == EXIT_OK
+    obj = json.loads(out)
+    assert obj["series"]["coefficients"][0] == str(decimal.Decimal(big))
+    assert qseries.from_json_obj(obj["series"]) == series
+
+
 def test_hecke_bare_series_file_needs_weight(capsys, tmp_path):
     code, out, _ = run(capsys, ["expand", "delta", "--prec", "8", "--json"])
     obj = json.loads(out)
@@ -629,6 +647,19 @@ def test_psi_sum_pole_guard(capsys):
                                 "--zz", "0,1", "--at", "0,1", "--bound", "4"])
     assert code == EXIT_GUARD
     assert "pole" in err
+
+
+@pytest.mark.parametrize("k, ell, center, at, row", [
+    # x ** -2 overflows binary64
+    ("2", "-2", "0,1", "5e-158,1", "row (-1, 0), t = 0"),
+    # x ** 3 underflows to 0 and its reciprocal divides by zero
+    ("3", "-3", "0,0.875", "5.088552706072287e-158,0.875", "row (0, -1), t = 0"),
+], ids=["overflow", "underflow"])
+def test_psi_sum_binary64_near_pole_is_refused(capsys, k, ell, center, at, row):
+    code, out, err = run(capsys, ["psi-sum", "--k", k, "--ell", ell, "--zz", center,
+                                  "--at", at, "--bound", "1", "--bits", "53"])
+    assert (code, out) == (EXIT_GUARD, "")
+    assert "within rounding of the orbit of the center" in err and row in err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -914,7 +945,7 @@ def test_cache_roundtrip_past_the_decimal_digit_limit(tmp_path, monkeypatch):
     assert big > 10 ** 4300
     series = LaurentSeries(-1, [big, -big, Fraction(big, 3 ** 9000), 0], 3)
     form = ModularForm(-12, series)
-    cli._cache_store("big", 3, form)
+    cli._cache_store("big", form)
     (path,) = list(tmp_path.glob("*.json"))
     stored = json.loads(path.read_text())
     assert stored["series"]["coefficients"][0] == "%x" % big
@@ -937,11 +968,90 @@ def test_cache_format_version_gate(capsys, tmp_path, monkeypatch):
     assert second == first
 
 
-def test_cache_distinguishes_precision(capsys, tmp_path, monkeypatch):
+def _entry_window(cache_dir):
+    """The window of the one entry in cache_dir."""
+    (path,) = cache_dir.glob("*.json")
+    series = json.loads(path.read_text())["series"]
+    return series["valuation"], series["precision"]
+
+
+def test_cache_serves_shorter_precisions_from_one_entry(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("MEROHECKE_CACHE_DIR", raising=False)
+    forms.clear_cache()
+    direct = run(capsys, ["expand", "G", "--prec", "6", "--json"])
     monkeypatch.setenv("MEROHECKE_CACHE_DIR", str(tmp_path))
-    run(capsys, ["expand", "G", "--prec", "6", "--json"])
-    run(capsys, ["expand", "G", "--prec", "8", "--json"])
-    assert len(list(tmp_path.glob("*.json"))) == 2
+    for precision, window in (("8", (2, 8)), ("6", (2, 8)), ("12", (2, 12))):
+        forms.clear_cache()
+        code, out, err = run(capsys, ["expand", "G", "--prec", precision, "--json"])
+        assert code == EXIT_OK
+        if precision == "6":
+            assert (code, out, err) == direct
+        # a shorter request reads the entry, a longer one grows it
+        assert _entry_window(tmp_path) == window
+
+
+_SERVED = sorted(meroforms.CONSTRUCTIONS) + ["7", "E4 - E4"]
+
+
+@pytest.mark.parametrize("target", _SERVED)
+def test_cache_served_prefix_matches_direct_build(capsys, tmp_path, monkeypatch, target):
+    # every precision under a P = 40 entry answers as a build at that
+    # precision does: empty windows and refusals (the constant 7 has no
+    # window at P <= 0) go to the builder and leave the entry alone
+    commands = (["expand", target], ["hecke", target, "--m", "3"])
+    precisions = ("-3", "0", "1", "2", "3", "5")
+    monkeypatch.delenv("MEROHECKE_CACHE_DIR", raising=False)
+    direct = {}
+    for argv in commands:
+        for precision in precisions:
+            forms.clear_cache()
+            direct[argv[0], precision] = run(capsys, argv + ["--prec", precision])[:2]
+    monkeypatch.setenv("MEROHECKE_CACHE_DIR", str(tmp_path))
+    forms.clear_cache()
+    assert run(capsys, ["expand", target, "--prec", "40"])[0] == EXIT_OK
+    window = _entry_window(tmp_path)
+    assert window[1] == 40
+    for argv in commands:
+        for precision in precisions:
+            forms.clear_cache()
+            served = run(capsys, argv + ["--prec", precision])[:2]
+            assert served == direct[argv[0], precision], (argv, precision)
+    assert _entry_window(tmp_path) == window
+
+
+@pytest.mark.parametrize("target", sorted(PINNED_EXPAND))
+def test_expand_output_pinned_served_from_longer_entry(capsys, tmp_path, monkeypatch, target):
+    monkeypatch.setenv("MEROHECKE_CACHE_DIR", str(tmp_path))
+    forms.clear_cache()
+    assert run(capsys, ["expand", target, "--prec", "260"])[0] == EXIT_OK
+    for precision, want in zip((30, 101, 250), PINNED_EXPAND[target]):
+        forms.clear_cache()
+        code, out, _ = run(capsys, ["expand", target, "--prec", str(precision), "--json"])
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == want, (target, precision)
+    assert _entry_window(tmp_path)[1] == 260
+
+
+@pytest.mark.parametrize("edit", ["short", "long", "zero-denominator", "not-hex"])
+def test_cache_entry_not_filling_its_window_is_a_miss(capsys, tmp_path, monkeypatch, edit):
+    monkeypatch.delenv("MEROHECKE_CACHE_DIR", raising=False)
+    direct = run(capsys, ["expand", "E4", "--prec", "5"])
+    monkeypatch.setenv("MEROHECKE_CACHE_DIR", str(tmp_path))
+    run(capsys, ["expand", "E4", "--prec", "6"])
+    (path,) = tmp_path.glob("*.json")
+    stored = json.loads(path.read_text())
+    coeffs = stored["series"]["coefficients"]
+    if edit == "short":
+        coeffs.pop()
+    elif edit == "long":
+        coeffs.append("1")
+    else:
+        coeffs[2] = "1/0" if edit == "zero-denominator" else "zz"
+    path.write_text(json.dumps(stored))
+    forms.clear_cache()
+    assert run(capsys, ["expand", "E4", "--prec", "5"]) == direct
+    # the rebuild replaced the entry
+    assert _entry_window(tmp_path) == (0, 5)
 
 
 def test_cache_disabled_without_env(capsys, tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from merohecke import hecke
 from merohecke.forms import delta, eisenstein, j_function, sigma
@@ -47,17 +48,37 @@ def test_u_op_window_and_values():
     assert g.coefficient(1) == 9
 
 
-def test_u_after_v_is_identity():
-    rng = random.Random(9)
-    for _ in range(60):
-        f = _rand_series(rng)
-        m = rng.randint(1, 6)
-        g = u_op(v_op(f, m), m)
-        lo = max(f.val, g.val)
-        hi = min(f.prec, g.prec)
-        assert hi > lo
-        for n in range(lo, hi):
-            assert g.coefficient(n) == f.coefficient(n)
+def _seeded_examples(seed, count, case):
+    """The count cases a seeded loop drew with case(rng), as @examples, so a
+    property test keeps every case the loop used to run."""
+    rng = random.Random(seed)
+    cases = [case(rng) for _ in range(count)]
+
+    def apply(test):
+        for args in reversed(cases):
+            test = example(*args)(test)
+        return test
+
+    return apply
+
+
+# the draws of _rand_series: val in [-4, 3], 3 to 14 coefficients p/q
+_series = st.builds(
+    LaurentSeries, st.integers(-4, 3),
+    st.lists(st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6)),
+             min_size=3, max_size=14))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_series, st.integers(1, 6))
+@_seeded_examples(9, 60, lambda rng: (_rand_series(rng), rng.randint(1, 6)))
+def test_u_after_v_is_identity(f, m):
+    g = u_op(v_op(f, m), m)
+    lo = max(f.val, g.val)
+    hi = min(f.prec, g.prec)
+    assert hi > lo
+    for n in range(lo, hi):
+        assert g.coefficient(n) == f.coefficient(n)
 
 
 def test_delta_is_t2_eigenform():

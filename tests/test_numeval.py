@@ -371,7 +371,14 @@ def _psi_binary64_unshared(k, ell, center, z, bound):
                     raise RegionGuard(
                         "evaluation point lies in the orbit of the center (pole of "
                         "the kernel): w = center at row (%d, %d), t = %d" % (c, d, t))
-                total += base * dzbar ** w2k * x ** ell
+                try:
+                    power = x ** ell
+                except (OverflowError, ZeroDivisionError):
+                    raise RegionGuard(
+                        "evaluation point lies within rounding of the orbit of the center "
+                        "(pole of the kernel): w near center at row (%d, %d), t = %d"
+                        % (c, d, t)) from None
+                total += base * dzbar ** w2k * power
     return total
 
 
@@ -391,7 +398,7 @@ _coord = st.floats(-0.5, 0.5)
 @example(k=3, ell=-1, center=(0.0, 1.0), z=(0.0, 1.0), bound=4)
 @example(k=4, ell=-2, center=(0.25, 1.5), z=(0.25, 1.5), bound=3)
 # z within 1e-157 of the center: x ** ell overflows, or x ** -ell
-# underflows to 0 and the reciprocal divides by zero
+# underflows to 0 and the reciprocal divides by zero; both are refused
 @example(k=2, ell=-3, center=(0.0, 0.875), z=(5.088552706072287e-158, 0.875), bound=1)
 @example(k=2, ell=-2, center=(0.0, 1.0), z=(5.088552706072287e-158, 1.0), bound=1)
 # 2k up to 100 is raised by repeated squaring, which is sign-symmetric;

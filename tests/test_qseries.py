@@ -1,5 +1,6 @@
 """Laurent series engine: window algebra, arithmetic, serialization."""
 
+import decimal
 import json
 import random
 from fractions import Fraction
@@ -23,6 +24,7 @@ from merohecke.qseries import (
     _conv_kron,
     _conv_school,
     _convolve,
+    _dec_str,
     _slot_bits,
 )
 
@@ -522,6 +524,44 @@ def test_json_round_trip_bit_exact(s):
     t = loads(dumps(s))
     assert t.val == s.val and t.prec == s.prec
     assert t == s
+
+
+# CPython refuses int <-> decimal str above 4300 digits; decimal.Decimal
+# converts exactly without that limit, so it serves as the oracle
+_BIG = 7 ** 6000 + 1
+_BIG_FRACTION = Fraction(_BIG, 3 ** 9000)
+
+
+def _decimal(c):
+    if isinstance(c, Fraction):
+        return "%s/%s" % (decimal.Decimal(c.numerator), decimal.Decimal(c.denominator))
+    return str(decimal.Decimal(c))
+
+
+@pytest.mark.parametrize("c", [_BIG, -_BIG, _BIG_FRACTION, -_BIG_FRACTION, 10 ** 8192,
+                               10 ** 8192 - 1, 3 ** 40000, 0, 1, -7, Fraction(-3, 7)],
+                         ids=["big", "-big", "fraction", "-fraction", "10^8192",
+                              "10^8192-1", "3^40000", "0", "1", "-7", "-3/7"])
+def test_decimal_conversion_past_the_digit_limit(c):
+    text = _decimal(c)
+    assert _dec_str(c) == text
+    assert as_coeff(text) == c and type(as_coeff(text)) is type(c)
+
+
+def test_series_text_and_json_past_the_digit_limit():
+    with pytest.raises(ValueError):
+        str(_BIG)
+    s = LaurentSeries(-1, [_BIG, 0, -_BIG_FRACTION, 1], 3)
+    assert str(s) == "%s*q^-1 - %s*q + q^2 + O(q^3)" % (_decimal(_BIG), _decimal(_BIG_FRACTION))
+    obj = to_json_obj(s)
+    assert obj["coefficients"] == [_decimal(c) for c in s.coeffs]
+    assert loads(dumps(s)) == s
+
+
+def test_bad_coefficient_text_keeps_its_error():
+    for text in ("abc", "1" * 5000 + "x", "1/", "--1"):
+        with pytest.raises(ValueError, match="Invalid literal"):
+            as_coeff(text)
 
 
 def test_json_shape():

@@ -212,7 +212,7 @@ def _cmd_solve_pp(args):
     pp = _parse_pp(args.pp)
     sol = whbasis.solve_principal_part(args.weight, pp, args.sshriek, args.prec)
     if isinstance(sol, ObstructionWitness):
-        vec = [str(c) for c in sol.vector]
+        vec = [qseries._dec_str(c) for c in sol.vector]
         _emit(args, {"obstruction": vec, "dual": sol.dual_kind},
               "obstructed: pairing vector %s against the weight-%d %s basis"
               % (vec, 2 - args.weight, "holomorphic" if sol.dual_kind == "M" else "cusp"))
@@ -257,8 +257,8 @@ def _theorem_grid():
         for m in (2, 3, 5):
             for kind in (quotient.MOD_M, quotient.MOD_S):
                 ok = quotient.theorem_check(weight2k, kind, m)
-                reports.append({"id": "quotient(%d,%s,T%d)" % (weight2k, kind, m),
-                                "pass": bool(ok), "window": None, "mismatch": None})
+                reports.append(meroforms.IdentityReport(
+                    "quotient(%d,%s,T%d)" % (weight2k, kind, m), ok, None).to_json_obj())
     return reports
 
 
@@ -281,14 +281,10 @@ def _cmd_verify(args):
 
 
 def _cmd_eval(args):
-    if args.name in meroforms.CONSTRUCTIONS:
-        named = meroforms.build(args.name, args.prec)
-        series, height = named.series, named.validity_height
-    else:
-        form = _build_form(args.name, args.prec)
-        series, height = form.series, None
+    form = _build_form(args.name, args.prec)
     z = HPoint.parse(args.at)
-    res = numeval.eval_series(series, z, args.bits, min_height=height)
+    res = numeval.eval_series(form.series, z, args.bits,
+                              min_height=meroforms.VALIDITY_HEIGHT.get(args.name))
     obj = res.to_json_obj()
     obj["name"] = args.name
     _emit(args, obj, "%s at %s = %s + %si  (err <= %s%s)"
@@ -439,7 +435,8 @@ def _build_parser():
     sp.add_argument("--at", required=True, help="argument as 'x,y'")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--bound", type=int, default=40)
-    sp.add_argument("--bits", type=int, default=200)
+    sp.add_argument("--bits", type=int, default=200, help="precision of each psi sum; both "
+                    "sides are summed in binary64, so above 53 it adds time but no precision")
     sp.add_argument("--tol", type=float, default=1e-2)
     add_json(sp)
     sp.set_defaults(func=_cmd_psi_prop)

@@ -110,16 +110,7 @@ def sigma(r, n):
     """Sum of r-th powers of the positive divisors of n."""
     if n < 1:
         raise ValueError("sigma is defined for n >= 1")
-    total = 0
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            total += i ** r
-            j = n // i
-            if j != i:
-                total += j ** r
-        i += 1
-    return total
+    return sum(d ** r for d in hecke.divisors(n))
 
 
 # -- process-wide memo cache -------------------------------------------

@@ -14,7 +14,7 @@ is tested against that decomposition.
 import math
 from fractions import Fraction
 
-from .qseries import InsufficientPrecision, LaurentSeries, as_coeff, first_mismatch
+from .qseries import InsufficientPrecision, LaurentSeries, first_mismatch
 
 
 def _ceil_div(a, b):
@@ -94,7 +94,7 @@ def t_op(f, weight, m):
             c = f.coefficient(idx)
             if c:
                 acc += _weight_power(r, weight) * c
-        out.append(as_coeff(acc) if isinstance(acc, (int, Fraction)) else acc)
+        out.append(acc)
     return LaurentSeries(lo, out, hi)
 
 
@@ -107,7 +107,7 @@ def t_op_via_uv(f, weight, m):
     hi = min(p.prec for p in pieces)
     if hi <= lo:
         raise InsufficientPrecision("window too narrow for the V/U decomposition")
-    vals = [as_coeff(sum(p.coefficient(n) for p in pieces)) for n in range(lo, hi)]
+    vals = [sum(p.coefficient(n) for p in pieces) for n in range(lo, hi)]
     return LaurentSeries(lo, vals, hi)
 
 

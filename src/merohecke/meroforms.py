@@ -27,7 +27,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .qseries import (LaurentSeries, InsufficientPrecision, ZeroLeadingCoefficient, as_coeff,
-                      first_mismatch)
+                      compare)
 from . import forms, hecke, linalg, whbasis
 from .forms import ModularForm
 from .whbasis import PrincipalPart
@@ -349,16 +349,10 @@ class IdentityReport:
 
 
 def _compare_series(ident, lhs, rhs):
-    lo = min(lhs.val, rhs.val)
-    hi = min(lhs.prec, rhs.prec)
-    if hi <= lo:
+    window, mismatch = compare(lhs, rhs)
+    if window[0] == window[1]:
         raise InsufficientPrecision("identity %s has empty comparison window" % ident)
-    n = first_mismatch(lhs, rhs)
-    if n is not None:
-        return IdentityReport(ident, False, (lo, hi),
-                              {"index": n, "lhs": str(lhs.coefficient(n)),
-                               "rhs": str(rhs.coefficient(n))})
-    return IdentityReport(ident, True, (lo, hi))
+    return IdentityReport(ident, mismatch is None, window, mismatch)
 
 
 def _compare_pinned(ident, series, pinned):
@@ -442,13 +436,10 @@ def _id_jpoly_eval(precision):
     p2 = linalg.poly_eval(GT2_POLY, -3375)
     p3 = linalg.poly_eval(GT3_POLY, -3375)
     for value, want, idx in ((p2, 16868409, 2), (p3, 279687514914333, 3)):
-        if value != want:
-            return IdentityReport("jpoly-eval", False, (2, 4),
-                                  {"index": idx, "lhs": str(value), "rhs": str(want)})
-        got = lhs.coefficient(idx)
-        if got != want:
-            return IdentityReport("jpoly-eval", False, (2, 4),
-                                  {"index": idx, "lhs": str(got), "rhs": str(want)})
+        for got in (value, lhs.coefficient(idx)):
+            if got != want:
+                return IdentityReport("jpoly-eval", False, (2, 4),
+                                      {"index": idx, "lhs": str(got), "rhs": str(want)})
     return IdentityReport("jpoly-eval", True, (2, 4))
 
 

@@ -140,11 +140,7 @@ def _as_mpc(z):
 
 
 def _as_complex(z):
-    if isinstance(z, HPoint):
-        return z.to_complex()
-    if isinstance(z, tuple):
-        return complex(float(mpmath.mpf(z[0])), float(mpmath.mpf(z[1])))
-    return complex(z)
+    return complex(_as_mpc(z))
 
 
 def _coeff_num(c):
@@ -718,6 +714,8 @@ def psi_two_variable_check(k, ell, center, z, n, bound=40, bits=53, tol=1e-2):
     variables separately: in z via the coset sum of transformed arguments,
     in the center via the rescaled sum over centers (r^2 center + r j)/n;
     the proposition asserts equality, checked here on truncated sums.
+    Both sides are summed in binary64: bits sets the precision of each psi
+    sum, so above 53 it adds time but no precision to the result.
 
     For ell >= 0 the kernel has no pole at the center and the full sum is a
     cusp form of weight 2k; where that space is zero both sides are

@@ -94,6 +94,11 @@ _DEC_LEAF = 2048
 
 def _dec_str(c):
     """str(c) for an int or Fraction c of any size."""
+    try:
+        return str(c)
+    except ValueError:
+        # past CPython's int -> str digit limit
+        pass
     if type(c) is not int:
         return "%s/%s" % (_dec_str(c.numerator), _dec_str(c.denominator))
     if c < 0:
@@ -257,7 +262,9 @@ class LaurentSeries:
     __slots__ = ("val", "prec", "coeffs")
 
     def __init__(self, valuation, coefficients, precision=None):
-        coeffs = tuple(as_coeff(c) for c in coefficients)
+        coeffs = tuple(coefficients)
+        if not {*map(type, coeffs)} <= {int}:
+            coeffs = tuple(map(as_coeff, coeffs))
         if precision is None:
             precision = valuation + len(coeffs)
         if precision - valuation != len(coeffs):
@@ -277,16 +284,6 @@ class LaurentSeries:
         object.__setattr__(s, "prec", precision)
         object.__setattr__(s, "coeffs", coeffs)
         return s
-
-    @classmethod
-    def _from_list(cls, valuation, out, precision):
-        """The series of a freshly computed list of precision - valuation
-        ints and Fractions: through _make when every entry is an int, else
-        through the constructor, whose as_coeff turns an integral Fraction
-        into an int."""
-        if {*map(type, out)} <= {int}:
-            return cls._make(valuation, tuple(out), precision)
-        return cls(valuation, out, precision)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentSeries is immutable")
@@ -359,7 +356,7 @@ class LaurentSeries:
                 n = s.val + i
                 if lo <= n < hi and c:
                     out[n - lo] += c
-        return LaurentSeries._from_list(lo, out, hi)
+        return LaurentSeries(lo, out, hi)
 
     def neg(self):
         return LaurentSeries._make(self.val, tuple([-c for c in self.coeffs]), self.prec)
@@ -376,7 +373,7 @@ class LaurentSeries:
 
     def scale(self, c):
         c = as_coeff(Fraction(c) if not isinstance(c, (int, Fraction)) else c)
-        return LaurentSeries._from_list(self.val, [c * x for x in self.coeffs], self.prec)
+        return LaurentSeries(self.val, [c * x for x in self.coeffs], self.prec)
 
     def shift(self, k):
         return LaurentSeries._make(self.val + k, self.coeffs, self.prec + k)
@@ -411,7 +408,7 @@ class LaurentSeries:
         if j < 0:
             raise ValueError("d_power exponent must be nonnegative")
         out = [((self.val + i) ** j) * c for i, c in enumerate(self.coeffs)]
-        return LaurentSeries._from_list(self.val, out, self.prec)
+        return LaurentSeries(self.val, out, self.prec)
 
     def truncate(self, new_precision):
         if new_precision > self.prec:
@@ -493,13 +490,23 @@ def terms_str(items, var):
     return " ".join(parts) if parts else "0"
 
 
-def equals_to_precision(a, b):
-    """Compare on the union window (see first_mismatch); returns (equal, (lo, hi))."""
+def compare(a, b):
+    """(union window, None) when a and b agree on it (see first_mismatch), else
+    (window, {"index": n, "lhs": a_n, "rhs": b_n}) at the first mismatch n,
+    coefficients as text; an empty window has lo == hi."""
     lo = min(a.val, b.val)
     hi = min(a.prec, b.prec)
-    if hi <= lo:
-        return True, (hi, hi)
-    return first_mismatch(a, b) is None, (lo, hi)
+    n = first_mismatch(a, b)
+    if n is None:
+        return (lo, hi), None
+    return (lo, hi), {"index": n, "lhs": _dec_str(a.coefficient(n)),
+                      "rhs": _dec_str(b.coefficient(n))}
+
+
+def equals_to_precision(a, b):
+    """Compare on the union window (see compare); returns (equal, (lo, hi))."""
+    window, mismatch = compare(a, b)
+    return mismatch is None, window
 
 
 def first_mismatch(a, b):
@@ -525,9 +532,7 @@ def to_json_obj(s):
 
 
 def from_json_obj(obj):
-    return LaurentSeries(int(obj["valuation"]),
-                         [as_coeff(c) for c in obj["coefficients"]],
-                         int(obj["precision"]))
+    return LaurentSeries(int(obj["valuation"]), obj["coefficients"], int(obj["precision"]))
 
 
 def dumps(s, **kw):

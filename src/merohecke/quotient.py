@@ -113,9 +113,7 @@ def class_of(pp, weight2k, kind):
     """Class of a weight (2-2k) principal part in the chosen quotient: the
     obstruction pairing against the dual space is a complete invariant."""
     kind = _canon_kind(kind)
-    dual = _dual_space(kind)
-    vec = whbasis.obstruction(2 - weight2k, pp,
-                              "cusp" if dual == CUSPIDAL else "holomorphic")
+    vec = whbasis.obstruction(2 - weight2k, pp, _dual_space(kind))
     return QuotientClass(weight2k, kind, vec)
 
 

@@ -13,7 +13,7 @@ echelon basis.
 
 from fractions import Fraction
 
-from .qseries import LaurentSeries, InsufficientPrecision, as_coeff, first_mismatch
+from .qseries import LaurentSeries, InsufficientPrecision, as_coeff, compare
 from . import forms
 from .forms import ModularForm, FormBasis, HOLOMORPHIC, CUSPIDAL
 
@@ -303,8 +303,10 @@ def bol_image_membership(h, k, in_s_shriek):
         raise ValueError("h has weight %d, expected %d" % (h.weight, 2 * k))
     if h.series.prec < 1:
         raise InsufficientPrecision("constant term of h is outside its window")
-    if h.coefficient(0) != 0:
-        return BolReport(False, mismatch={"index": 0, "lhs": "0", "rhs": str(h.coefficient(0))})
+    # the image has no constant term
+    _, mismatch = compare(LaurentSeries(0, [0]), LaurentSeries(0, [h.coefficient(0)]))
+    if mismatch is not None:
+        return BolReport(False, mismatch=mismatch)
     e = 2 * k - 1
     cand = {}
     for n, c in h.series.coeff_items():
@@ -314,11 +316,7 @@ def bol_image_membership(h, k, in_s_shriek):
     sol = solve_principal_part(2 - 2 * k, pp, in_s_shriek, h.series.prec)
     if isinstance(sol, ObstructionWitness):
         return BolReport(False, obstruction=sol)
-    image = sol.series.d_power(e)
-    n = first_mismatch(image, h.series)
-    if n is not None:
-        return BolReport(False, witness=sol,
-                         mismatch={"index": n, "lhs": str(image.coefficient(n)),
-                                   "rhs": str(h.series.coefficient(n))})
-    return BolReport(True, witness=sol,
-                     window=(min(image.val, h.series.val), min(image.prec, h.series.prec)))
+    window, mismatch = compare(sol.series.d_power(e), h.series)
+    if mismatch is not None:
+        return BolReport(False, witness=sol, mismatch=mismatch)
+    return BolReport(True, witness=sol, window=window)

@@ -482,6 +482,15 @@ def test_solve_pp_obstructed(capsys):
                            "weight-12 cusp basis")
 
 
+def test_solve_pp_obstructed_past_the_decimal_digit_limit(capsys):
+    # CPython refuses int -> decimal str above 4300 digits
+    big = "7" * 5000
+    code, out, _ = run(capsys, ["solve-pp", "--weight", "-10", "--pp", "1:" + big])
+    assert code == EXIT_MISMATCH
+    assert out.strip() == ("obstructed: pairing vector ['%s'] against the "
+                           "weight-12 cusp basis" % big)
+
+
 def test_solve_pp_bad_syntax(capsys):
     code, _, err = run(capsys, ["solve-pp", "--weight", "0", "--pp", "1;1"])
     assert code == EXIT_USAGE
@@ -1052,6 +1061,30 @@ def test_cache_entry_not_filling_its_window_is_a_miss(capsys, tmp_path, monkeypa
     assert run(capsys, ["expand", "E4", "--prec", "5"]) == direct
     # the rebuild replaced the entry
     assert _entry_window(tmp_path) == (0, 5)
+
+
+def test_eval_named_form_served_from_cache(capsys, tmp_path, monkeypatch):
+    # a named form read from the cache evaluates as a fresh build does, and
+    # keeps its validity height (G's expansion holds only above sqrt(7)/2)
+    argv = ["eval", "g7", "--at=0.1,1.2", "--prec", "200"]
+    monkeypatch.delenv("MEROHECKE_CACHE_DIR", raising=False)
+    forms.clear_cache()
+    direct = run(capsys, argv)
+    assert direct[0] == EXIT_OK
+    monkeypatch.setenv("MEROHECKE_CACHE_DIR", str(tmp_path))
+    for name, precision in (("g7", "300"), ("G", "40")):
+        assert run(capsys, ["expand", name, "--prec", precision])[0] == EXIT_OK
+
+    def no_build(*args):
+        raise AssertionError("built, not served from the cache")
+
+    monkeypatch.setattr(meroforms, "build", no_build)
+    monkeypatch.setattr(meroforms, "build_expression", no_build)
+    forms.clear_cache()
+    assert run(capsys, argv) == direct
+    code, _, err = run(capsys, ["eval", "G", "--at", "0,1.3", "--prec", "30"])
+    assert code == EXIT_GUARD
+    assert "numeric guard" in err
 
 
 def test_cache_disabled_without_env(capsys, tmp_path, monkeypatch):

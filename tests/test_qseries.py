@@ -14,6 +14,7 @@ from merohecke.qseries import (
     PrecisionExceeded,
     ZeroLeadingCoefficient,
     as_coeff,
+    compare,
     equals_to_precision,
     first_mismatch,
     dumps,
@@ -493,6 +494,16 @@ def test_equals_to_precision_reports_window():
     ok, window = equals_to_precision(a, b)
     assert ok
     assert window == (-1, 3)
+
+
+def test_compare_reports_window_and_first_mismatch():
+    a = LaurentSeries(-1, [1, 0, 2, 3])
+    b = LaurentSeries(-1, [1, 0, 2, Fraction(1, 2)])
+    assert compare(a, a) == ((-1, 3), None)
+    assert compare(b, a) == ((-1, 3), {"index": 2, "lhs": "1/2", "rhs": "3"})
+    assert compare(a.truncate(2), b) == ((-1, 2), None)
+    # an empty union window
+    assert compare(LaurentSeries(2, [1], 3), LaurentSeries(1, [], 1)) == ((1, 1), None)
 
 
 def test_first_mismatch():

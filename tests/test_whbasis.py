@@ -304,6 +304,14 @@ def test_bol_rejects_nonzero_constant():
     assert rep.mismatch["index"] == 0
 
 
+def test_bol_mismatch_past_the_decimal_digit_limit():
+    # CPython refuses int -> decimal str above 4300 digits
+    h = ModularForm(6, LaurentSeries(0, [0, 10 ** 5000, 0, 0], 4))
+    rep = bol_image_membership(h, 3, True)
+    assert not rep.ok
+    assert rep.mismatch == {"index": 1, "lhs": "0", "rhs": "1" + "0" * 5000}
+
+
 def test_bol_obstructed_candidate():
     # -f6iinfty is not a D^5 image of anything in the zero-constant space:
     # the pairing against E6 survives; -504 = c_{E6}(1)

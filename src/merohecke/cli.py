@@ -19,7 +19,7 @@ import sys
 import tempfile
 from fractions import Fraction
 
-from . import forms, hecke, linalg, meroforms, numeval, qseries, quotient, whbasis
+from . import hecke, linalg, meroforms, numeval, qseries, quotient, whbasis
 from .forms import ModularForm
 from .numeval import HPoint, PoincareSeed, RegionGuard, DivergentTail
 from .whbasis import ObstructionWitness, PrincipalPart

@@ -8,27 +8,33 @@ Tail bounds are heuristic (ratio test over the last quarter of the stored
 window) and are surfaced in every result rather than hidden; truncated
 group sums report a crude O(B^(1-2k)) tail estimate.
 
-A truncated Poincare sum takes one of two routes, chosen by bits alone.
-At bits <= 53 it is summed in binary64 complex.  Above, each value is a
-Gaussian fixed-point number, two Python ints scaled by 2^F with
-F = bits + 30 + 16 + log2((2 bound + 1)^3), the last term for the count of
-summands.  Sums are exact; each product is floored to F fractional bits
-and each quotient takes one integer division, so a summand is off by a few
-units of 2^-F and the total by the summand count times that (fixed-point
-error accounting as in Brent and Zimmermann, Modern Computer Arithmetic,
-ch. 3).  The total is rounded to an mpc at bits + 30.  The 16 spare bits
-keep the error below that working precision, so the 40 printed digits
-(about 133 bits) are those an mpc summation at bits + 30 prints wherever
-the working precision covers them, that is from bits = 103 up; below, the
-printed digits past bits + 30 are rounding noise of either route.
+Both numeric loops sum in one Gaussian fixed-point type, _Fixed: two Python
+ints scaled by 2^F.  Sums are exact; each product is floored to F
+fractional bits and each quotient takes one integer division, so every
+operation is off by a few units of 2^-F (fixed-point error accounting as
+in Brent and Zimmermann, Modern Computer Arithmetic, ch. 3).  F is planned
+from the job, not found by retry, and each total is rounded to an mpc at
+the working precision bits + 30:
+- eval_series sums the stored window by Horner's rule, one product per
+  term, with F = bits + 30 + 8 + log2 of the error count in units, a few
+  per term plus the terms' size weighted by degree (for the error of q),
+  less log2 of the leading coefficient; see eval_series.
+- A truncated Poincare sum at bits > 53 uses
+  F = bits + 30 + 16 + log2((2 bound + 1)^3), the last term for the count
+  of summands.  At bits <= 53 it is summed in binary64 complex instead.
+The spare bits keep the error below the working precision, so from
+bits = 103 up the 40 printed digits (about 133 bits) are those of the value
+rounded at bits + 30, but for a tie at a digit boundary; below, the printed
+digits past bits + 30 are rounding noise.
 """
 
+import bisect
 import functools
 import math
 from fractions import Fraction
 
 import mpmath
-from mpmath import mp, workprec
+from mpmath import workprec
 
 from . import forms, hecke, meroforms
 from .hecke import divisors
@@ -149,13 +155,42 @@ def _coeff_num(c):
     return mpmath.mpf(c)
 
 
+def _log2_abs(c):
+    # binary64 log2 |c| of a nonzero int or Fraction, also past the float range
+    if c.__class__ is int:
+        return math.log2(abs(c))
+    return math.log2(abs(c.numerator)) - math.log2(c.denominator)
+
+
+# fractional bits past the working precision in the planned unit; the
+# unit is refined once when the value is more than 2^(_SPARE_BITS // 2)
+# below the leading term the plan assumed
+_SPARE_BITS = 8
+
+
 def eval_series(f, z, bits=200, min_height=None):
     """Sum an exact series at a point of the upper half-plane.
 
     The caller owns the validity question: pass min_height for expansions
     of meromorphic quotients that only converge high in the cusp.  The
     returned bound models the unseen tail as geometric with ratio taken
-    from the worst coefficient ratio in the last quarter of the window."""
+    from the worst coefficient ratio in the last quarter of the window.
+
+    With w_0, ..., w_n the stored coefficients from the first nonzero
+    one, at index v, to the last, the value is q^v V(q) with
+    V(q) = sum_j w_j q^j.  V is summed by Horner's rule in _fixed_type(F),
+    one _Fixed product per term, and q^v is applied last, in mpmath.  The
+    error of V is under 2^-F (3 (n + 1) + 2 S') with
+    S' = sum_j j |w_j| |q|^(j-1), which bounds |dV/dq|: a few units per
+    product and coefficient, and one unit of q times the derivative (Brent
+    and Zimmermann, Modern Computer Arithmetic, sections 3.1 and 4.4.3).
+    The plan takes F, never below bits + 30, so that this is at most
+    2^-(bits + 30 + _SPARE_BITS) |w_0|, from binary64 logs of the
+    coefficients, so the terms may cancel down to |w_0| at no loss; the
+    trailing terms that are each under 2^-F / (4 (n + 1)) are left out.  If
+    |V| comes out more than 2^(_SPARE_BITS // 2) below |w_0|, F is raised
+    once by that deficit, to at most twice the plan, so that a zero of the
+    series still ends.  The value is rounded once, to bits + 30."""
     if bits < 1:
         raise ValueError("bits must be >= 1")
     with workprec(bits + _GUARD_BITS):
@@ -169,43 +204,117 @@ def eval_series(f, z, bits=200, min_height=None):
                 % (min_height, mpmath.nstr(y, 10)))
         if f.prec <= f.val:
             return EvalResult(mpmath.mpc(0), mpmath.mpf(0), "empty window")
-        q = mpmath.exp(2j * mpmath.pi * zz)
-        qa = abs(q)
-        total = mpmath.mpc(0)
-        qp = q ** f.val
-        last_idx = None
-        for n, c in enumerate(f.coeffs, f.val):
-            if c:
-                last_term = _coeff_num(c) * qp
-                total += last_term
-                last_idx = n
-            qp *= q
-        if last_idx is None:
+        coeffs = f.coeffs
+        lg = [_log2_abs(c) if c else None for c in coeffs]
+        nonzero = [i for i, v in enumerate(lg) if v is not None]
+        if not nonzero:
             return EvalResult(mpmath.mpc(0), mpmath.mpf(0), "all stored coefficients are zero")
-        last_mag = abs(last_term)
-        length = f.prec - f.val
-        tail_lo = f.prec - max(2, (length + 3) // 4)
-        ratio = None
-        prev = None
-        for n in range(max(tail_lo, f.val), f.prec):
-            c = f.coefficient(n)
-            if c:
-                if prev is not None:
-                    r = abs(_coeff_num(c)) / abs(_coeff_num(prev))
-                    ratio = r if ratio is None else max(ratio, r)
-                prev = c
-        if ratio is None:
-            # no consecutive growth information; model continuation flat
-            bound = last_mag * qa ** (f.prec - last_idx) / (1 - qa)
-            note = "no nonzero ratio pair in tail sample; flat-continuation bound"
-            return EvalResult(total, bound, note)
-        r = ratio * qa
-        if r >= 1:
-            raise DivergentTail(
-                "tail ratio %s * |q| = %s is >= 1 at y = %s"
-                % (mpmath.nstr(ratio, 8), mpmath.nstr(r, 8), mpmath.nstr(y, 8)))
-        bound = last_mag * r / (1 - r)
-        return EvalResult(total, bound)
+        lq = -2 * math.pi * float(y) / math.log(2)  # log2 |q|
+        frac = _plan_unit(lg, nonzero, lq, bits)
+        q, qa = _q_point(z, frac, zz)
+        bound, note = _tail_bound(f, lg, nonzero, qa, y, bits)
+        first = nonzero[0]
+        cap = 2 * frac
+        while True:
+            acc = _horner(coeffs, lg, nonzero, lq, q, frac)
+            # log2 |V| is at least this
+            got = max(abs(acc.re), abs(acc.im)).bit_length() - 1 - frac
+            deficit = math.ceil(lg[first] - got)
+            if deficit <= _SPARE_BITS // 2 or frac == cap:
+                break
+            # the one raise: with frac == cap the next pass is the last
+            frac = cap = min(frac + deficit, cap)
+            q, _ = _q_point(z, frac, zz)
+        with workprec(bits + _GUARD_BITS + _SPARE_BITS):
+            value = acc.to_mpc() * q ** (f.val + first)
+        return EvalResult(+value, bound, note)
+
+
+def _plan_unit(lg, nonzero, lq, bits):
+    """The unit 2^-F of eval_series: F = bits + 30 + _SPARE_BITS plus
+    log2 (3 (n + 1) + 2 S') less log2 |w_0|, and never below bits + 30.
+    lg holds log2 |c| of each coefficient (None for 0), nonzero the indices
+    of the nonzero ones, and lq is log2 |q|."""
+    first, last = nonzero[0], nonzero[-1]
+    # log2 S', the terms' magnitudes weighted by their degree
+    slope = [lg[i] + math.log2(i - first) + (i - first - 1) * lq for i in nonzero[1:]]
+    top = max(slope, default=-math.inf)
+    if slope:
+        top += math.log2(math.fsum(2 ** (s - top) for s in slope))
+    err = max(math.log2(3 * (last - first + 1)), top + 1) + 1
+    return bits + _GUARD_BITS + max(_SPARE_BITS + math.ceil(err - lg[first]), 0)
+
+
+def _tail_bound(f, lg, nonzero, qa, y, bits):
+    """The tail model of eval_series, (bound, note), or DivergentTail: the
+    last term times the geometric series of the worst coefficient ratio in
+    the last quarter of the window times |q|, or continued flat without a
+    ratio pair."""
+    coeffs = f.coeffs
+    last = nonzero[-1]
+    length = f.prec - f.val
+    sample = nonzero[bisect.bisect_left(nonzero, length - max(2, (length + 3) // 4)):]
+    last_mag = abs(_coeff_num(coeffs[last])) * qa ** (f.val + last)
+    if len(sample) < 2:
+        # no consecutive growth information; model continuation flat
+        bound = last_mag * qa ** (length - last) / (1 - qa)
+        return bound, "no nonzero ratio pair in tail sample; flat-continuation bound"
+    c, prev = _max_ratio_pair(coeffs, lg, sample, bits + _GUARD_BITS)
+    ratio = abs(_coeff_num(c)) / abs(_coeff_num(prev))
+    r = ratio * qa
+    if r >= 1:
+        raise DivergentTail(
+            "tail ratio %s * |q| = %s is >= 1 at y = %s"
+            % (mpmath.nstr(ratio, 8), mpmath.nstr(r, 8), mpmath.nstr(y, 8)))
+    return last_mag * r / (1 - r), None
+
+
+def _horner(coeffs, lg, nonzero, lq, q, frac):
+    """sum_j w_j q^j from the first nonzero coefficient, by Horner's rule
+    in _fixed_type(frac), up to the last term worth a quarter unit over
+    all terms: the ones past it are worth less together.  An int enters
+    as c << frac, exact, and a Fraction p/r as (p << frac) // r."""
+    first = nonzero[0]
+    floor = -frac - math.log2(nonzero[-1] - first + 1) - 2
+    cut = next(i for i in reversed(nonzero) if lg[i] + (i - first) * lq >= floor)
+    fixed = _fixed_type(frac)
+    qf = fixed.from_mpc(q)
+    acc = fixed(0)
+    for c in reversed(coeffs[first:cut + 1]):
+        acc = acc * qf + (c if c.__class__ is int
+                          else fixed((c.numerator << frac) // c.denominator))
+    return acc
+
+
+def _q_point(z, frac, zz):
+    """q = exp(2 pi i z) and |q| to about 2^-(frac + 16), with z taken at
+    that precision plus the bits of its integer part (zz is z at the
+    working precision).  Powers of |q| in the tail bound start from this
+    |q|, so they keep the working precision."""
+    with workprec(frac + 16 + int(abs(zz.real)).bit_length()):
+        q = mpmath.exp(2j * mpmath.pi * _as_mpc(z))
+        return q, abs(q)
+
+
+def _max_ratio_pair(coeffs, lg, sample, prec):
+    """The pair (c, prev) of consecutive nonzero coefficients at the
+    indices sample with the largest |c / prev|, chosen by their binary64
+    logs in lg, and among near ties by the ratios to prec bits.  Geometric
+    growth, from a pole of the series in the upper half-plane, makes the
+    whole tail a near tie."""
+    logs = [(lg[i] - lg[p], i, p) for p, i in zip(sample, sample[1:])]
+    best = max(logs)[0]
+    # the logs of coefficients up to 2^6000 are good to about 1e-12
+    near = [(i, p) for v, i, p in logs if v >= best - 1e-9]
+    if len(near) > 1:
+        shift = max(0, prec + 2 - math.floor(best))
+
+        def scaled(ip):
+            c, p = coeffs[ip[0]], coeffs[ip[1]]
+            return (abs(c.numerator * p.denominator) << shift) // abs(c.denominator * p.numerator)
+        near.sort(key=scaled)
+    i, p = near[-1]
+    return coeffs[i], coeffs[p]
 
 
 def slash_value(f, weight, gamma, z, bits=200, min_height=None):
@@ -597,6 +706,13 @@ def _mpf_to_fixed(v, frac):
     return -n if sign else n
 
 
+# the largest bound whose binary64 sum shares its +-gamma rows: sharing
+# runs 1.5-1.7x faster at bounds 30-60, but its stack, 12.3 MiB here, is
+# already about 40 % of what the rest of a CLI process holds (about 30 MB)
+# and reaches 97 MiB at bound 100 (bench/psi_routes.py)
+_SHARE_MAX_BOUND = 50
+
+
 def _psi_sum(k, ell, zz, zc, bound, near_pole=None):
     """The truncated sum over rows (c, d) and translates t, generic over the
     scalar type: complex for machine precision, _Fixed above it.  For
@@ -615,18 +731,19 @@ def _psi_sum(k, ell, zz, zc, bound, near_pole=None):
     mirror adds them again in the same t order: the rows with c > 0 meet
     the mirrors in exactly the reverse order, so each is the top of the
     stack.  The stack holds about half the summands, so it grows as bound^3:
-    a peak of 2.7 MiB at bound 30, 6.3 MiB at bound 40 and 97 MiB at
-    bound 100 (tracemalloc).  Rows are shared only for k <= 50: CPython
-    raises a complex to an integer power of magnitude up to 100 by repeated
-    squaring, which is sign-symmetric for an even power, but above that
-    takes a polar power, whose angle atan2(-y, -x) differs from atan2(y, x)
-    by a rounded pi.  The fixed route
-    computes every row, because _Fixed floors its products toward -infinity,
-    so a row and its negative differ in the last units."""
+    a peak of 6.3 MiB at bound 40, 12.3 MiB at bound 50 and 97 MiB at
+    bound 100 (bench/psi_routes.py), so rows are shared only up to
+    _SHARE_MAX_BOUND; computed in full they give the same sum.  Rows are
+    shared only for k <= 50 as well: CPython raises a complex to an integer
+    power of magnitude up to 100 by repeated squaring, which is
+    sign-symmetric for an even power, but above that takes a polar power,
+    whose angle atan2(-y, -x) differs from atan2(y, x) by a rounded pi.
+    The fixed route computes every row, because _Fixed floors its products
+    toward -infinity, so a row and its negative differ in the last units."""
     zzbar = zz.conjugate()
     w2k = -2 * k
     total = type(zc)(0)
-    share = isinstance(zc, complex) and k <= 50
+    share = isinstance(zc, complex) and k <= 50 and bound <= _SHARE_MAX_BOUND
     stack = []
     for c in range(-bound, bound + 1):
         for d in range(-bound, bound + 1):

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .qseries import as_coeff
 from . import forms, hecke, linalg, whbasis
 from .forms import HOLOMORPHIC, CUSPIDAL
-from .whbasis import PrincipalPart, ObstructionWitness
+from .whbasis import PrincipalPart
 
 
 MOD_M = "modM!"

@@ -1,15 +1,18 @@
 """Arbitrary-precision numeric layer: series evaluation on the upper
 half-plane, special-point checks, and truncated elliptic Poincare sums."""
 
+import functools
 import hashlib
+import json
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from merohecke import forms, numeval
+from merohecke import cli, forms, hecke, numeval
 from merohecke.meroforms import CONSTRUCTIONS, build, build_expression
 from merohecke.numeval import (
     DivergentTail,
@@ -153,6 +156,53 @@ def test_zero_series_notes():
     assert r.tail_note == "empty window"
 
 
+def _eval_series_mpc(f, z, bits):
+    """The series summed term by term in mpc at bits + 30, one mpf
+    conversion, one mpc product and one mpc sum per coefficient, with the
+    tail model of eval_series computed in mpf: the route eval_series took
+    before it summed in fixed point."""
+    with mpmath.workprec(bits + 30):
+        zz = numeval._as_mpc(z)
+        y = zz.imag
+        if f.prec <= f.val:
+            return EvalResult(mpmath.mpc(0), mpmath.mpf(0), "empty window")
+        q = mpmath.exp(2j * mpmath.pi * zz)
+        qa = abs(q)
+        total = mpmath.mpc(0)
+        qp = q ** f.val
+        last_idx = None
+        for n, c in enumerate(f.coeffs, f.val):
+            if c:
+                last_term = numeval._coeff_num(c) * qp
+                total += last_term
+                last_idx = n
+            qp *= q
+        if last_idx is None:
+            return EvalResult(mpmath.mpc(0), mpmath.mpf(0), "all stored coefficients are zero")
+        last_mag = abs(last_term)
+        length = f.prec - f.val
+        tail_lo = f.prec - max(2, (length + 3) // 4)
+        ratio = None
+        prev = None
+        for n in range(max(tail_lo, f.val), f.prec):
+            c = f.coefficient(n)
+            if c:
+                if prev is not None:
+                    r = abs(numeval._coeff_num(c)) / abs(numeval._coeff_num(prev))
+                    ratio = r if ratio is None else max(ratio, r)
+                prev = c
+        if ratio is None:
+            bound = last_mag * qa ** (f.prec - last_idx) / (1 - qa)
+            note = "no nonzero ratio pair in tail sample; flat-continuation bound"
+            return EvalResult(total, bound, note)
+        r = ratio * qa
+        if r >= 1:
+            raise DivergentTail(
+                "tail ratio %s * |q| = %s is >= 1 at y = %s"
+                % (mpmath.nstr(ratio, 8), mpmath.nstr(r, 8), mpmath.nstr(y, 8)))
+        return EvalResult(total, last_mag * r / (1 - r))
+
+
 def test_tail_bound_covers_truncation():
     # the reported bound must cover the actually-missing terms: compare a
     # short window against a long one at moderate height
@@ -161,20 +211,42 @@ def test_tail_bound_covers_truncation():
     assert abs(lo.value - hi.value) <= 3 * lo.err_bound
 
 
+def _matches_reference(f, z, bits):
+    """eval_series(f, z, bits) against _eval_series_mpc at bits + 100, where
+    the loop's own error, up to a few units per term times the terms'
+    cancellation, is far below 2^-(bits + 30): the value within one rounding
+    to bits + 30 plus the planned fixed-point error 2^-(bits + 34), the
+    bound within a few units of bits + 30, the same note, and DivergentTail
+    where the loop raises it.  Returns the result or the DivergentTail."""
+    try:
+        want = _eval_series_mpc(f, z, bits + 100)
+    except DivergentTail:
+        with pytest.raises(DivergentTail) as exc:
+            eval_series(f, z, bits)
+        return exc.value
+    got = eval_series(f, z, bits)
+    assert got.tail_note == want.tail_note
+    with mpmath.workprec(bits + 130):
+        unit = mpmath.mpf(2) ** -(bits + 30)
+        assert abs(got.value - want.value) <= (1 + 2 ** -4) * unit * abs(want.value)
+        assert abs(got.err_bound - want.err_bound) <= 8 * unit * want.err_bound
+    return got
+
+
 # sha256 over 20 evaluations per form of the exact mantissas of value and
 # err_bound plus tail_note, or the DivergentTail message: bits 64..512,
 # precision 100..400, x in [-0.5, 0.5], y in [0.5, 2.5], drawn from a fixed
-# seed.  Recorded from the loop that read every coefficient through
-# coefficient(n) and took abs() of every nonzero term.
+# seed.  Recorded from the Horner route in fixed point; each case is also
+# checked against the term-by-term mpc loop.
 PINNED_EVAL = {
-    "E4": "c9a803c85aa4af9ed1809dc0a7a2ef3c7850572be182ebc74ef80ec133d7e8c3",
-    "E6": "664e4a02cad1ef2db060225fa230bf3139a75480918d1b22f80e2393d0c0b570",
-    "E10": "9d62b9dd46dd6ecf017db72090a9b510eebd902e542237079bb5ce3de844ef9f",
-    "delta": "bbbad3293e7bd96f2b747a5d4e5cbac35bea6624484f89292edc30d3e07430ea",
-    "j": "8eee66e0919d65fe1b24f5a9cd3f905962d17c33efc1c058869f533c0352c922",
-    "G": "5a7c8f63467fc12d99974975b2f08456ae38f0841ebe0f71c24fecc9dbb1594c",
-    "f6i": "c935d8d8cb4c978220df0d1b772185734fbd1ceb80071982dc844478749ba281",
-    "g7": "9448f8045ab6e8034fea054471e83985e9d22a65a570bd385a84eacb12454ca1",
+    "E4": "678ae32d16118fc9b2050c9cf96a5dda4876e201ec9643c56e9743751f21b9c6",
+    "E6": "0142422f40cf1d8b0ceb15581a89c860d872a27c920fa87f5b6388df6882de47",
+    "E10": "f112a122f02fc8c1afa19c79279debd7d97d6c9d6c698c2fb95476e4660db212",
+    "delta": "b21f9f15c2e577e6613061306edaf16531a942848891a13b7ca713c0762edf4b",
+    "j": "8030b1b9f2b36a1e302a39a79c5dc2a39337c3a1f539d5c549c7d6cf6e0402d8",
+    "G": "7ce040182648143222cdc9a950d0c9a67811405e6378e25e8cb214e53dd21896",
+    "f6i": "a14415dd82d754074d72a1487d77bdd72de49bca62043953731b7d4840042b89",
+    "g7": "d18f9ef4fc60b1cccfc4a57f25593e1ac333acdd81b810a6862439c673c4f457",
 }
 
 
@@ -190,14 +262,87 @@ def test_eval_series_pinned():
                 series = build(name, precision).series
             else:
                 series = build_expression(name, precision).series
-            try:
-                r = eval_series(series, z, bits)
+            r = _matches_reference(series, z, bits)
+            if isinstance(r, DivergentTail):
+                rec = "DivergentTail: %s" % r
+            else:
                 rec = repr((r.value.real._mpf_, r.value.imag._mpf_, r.err_bound._mpf_,
                             r.tail_note))
-            except DivergentTail as e:
-                rec = "DivergentTail: %s" % e
             h.update(rec.encode() + b"\n")
         assert h.hexdigest() == want, name
+
+
+@functools.lru_cache(maxsize=None)
+def _built(name):
+    return cli._build_form(name, 40).series
+
+
+@st.composite
+def _windows(draw):
+    """A stored window: a named form cut at a drawn precision (E4 from
+    q^0, delta from q^1, j from q^-1, g5 from q^-5), a Hecke image of g5 in
+    weight -4 (Fraction coefficients, as eigen-num evaluates), or drawn
+    int and Fraction coefficients from a drawn valuation, possibly none or
+    all zero."""
+    kind = draw(st.sampled_from(("form", "hecke", "drawn")))
+    if kind == "drawn":
+        coeff = st.integers(-10 ** 6, 10 ** 6) | st.fractions(-10 ** 4, 10 ** 4, max_denominator=10 ** 4)
+        return LaurentSeries(draw(st.integers(-5, 5)), draw(st.lists(coeff | st.just(0), max_size=24)))
+    if kind == "hecke":
+        f = hecke.t_op(_built("g5"), -4, draw(st.integers(2, 4)))
+    else:
+        f = _built(draw(st.sampled_from(("E4", "delta", "j", "g5"))))
+    return f.truncate(draw(st.integers(f.val, f.prec)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(f=_windows(), x=st.floats(-0.5, 0.5), y=st.floats(0.3, 2.5), bits=st.integers(1, 512))
+@example(f=LaurentSeries(2, []), x=0.1, y=1.0, bits=64)
+@example(f=LaurentSeries(-3, [0, 0, 0, 0]), x=0.1, y=1.0, bits=64)
+# one nonzero coefficient: no ratio pair, the flat-continuation bound
+@example(f=LaurentSeries(4, [0, Fraction(-3, 7), 0]), x=-0.2, y=0.7, bits=1)
+# a Fraction leading coefficient 1/32 below int coefficients
+@example(f=hecke.t_op(cli._build_form("g5", 40).series, -4, 2), x=0.0, y=1.0, bits=200)
+def test_eval_series_matches_mpc_loop(f, x, y, bits):
+    _matches_reference(f, (x, y), bits)
+
+
+@pytest.mark.parametrize("name, at, bits, prec", [
+    ("g7", "0.436189,0.580479", 128, 330),
+    ("g5", "-0.465027,0.509375", 64, 194),
+])
+def test_eval_cancellation_within_bits(capsys, name, at, bits, prec):
+    # the terms reach about 2^40 times the value here; summed in mpc at
+    # bits + 30 the value missed 2^-bits relative by 60 (g7) and 65 (g5)
+    # times, against the same form evaluated at 700 bits from P = 900
+    code = cli.main(["eval", name, "--at=" + at, "--bits", str(bits), "--prec", str(prec),
+                     "--json"])
+    assert code == cli.EXIT_OK
+    obj = json.loads(capsys.readouterr().out)
+    x, y = at.split(",")
+    want = _eval_series_mpc(cli._build_form(name, 900).series, (x, y), 700).value
+    with mpmath.workprec(700):
+        got = mpmath.mpc(mpmath.mpf(obj["value_re"]), mpmath.mpf(obj["value_im"]))
+        assert abs(got - want) <= mpmath.mpf(2) ** -bits * abs(want)
+
+
+@pytest.mark.parametrize("name, point", [
+    ("E6", (0, 1)),
+    ("E4", ("-0.5", "0.866025403784438646763723170752936183471402626905190314027903")),
+])
+def test_eval_at_zero_of_form_ends(monkeypatch, name, point):
+    # E6(i) = E4(rho) = 0: |V| stays below the planned 2^-(bits + 34) |w_0|,
+    # so the unit is refined exactly once, to at most twice the plan
+    units = []
+    fixed_type = numeval._fixed_type
+
+    def spy(frac):
+        units.append(frac)
+        return fixed_type(frac)
+    monkeypatch.setattr(numeval, "_fixed_type", spy)
+    res = eval_series(forms.eisenstein(int(name[1:]), 60).series, point, 128)
+    assert len(units) == 2 and units[0] < units[1] <= 2 * units[0]
+    assert abs(res.value) < mpmath.mpf(2) ** -128
 
 
 # -- modular transformation behavior ----------------------------------------
@@ -407,6 +552,10 @@ _coord = st.floats(-0.5, 0.5)
 @example(k=50, ell=2, center=(-0.31, 1.17), z=(0.2, 1.3), bound=3)
 @example(k=51, ell=2, center=(-0.31, 1.17), z=(0.2, 1.3), bound=3)
 @example(k=51, ell=-1, center=(0.0, 1.0), z=(0.0, 2.0), bound=3)
+# rows are shared up to bound numeval._SHARE_MAX_BOUND and computed in full
+# above it
+@example(k=3, ell=-1, center=(0.0, 1.0), z=(0.2, 1.7), bound=numeval._SHARE_MAX_BOUND)
+@example(k=3, ell=-1, center=(0.0, 1.0), z=(0.2, 1.7), bound=numeval._SHARE_MAX_BOUND + 1)
 def test_psi_binary64_matches_unshared_rows(k, ell, center, z, bound):
     # rows (c, d) and (-c, -d) are summed once and replayed: the total, its
     # bound and note, and any error a summand raises, with its message, are

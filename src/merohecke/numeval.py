@@ -249,24 +249,30 @@ def _tail_bound(f, lg, nonzero, qa, y, bits):
     """The tail model of eval_series, (bound, note), or DivergentTail: the
     last term times the geometric series of the worst coefficient ratio in
     the last quarter of the window times |q|, or continued flat without a
-    ratio pair."""
+    ratio pair.  Near r = 1 the factor 1 / (1 - r) multiplies the rounding
+    of r, so the bound is computed _GUARD_BITS past the working precision
+    and rounded to it once."""
     coeffs = f.coeffs
     last = nonzero[-1]
     length = f.prec - f.val
     sample = nonzero[bisect.bisect_left(nonzero, length - max(2, (length + 3) // 4)):]
-    last_mag = abs(_coeff_num(coeffs[last])) * qa ** (f.val + last)
-    if len(sample) < 2:
-        # no consecutive growth information; model continuation flat
-        bound = last_mag * qa ** (length - last) / (1 - qa)
-        return bound, "no nonzero ratio pair in tail sample; flat-continuation bound"
-    c, prev = _max_ratio_pair(coeffs, lg, sample, bits + _GUARD_BITS)
-    ratio = abs(_coeff_num(c)) / abs(_coeff_num(prev))
-    r = ratio * qa
-    if r >= 1:
-        raise DivergentTail(
-            "tail ratio %s * |q| = %s is >= 1 at y = %s"
-            % (mpmath.nstr(ratio, 8), mpmath.nstr(r, 8), mpmath.nstr(y, 8)))
-    return last_mag * r / (1 - r), None
+    note = None
+    with workprec(bits + 2 * _GUARD_BITS):
+        last_mag = abs(_coeff_num(coeffs[last])) * qa ** (f.val + last)
+        if len(sample) < 2:
+            # no consecutive growth information; model continuation flat
+            bound = last_mag * qa ** (length - last) / (1 - qa)
+            note = "no nonzero ratio pair in tail sample; flat-continuation bound"
+        else:
+            c, prev = _max_ratio_pair(coeffs, lg, sample, bits + _GUARD_BITS)
+            ratio = abs(_coeff_num(c)) / abs(_coeff_num(prev))
+            r = ratio * qa
+            if r >= 1:
+                raise DivergentTail(
+                    "tail ratio %s * |q| = %s is >= 1 at y = %s"
+                    % (mpmath.nstr(ratio, 8), mpmath.nstr(r, 8), mpmath.nstr(y, 8)))
+            bound = last_mag * r / (1 - r)
+    return +bound, note
 
 
 def _horner(coeffs, lg, nonzero, lq, q, frac):

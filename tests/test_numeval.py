@@ -239,14 +239,14 @@ def _matches_reference(f, z, bits):
 # seed.  Recorded from the Horner route in fixed point; each case is also
 # checked against the term-by-term mpc loop.
 PINNED_EVAL = {
-    "E4": "678ae32d16118fc9b2050c9cf96a5dda4876e201ec9643c56e9743751f21b9c6",
-    "E6": "0142422f40cf1d8b0ceb15581a89c860d872a27c920fa87f5b6388df6882de47",
-    "E10": "f112a122f02fc8c1afa19c79279debd7d97d6c9d6c698c2fb95476e4660db212",
-    "delta": "b21f9f15c2e577e6613061306edaf16531a942848891a13b7ca713c0762edf4b",
-    "j": "8030b1b9f2b36a1e302a39a79c5dc2a39337c3a1f539d5c549c7d6cf6e0402d8",
-    "G": "7ce040182648143222cdc9a950d0c9a67811405e6378e25e8cb214e53dd21896",
-    "f6i": "a14415dd82d754074d72a1487d77bdd72de49bca62043953731b7d4840042b89",
-    "g7": "d18f9ef4fc60b1cccfc4a57f25593e1ac333acdd81b810a6862439c673c4f457",
+    "E4": "45beb9af6333a1d8343cd5a556128bde87c58fc5c6a2ebda87448c3ede4794fe",
+    "E6": "5bf551c8ae4aba82702cf5f3f32fc8ae36f51c35bbe43fcf6c9075197661a05a",
+    "E10": "0e70f63a5b6c9ae5695875ccb84886b8e1acdff0b27aee9d5dd3e54183bbe8a0",
+    "delta": "cced40b1589fe4fbc6e015d5fd1d3fdd42f2f4ce73205df12f4bac68661493e9",
+    "j": "b8c7589c5e07d25e186b79376c99f7a403dbf255cb1080f2721af8d7ff5ae3ea",
+    "G": "cbb1f67ce7c6db2c30be20eec9ce63a2f630a39b59cf66213b72c2ac288e2bc8",
+    "f6i": "866787b1911deaad5d64a891ec96ee7313283e4c7cc8d4600a908c2d02957fe7",
+    "g7": "267459e5b70c476785f1bf2171b967ea0a839016904c3635c4bfcdd75b397088",
 }
 
 

@@ -14,8 +14,7 @@ from .qseries import (
     InsufficientPrecision,
     PrecisionExceeded,
     as_coeff,
-    equals_to_precision,
-    first_mismatch,
+    compare,
     to_json_obj,
     from_json_obj,
     dumps,
@@ -63,7 +62,6 @@ from .quotient import (
     eigen_witness,
 )
 from .meroforms import (
-    NamedForm,
     CONSTRUCTIONS,
     IdentityReport,
     build,
@@ -77,7 +75,7 @@ __version__ = "0.1.0"
 __all__ = [
     "LaurentSeries", "QSeriesError", "ZeroLeadingCoefficient",
     "InsufficientPrecision", "PrecisionExceeded", "as_coeff",
-    "equals_to_precision", "first_mismatch", "to_json_obj", "from_json_obj",
+    "compare", "to_json_obj", "from_json_obj",
     "dumps", "loads",
     "ModularForm", "FormBasis", "HOLOMORPHIC", "CUSPIDAL", "bernoulli",
     "sigma", "eisenstein", "delta", "j_function", "dim_modular", "dim_cusp",
@@ -90,7 +88,7 @@ __all__ = [
     "MOD_M", "MOD_S", "QuotientClass", "SingularCoordinateMatrix",
     "hecke_on_principal_part", "class_of", "quotient_hecke_matrix",
     "theorem_check", "eigen_witness",
-    "NamedForm", "CONSTRUCTIONS", "IdentityReport", "build",
+    "CONSTRUCTIONS", "IdentityReport", "build",
     "build_expression", "identity_ids", "verify_identity",
     "__version__",
 ]

@@ -126,7 +126,7 @@ def _build_form(name_or_expr, precision):
     if hit is not None:
         return hit
     if name_or_expr in meroforms.CONSTRUCTIONS:
-        form = meroforms.build(name_or_expr, precision).form
+        form = meroforms.build(name_or_expr, precision)
     else:
         form = meroforms.build_expression(name_or_expr, precision)
     # an empty window serves nothing and would replace a longer entry

@@ -14,7 +14,7 @@ is tested against that decomposition.
 import math
 from fractions import Fraction
 
-from .qseries import InsufficientPrecision, LaurentSeries, first_mismatch
+from .qseries import InsufficientPrecision, LaurentSeries, compare
 
 
 def _ceil_div(a, b):
@@ -116,8 +116,6 @@ def t_op_commutes_check(f, weight, m, n):
     coprime indices also with the single index-m*n operator."""
     ab = t_op(t_op(f, weight, m), weight, n)
     ba = t_op(t_op(f, weight, n), weight, m)
-    if first_mismatch(ab, ba) is not None:
+    if not compare(ab, ba):
         return False
-    if math.gcd(m, n) == 1:
-        return first_mismatch(ab, t_op(f, weight, m * n)) is None
-    return True
+    return math.gcd(m, n) != 1 or bool(compare(ab, t_op(f, weight, m * n)))

@@ -67,34 +67,6 @@ class ExpressionError(ValueError):
     pass
 
 
-class NamedForm:
-    __slots__ = ("name", "weight", "form", "construction", "validity_height")
-
-    def __init__(self, name, weight, form, construction, validity_height=None):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "form", form)
-        object.__setattr__(self, "construction", construction)
-        object.__setattr__(self, "validity_height", validity_height)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NamedForm is immutable")
-
-    @property
-    def series(self):
-        return self.form.series
-
-    def coefficient(self, n):
-        return self.form.coefficient(n)
-
-    def truncate(self, precision):
-        return NamedForm(self.name, self.weight, self.form.truncate(precision),
-                         self.construction, self.validity_height)
-
-    def __repr__(self):
-        return "NamedForm(%s, weight=%d, %s)" % (self.name, self.weight, self.construction)
-
-
 _NAME_RE = re.compile(r"^E(\d+)$")
 
 
@@ -311,16 +283,15 @@ def build_expression(expr, precision):
 
 
 def build(name, precision):
-    """Named form to the given precision; results are cached and truncated
-    down on repeat requests."""
+    """Named form as a ModularForm to the given precision; results are
+    cached and truncated down on repeat requests."""
     if name not in CONSTRUCTIONS:
         raise KeyError("unknown form %r (have %s)" % (name, sorted(CONSTRUCTIONS)))
-    construction = CONSTRUCTIONS[name]
     form = forms._cached(("named", name), precision,
-                         lambda p: build_expression(construction, p))
+                         lambda p: build_expression(CONSTRUCTIONS[name], p))
     if form.weight != _EXPECTED_WEIGHT[name]:
         raise AssertionError("construction of %s produced weight %d" % (name, form.weight))
-    return NamedForm(name, form.weight, form, construction, VALIDITY_HEIGHT.get(name))
+    return form
 
 
 class IdentityReport:
@@ -355,15 +326,10 @@ def _compare_series(ident, lhs, rhs):
     return IdentityReport(ident, mismatch is None, window, mismatch)
 
 
-def _compare_pinned(ident, series, pinned):
-    lo = min(pinned)
-    hi = max(pinned) + 1
-    for n, want in sorted(pinned.items()):
-        got = series.coefficient(n)
-        if got != want:
-            return IdentityReport(ident, False, (lo, hi),
-                                  {"index": n, "lhs": str(got), "rhs": str(want)})
-    return IdentityReport(ident, True, (lo, hi))
+def _compare_pinned(ident, series, lo, pinned):
+    """series on [lo, lo + len(pinned)) against the pinned coefficients."""
+    got = [series.coefficient(n) for n in range(lo, lo + len(pinned))]
+    return _compare_series(ident, LaurentSeries(lo, got), LaurentSeries(lo, pinned))
 
 
 def _id_bol_f6iinfty(precision):
@@ -377,7 +343,7 @@ def _id_bol_f6iinfty(precision):
 def _id_infty_eigen(m, precision):
     p = precision or 120
     ident = "infty-eigen(%d)" % m
-    f = build("f6iinfty", p).form
+    f = build("f6iinfty", p)
     image = hecke.t_op(f.series, 6, m)
     h = image.sub(f.series.scale(forms.sigma(5, m)).truncate(image.prec))
     rep = whbasis.bol_image_membership(ModularForm(6, h), 3, True)
@@ -412,7 +378,7 @@ def _poly_in_j(poly, precision):
 def _id_gt(m, poly, precision):
     p = precision or 60
     ident = "gT%d" % m
-    g = build("g", p).form
+    g = build("g", p)
     lhs = hecke.t_op(g.series, -10, m).scale(m ** 11)
     rhs = g.series.mul(_poly_in_j(poly, p))
     return _compare_series(ident, lhs, rhs)
@@ -420,32 +386,29 @@ def _id_gt(m, poly, precision):
 
 def _g_hecke_series(precision):
     p = precision or 40
-    G = build("G", p).form
+    G = build("G", p)
     image = hecke.t_op(G.series, 12, 2)
     return image.add(G.series.scale(24).truncate(image.prec))
 
 
 def _id_g_hecke(precision):
-    lhs = _g_hecke_series(precision)
-    return _compare_pinned("G-hecke", lhs,
-                           {1: 1, 2: 16868409, 3: 279687514914333})
+    return _compare_pinned("G-hecke", _g_hecke_series(precision), 1,
+                           [1, 16868409, 279687514914333])
 
 
 def _id_jpoly_eval(precision):
-    lhs = _g_hecke_series(precision)
-    p2 = linalg.poly_eval(GT2_POLY, -3375)
-    p3 = linalg.poly_eval(GT3_POLY, -3375)
-    for value, want, idx in ((p2, 16868409, 2), (p3, 279687514914333, 3)):
-        for got in (value, lhs.coefficient(idx)):
-            if got != want:
-                return IdentityReport("jpoly-eval", False, (2, 4),
-                                      {"index": idx, "lhs": str(got), "rhs": str(want)})
-    return IdentityReport("jpoly-eval", True, (2, 4))
+    # both polynomials at j = -3375, then the q^2 and q^3 coefficients of
+    # G | T_2 + 24 G, take the pinned values
+    want = [16868409, 279687514914333]
+    values = LaurentSeries(2, [linalg.poly_eval(GT2_POLY, -3375),
+                               linalg.poly_eval(GT3_POLY, -3375)])
+    rep = _compare_pinned("jpoly-eval", values, 2, want)
+    return rep and _compare_pinned("jpoly-eval", _g_hecke_series(precision), 2, want)
 
 
 def _id_f_over_delta(precision):
     p = precision or 60
-    F = build("F7", p).form
+    F = build("F7", p)
     lhs = F.series.div(forms.delta(p).series)
     rhs = forms.j_function(lhs.prec).series.add(
         LaurentSeries.from_coeff_map({0: 3375}, lhs.prec))
@@ -454,17 +417,12 @@ def _id_f_over_delta(precision):
 
 def _id_psi_fourier(precision):
     # the q^n coefficient of beta*G + alpha*Delta as a linear form in
-    # (alpha, beta) must be tau(n)*alpha + G_n*beta with the pinned pairs
+    # (alpha, beta) must be tau(n)*alpha + G_n*beta, with tau(n) and G_n
+    # pinned for n = 1, 2, 3
     p = precision or 60
-    dl = forms.delta(max(p, 5)).series
-    G = build("G", max(p, 5)).series
-    pinned = {1: (1, 0), 2: (-24, 1), 3: (252, -4143)}
-    for n, (tau_n, g_n) in sorted(pinned.items()):
-        got = (dl.coefficient(n), G.coefficient(n))
-        if got != (tau_n, g_n):
-            return IdentityReport("psi-fourier-consistency", False, (1, 4),
-                                  {"index": n, "lhs": str(got), "rhs": str((tau_n, g_n))})
-    return IdentityReport("psi-fourier-consistency", True, (1, 4))
+    ident = "psi-fourier-consistency"
+    rep = _compare_pinned(ident, forms.delta(max(p, 5)).series, 1, [1, -24, 252])
+    return rep and _compare_pinned(ident, build("G", max(p, 5)).series, 1, [0, 1, -4143])
 
 
 _INFTY_RE = re.compile(r"^infty-eigen\((\d+)\)$")

@@ -815,9 +815,8 @@ def psi_section_check(bound=40, bits=53, tol=1e-3, precision=40):
     psi = psi_truncated(seed, HPoint(0, 2), bound, bits)
     ref_bits = max(bits, 80)
     with workprec(ref_bits + _GUARD_BITS):
-        f6i = meroforms.build("f6i", precision)
-        ref_val = eval_series(f6i.series, mpmath.mpc(0, 2), ref_bits,
-                              min_height=f6i.validity_height).value
+        ref_val = eval_series(meroforms.build("f6i", precision).series, mpmath.mpc(0, 2),
+                              ref_bits, min_height=meroforms.VALIDITY_HEIGHT["f6i"]).value
         alpha = alpha_constant(ref_bits)
         target = -mpmath.pi * alpha / 8 * ref_val
         rel = abs(mpmath.mpc(psi.value) - target) / abs(target)

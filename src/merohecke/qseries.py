@@ -25,6 +25,7 @@ computed straight to its target by one recurrence (see _divide).
 import json
 from fractions import Fraction
 from operator import mul as _mul
+from typing import NamedTuple
 
 # Exact products go through one kernel, `_convolve`, with two paths:
 #
@@ -490,34 +491,28 @@ def terms_str(items, var):
     return " ".join(parts) if parts else "0"
 
 
+class Comparison(NamedTuple):
+    """The union window (lo, hi) of two series, an empty one having
+    lo == hi, and None when they agree on it, else {"index": n, "lhs": a_n,
+    "rhs": b_n} at the first mismatch n, coefficients as text.  True only
+    when the series agree."""
+    window: tuple
+    mismatch: dict | None
+
+    def __bool__(self):
+        return self.mismatch is None
+
+
 def compare(a, b):
-    """(union window, None) when a and b agree on it (see first_mismatch), else
-    (window, {"index": n, "lhs": a_n, "rhs": b_n}) at the first mismatch n,
-    coefficients as text; an empty window has lo == hi."""
-    lo = min(a.val, b.val)
-    hi = min(a.prec, b.prec)
-    n = first_mismatch(a, b)
-    if n is None:
-        return (lo, hi), None
-    return (lo, hi), {"index": n, "lhs": _dec_str(a.coefficient(n)),
-                      "rhs": _dec_str(b.coefficient(n))}
-
-
-def equals_to_precision(a, b):
-    """Compare on the union window (see compare); returns (equal, (lo, hi))."""
-    window, mismatch = compare(a, b)
-    return mismatch is None, window
-
-
-def first_mismatch(a, b):
-    """First index of the union window [min(va, vb), min(Pa, Pb)) where a and b
-    differ, or None; coefficients below a window start count as zero."""
+    """The Comparison of a and b on the union window [min(va, vb),
+    min(Pa, Pb)), where coefficients below a window start count as zero."""
     lo = min(a.val, b.val)
     hi = min(a.prec, b.prec)
     for n in range(lo, hi):
-        if a.coefficient(n) != b.coefficient(n):
-            return n
-    return None
+        an, bn = a.coefficient(n), b.coefficient(n)
+        if an != bn:
+            return Comparison((lo, hi), {"index": n, "lhs": _dec_str(an), "rhs": _dec_str(bn)})
+    return Comparison((lo, hi), None)
 
 
 # -- serialization ----------------------------------------------------

@@ -16,16 +16,17 @@ from merohecke.meroforms import (
     GT2_POLY,
     GT3_POLY,
     ExpressionError,
+    VALIDITY_HEIGHT,
     IdentityReport,
-    NamedForm,
     build,
+    _compare_pinned,
     _compare_series,
     build_expression,
     identity_ids,
     verify_identity,
 )
 from merohecke.qseries import (LaurentSeries, InsufficientPrecision, QSeriesError, as_coeff,
-                               equals_to_precision)
+                               compare)
 
 
 # -- named expansions, zero tolerance -------------------------------------
@@ -68,23 +69,17 @@ def test_pole_supports():
 
 
 def test_validity_heights():
-    assert build("f6i", 4).validity_height == 1.0
-    assert build("g", 4).validity_height == 1.0
-    assert build("G", 4).validity_height == pytest.approx(math.sqrt(7) / 2)
-    assert build("f6iinfty", 4).validity_height is None
-    assert build("F7", 4).validity_height is None
+    assert VALIDITY_HEIGHT == {"f6i": 1.0, "g": 1.0, "G": pytest.approx(math.sqrt(7) / 2)}
 
 
 def test_named_form_object():
-    f = build("f6i", 10)
-    assert f.name == "f6i"
-    assert f.series is f.form.series
-    assert f.construction == CONSTRUCTIONS["f6i"]
-    assert "f6i" in repr(f)
-    t = f.truncate(5)
-    assert isinstance(t, NamedForm) and t.series.prec == 5
-    with pytest.raises(AttributeError):
-        f.weight = 0
+    # build returns the ModularForm itself, of the construction's weight
+    for name in CONSTRUCTIONS:
+        f = build(name, 10)
+        assert type(f) is ModularForm and f.weight == WEIGHTS[name], name
+        assert f.truncate(5).series.prec == 5
+        with pytest.raises(AttributeError):
+            f.weight = 0
 
 
 def test_build_unknown_name():
@@ -96,7 +91,7 @@ def test_build_precision_growth():
     # rebuilding at a higher precision must extend, not change, the series
     lo = build("g", 6).series
     hi = build("g", 40).series
-    assert equals_to_precision(lo, hi)[0]
+    assert compare(lo, hi)
 
 
 # -- expression evaluator --------------------------------------------------
@@ -105,14 +100,14 @@ def test_expression_basic():
     f = build_expression("E4^3 - E6^2", 10)
     assert f.weight == 12
     d = build_expression("1728*delta", 10)
-    assert equals_to_precision(f.series, d.series)[0]
+    assert compare(f.series, d.series)
 
 
 def test_expression_caret_and_doublestar():
     a = build_expression("E4^2", 8)
     b = build_expression("E4**2", 8)
     assert a.weight == b.weight == 8
-    assert equals_to_precision(a.series, b.series)[0]
+    assert compare(a.series, b.series)
 
 
 def test_expression_negative_power():
@@ -386,6 +381,17 @@ def test_compare_series_sees_pole_only_mismatch():
     assert not rep.passed
     assert rep.window == (-2, 1)
     assert rep.mismatch == {"index": -2, "lhs": "1", "rhs": "0"}
+
+
+def test_compare_pinned_reports_window_and_mismatch():
+    # only the slice [1, 4) is compared: q^0 and q^4 differ from anything pinned
+    s = LaurentSeries(0, [7, 1, 2, 3, 9])
+    ok = _compare_pinned("x", s, 1, [1, 2, 3])
+    assert ok.passed and ok.window == (1, 4)
+    rep = _compare_pinned("x", s, 1, [1, 2, 4])
+    assert not rep.passed
+    assert rep.window == (1, 4)
+    assert rep.mismatch == {"index": 3, "lhs": "3", "rhs": "4"}
 
 
 def test_gt_polynomials():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from merohecke import cli, forms, hecke, numeval
-from merohecke.meroforms import CONSTRUCTIONS, build, build_expression
+from merohecke.meroforms import CONSTRUCTIONS, VALIDITY_HEIGHT, build, build_expression
 from merohecke.numeval import (
     DivergentTail,
     EvalResult,
@@ -129,13 +129,14 @@ def test_rejects_out_of_range_arguments():
 
 def test_region_guard():
     f = build("f6i", 20)
+    height = VALIDITY_HEIGHT["f6i"]
     with pytest.raises(RegionGuard):
-        eval_series(f.series, (0, 0.5), 80, min_height=f.validity_height)
+        eval_series(f.series, (0, 0.5), 80, min_height=height)
     # at the height, not above it: still guarded
     with pytest.raises(RegionGuard):
-        eval_series(f.series, (0, 1.0), 80, min_height=f.validity_height)
+        eval_series(f.series, (0, 1.0), 80, min_height=height)
     # above is fine
-    eval_series(f.series, (0, 1.01), 80, min_height=f.validity_height)
+    eval_series(f.series, (0, 1.01), 80, min_height=height)
 
 
 def test_divergent_tail():

@@ -15,8 +15,6 @@ from merohecke.qseries import (
     ZeroLeadingCoefficient,
     as_coeff,
     compare,
-    equals_to_precision,
-    first_mismatch,
     dumps,
     loads,
     to_json_obj,
@@ -488,31 +486,32 @@ def test_ring_laws_random(a, b, c):
 # -- comparison helpers -------------------------------------------------------
 
 
-def test_equals_to_precision_reports_window():
-    a = LaurentSeries(0, [1, 2, 3, 4])
-    b = LaurentSeries(-1, [0, 1, 2, 3])
-    ok, window = equals_to_precision(a, b)
-    assert ok
-    assert window == (-1, 3)
-
-
-def test_compare_reports_window_and_first_mismatch():
+def test_compare_reports_window_and_mismatch():
     a = LaurentSeries(-1, [1, 0, 2, 3])
     b = LaurentSeries(-1, [1, 0, 2, Fraction(1, 2)])
     assert compare(a, a) == ((-1, 3), None)
     assert compare(b, a) == ((-1, 3), {"index": 2, "lhs": "1/2", "rhs": "3"})
-    assert compare(a.truncate(2), b) == ((-1, 2), None)
+    window, mismatch = compare(a.truncate(2), b)
+    assert window == (-1, 2) and mismatch is None
+    # the window starts at the lower valuation: zeros below a window start
+    assert compare(LaurentSeries(0, [1, 2, 3, 4]), LaurentSeries(-1, [0, 1, 2, 3])) == (
+        (-1, 3), None)
     # an empty union window
     assert compare(LaurentSeries(2, [1], 3), LaurentSeries(1, [], 1)) == ((1, 1), None)
 
 
-def test_first_mismatch():
+def test_compare_is_false_on_mismatch():
     a = LaurentSeries(0, [1, 2, 3])
-    b = LaurentSeries(0, [1, 2, 4])
-    assert first_mismatch(a, b) == 2
-    assert first_mismatch(a, a) is None
-    # below a window start coefficients are zero: a pole-only difference counts
-    assert first_mismatch(LaurentSeries(-2, [1, 0, 5]), LaurentSeries(-1, [0, 5])) == -2
+    assert compare(a, a)
+    assert compare(a, LaurentSeries(-3, [0, 0, 0, 1, 2]))
+    assert not compare(a, LaurentSeries(0, [1, 2, 4]))
+    assert not compare(a, a.scale(2))
+    # a pole-only difference, below the second series' window start, counts
+    c = compare(LaurentSeries(-2, [1, 0, 5]), LaurentSeries(-1, [0, 5]))
+    assert not c
+    assert c.mismatch["index"] == -2
+    # an empty window holds no mismatch
+    assert compare(LaurentSeries(2, [1], 3), LaurentSeries(1, [], 1))
 
 
 # -- printing and serialization ----------------------------------------------

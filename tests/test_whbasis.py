@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from merohecke import forms, meroforms, whbasis
 from merohecke.forms import CUSPIDAL, HOLOMORPHIC, ModularForm, delta, j_function
-from merohecke.qseries import LaurentSeries, equals_to_precision
+from merohecke.qseries import LaurentSeries, compare
 from merohecke.whbasis import (
     NonUniqueSolution,
     NotPolynomialInJ,
@@ -146,8 +146,8 @@ def test_solve_matches_named_construction():
     # q^-2 + 24 q^-1 prescribes the weight -10 form built as E4^2 E6 / delta^2
     sol = solve_principal_part(-10, PrincipalPart({2: 1, 1: 24}), False, 10)
     g = meroforms.build("g", 10)
-    ok, window = equals_to_precision(sol.series, g.series)
-    assert ok and window == (-3, 10)  # solver window opens at -(max_pole + dim S_12)
+    window, mismatch = compare(sol.series, g.series)
+    assert mismatch is None and window == (-3, 10)  # solver window opens at -(max_pole + dim S_12)
 
 
 def test_solve_reports_obstruction():
@@ -245,7 +245,7 @@ def test_solver_round_trip_seeded_cases_reach_solver():
 def test_decompose_f_over_delta():
     f7 = meroforms.build("F7", 10)
     d = ModularForm(12, delta(10).series)
-    ratio = f7.form / d
+    ratio = f7 / d
     one = ModularForm(0, LaurentSeries.one(ratio.series.prec))
     coeffs = j_polynomial_decompose(ratio, one)
     assert coeffs == [3375, 1]
@@ -255,7 +255,7 @@ def test_decompose_weight_mismatch():
     f7 = meroforms.build("F7", 8)
     one = ModularForm(0, LaurentSeries.one(8))
     with pytest.raises(ValueError):
-        j_polynomial_decompose(f7.form, one)
+        j_polynomial_decompose(f7, one)
 
 
 def test_decompose_rejects_non_polynomial():
@@ -270,7 +270,7 @@ def test_decompose_reproduces_quartic():
     # independent route to the degree-4 polynomial in the g5 construction
     g5 = meroforms.build("g5", 8)
     seed = meroforms.build_expression("E8/delta", 14)
-    coeffs = j_polynomial_decompose(g5.form, seed)
+    coeffs = j_polynomial_decompose(g5, seed)
     assert coeffs == [114237825024, -1425282400, 3838860, -3480, 1]
 
 
@@ -328,8 +328,7 @@ def test_bol_accepts_with_free_constant():
     rep = bol_image_membership(ModularForm(6, f.series.scale(-1)), 3, False)
     assert rep.ok
     e8d = meroforms.build_expression("E8/delta", rep.witness.series.prec)
-    ok, _ = equals_to_precision(rep.witness.series, e8d.series)
-    assert ok
+    assert compare(rep.witness.series, e8d.series)
 
 
 def test_bol_detects_mismatch_beyond_principal_part():

@@ -486,16 +486,23 @@ def test_ring_laws_random(a, b, c):
 # -- comparison helpers -------------------------------------------------------
 
 
-def test_compare_reports_window_and_mismatch():
+def test_equals_to_precision_reports_window():
+    # the union window starts at the lower valuation: zeros below a window start
+    a = LaurentSeries(0, [1, 2, 3, 4])
+    b = LaurentSeries(-1, [0, 1, 2, 3])
+    c = compare(a, b)
+    assert c
+    assert c.window == (-1, 3)
+    assert c == ((-1, 3), None)
+
+
+def test_compare_reports_window_and_first_mismatch():
     a = LaurentSeries(-1, [1, 0, 2, 3])
     b = LaurentSeries(-1, [1, 0, 2, Fraction(1, 2)])
     assert compare(a, a) == ((-1, 3), None)
     assert compare(b, a) == ((-1, 3), {"index": 2, "lhs": "1/2", "rhs": "3"})
     window, mismatch = compare(a.truncate(2), b)
     assert window == (-1, 2) and mismatch is None
-    # the window starts at the lower valuation: zeros below a window start
-    assert compare(LaurentSeries(0, [1, 2, 3, 4]), LaurentSeries(-1, [0, 1, 2, 3])) == (
-        (-1, 3), None)
     # an empty union window
     assert compare(LaurentSeries(2, [1], 3), LaurentSeries(1, [], 1)) == ((1, 1), None)
 

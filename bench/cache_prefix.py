@@ -3,6 +3,7 @@
 time one hit against one build.
 
     python3 bench/cache_prefix.py [--seeds 1-20] [--reps 5] [--universe]
+    python3 bench/cache_prefix.py --hits [--reps 15]
 
 Replays the expand-cold deck of each seed in order through cli.main, each
 deck on an empty cache directory and with the in-process memo cleared
@@ -22,11 +23,20 @@ from an entry at precision 500.
 With --universe, also builds each construction of the expand-cold universe
 once at the largest precision any of its jobs asks for, then runs all the
 universe's jobs on that cache: each must be a hit and reproduce its
-recorded exit code and digest.  Run it from the root of a checkout.
+recorded exit code and digest.
+
+With --hits, only times cache hits, best of --reps: of G at P = 100, 250
+and 487 on its P = 500 entry, and of g7 at P = 300 on its P = 500 entry.
+For each it prints the load (cli._cache_load), the text format (str of
+the served series, which `expand` prints), the JSON format (the --json
+output), and the whole `expand` job through cli.main with and without
+--json, the in-process memo cleared before each.  Run it from the root of
+a checkout.
 """
 
 import argparse
 import collections
+import json
 import os
 import shutil
 import sys
@@ -148,6 +158,43 @@ def timing(reps, scratch):
           "hit on a P = 500 entry %.2f ms" % (reps, 1e3 * build_s, 1e3 * hit_s))
 
 
+HITS = (("G", 500, 100), ("G", 500, 250), ("G", 500, 487), ("g7", 500, 300))
+
+
+def hit_timing(reps, scratch):
+    def best(fn):
+        times = []
+        for _ in range(reps):
+            forms.clear_cache()
+            t0 = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - t0)
+        return 1e3 * min(times)
+
+    def job(argv):
+        code, _, err, _ = harness.run_job(cli, argv)
+        assert code == 0, (argv, err)
+
+    os.environ[CACHE_ENV] = tempfile.mkdtemp(dir=scratch)
+    print("cache hits, best of %d, ms:" % reps)
+    print("  %-4s %5s %5s %8s %8s %8s %8s %9s"
+          % ("name", "entry", "P", "load", "text", "json", "job", "job-json"))
+    for name, entry, precision in HITS:
+        forms.clear_cache()
+        cli._build_form(name, entry)
+        construction = meroforms.CONSTRUCTIONS[name]
+        form = cli._cache_load(construction, precision)
+        assert form is not None and form.series.prec == precision, (name, precision)
+        argv = ["expand", name, "--prec", str(precision)]
+        print("  %-4s %5d %5d %8.3f %8.3f %8.3f %8.3f %9.3f" % (
+            name, entry, precision,
+            best(lambda: cli._cache_load(construction, precision)),
+            best(lambda: str(form.series)),
+            best(lambda: json.dumps(cli._series_json(form.series, form.weight, name),
+                                    indent=2, default=str)),
+            best(lambda: job(argv)), best(lambda: job(argv + ["--json"]))))
+
+
 def universe_check(universe, scratch):
     longest = {}
     for job in universe["jobs"]:
@@ -174,11 +221,15 @@ def main():
     p.add_argument("--seeds", default="1-20")
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--universe", action="store_true")
+    p.add_argument("--hits", action="store_true", help="only time cache hits")
     args = p.parse_args()
     universe = jobs.load_universe("expand-cold")
     saved = os.environ.get(CACHE_ENV)
     scratch = tempfile.mkdtemp(prefix="cache-prefix-")
     try:
+        if args.hits:
+            hit_timing(args.reps, scratch)
+            return
         decks(parse_seeds(args.seeds), universe, scratch)
         timing(args.reps, scratch)
         if args.universe:

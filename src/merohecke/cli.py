@@ -6,12 +6,17 @@ obstructed request, 2 usage or parse error, 3 numeric guard tripped
 
 Set MEROHECKE_CACHE_DIR to enable a flat-file series cache with one entry
 per construction string, holding the longest window built so far; every
-shorter precision is served from it (see _cache_load).  Entries are
-invalidated by bumping the format version.
+shorter precision is served from it, and a hit reads only the entry's
+header line and the coefficient lines below its precision (see
+_cache_load).  Entries are invalidated by bumping the format version.
+
+Each command builds only the output it prints: the JSON object under
+--json, the text otherwise (see _emit).
 """
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -24,7 +29,7 @@ from .forms import ModularForm
 from .numeval import HPoint, PoincareSeed, RegionGuard, DivergentTail
 from .whbasis import ObstructionWitness, PrincipalPart
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -60,27 +65,33 @@ def _from_hex(text):
 def _cache_load(construction, precision):
     """The cached form of construction truncated to precision, or None.
 
-    An entry holds the longest window [val, prec) built so far.  A build
-    truncated to P gives what a build at P gives (the invariant forms._cached
-    serves its hits on too), so every val < P <= prec is a hit, and only the
-    coefficients below P are converted.  An empty window, P <= val, is a
+    An entry holds the longest window [val, prec) built so far: one JSON
+    header line, then one hex coefficient per line.  A build truncated to P
+    gives what a build at P gives (the invariant forms._cached serves its
+    hits on too), so every val < P <= prec is a hit, and only the header and
+    the P - val lines below P are read.  An empty window, P <= val, is a
     miss: the builder decides whether it exists (the constant 7 has none at
-    P = 0).  So is an entry whose list does not fill its declared window."""
+    P = 0).  So is an entry whose file size is not its header line's
+    plus the body size the header declares, which catches a short or long
+    entry without reading its tail, and one whose served lines do not
+    parse."""
     path = _cache_path(construction)
-    if not path or not os.path.exists(path):
+    if not path:
         return None
     try:
         with open(path) as fh:
-            obj = json.load(fh)
-        if obj.get("format") != FORMAT_VERSION:
+            line = fh.readline()
+            head = json.loads(line)
+            if head.get("format") != FORMAT_VERSION:
+                return None
+            val, prec = int(head["valuation"]), int(head["precision"])
+            if not val < precision <= prec \
+                    or os.fstat(fh.fileno()).st_size != len(line) + int(head["size"]):
+                return None
+            coeffs = [_from_hex(c) for c in itertools.islice(fh, precision - val)]
+        if len(coeffs) != precision - val:
             return None
-        series = obj["series"]
-        val, prec = int(series["valuation"]), int(series["precision"])
-        hexes = series["coefficients"]
-        if not val < precision <= prec or len(hexes) != prec - val:
-            return None
-        coeffs = [_from_hex(c) for c in hexes[:precision - val]]
-        return ModularForm(int(obj["weight"]), qseries.LaurentSeries(val, coeffs, precision))
+        return ModularForm(int(head["weight"]), qseries.LaurentSeries(val, coeffs, precision))
     except (OSError, ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError):
         # a missing, corrupt or malformed entry is a miss
         return None
@@ -96,18 +107,14 @@ def _cache_store(construction, form):
     if not path:
         return
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    obj = {
-        "format": FORMAT_VERSION,
-        "construction": construction,
-        "weight": form.weight,
-        "series": {"valuation": form.series.val, "precision": form.series.prec,
-                   "coefficients": [_to_hex(c) for c in form.series.coeffs]},
-    }
+    body = "".join(_to_hex(c) + "\n" for c in form.series.coeffs)
+    head = json.dumps({"format": FORMAT_VERSION, "construction": construction,
+                       "weight": form.weight, "valuation": form.series.val,
+                       "precision": form.series.prec, "size": len(body)})
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            # json.dump would stream through the pure-Python encoder
-            fh.write(json.dumps(obj))
+            fh.write(head + "\n" + body)
         os.replace(tmp, path)
     except (OSError, ValueError):
         try:
@@ -138,10 +145,12 @@ def _build_form(name_or_expr, precision):
 # -- helpers -------------------------------------------------------------
 
 def _emit(args, obj, text):
+    """Print obj as JSON under --json, else text.  Either may be a function
+    that builds it, so that only the form asked for is built."""
     if getattr(args, "json", False):
-        print(json.dumps(obj, indent=2, default=str))
+        print(json.dumps(obj() if callable(obj) else obj, indent=2, default=str))
     else:
-        print(text)
+        print(text() if callable(text) else text)
 
 
 def _series_json(series, weight=None, name=None):
@@ -196,15 +205,16 @@ def _load_series_arg(target, weight_flag, precision):
 
 def _cmd_expand(args):
     form = _build_form(args.name, args.prec)
-    _emit(args, _series_json(form.series, form.weight, args.name), str(form.series))
+    _emit(args, lambda: _series_json(form.series, form.weight, args.name),
+          lambda: str(form.series))
     return EXIT_OK
 
 
 def _cmd_hecke(args):
     weight, series, label = _load_series_arg(args.target, args.weight, args.prec)
     image = hecke.t_op(series, weight, args.m)
-    text = "window [%d, %d)\n%s" % (image.val, image.prec, image)
-    _emit(args, _series_json(image, weight), text)
+    _emit(args, lambda: _series_json(image, weight),
+          lambda: "window [%d, %d)\n%s" % (image.val, image.prec, image))
     return EXIT_OK
 
 
@@ -217,7 +227,7 @@ def _cmd_solve_pp(args):
               "obstructed: pairing vector %s against the weight-%d %s basis"
               % (vec, 2 - args.weight, "holomorphic" if sol.dual_kind == "M" else "cusp"))
         return EXIT_MISMATCH
-    _emit(args, _series_json(sol.series, sol.weight), str(sol.series))
+    _emit(args, lambda: _series_json(sol.series, sol.weight), lambda: str(sol.series))
     return EXIT_OK
 
 
@@ -230,25 +240,31 @@ def _cmd_quotient(args):
     mat = quotient.quotient_hecke_matrix(args.weight2k, kind, args.m)
     if args.charpoly or args.check:
         cp = quotient.scaled_charpoly(mat, args.weight2k, args.m)
-    obj = {"weight2k": args.weight2k, "kind": kind, "m": args.m,
-           "matrix": _matrix_strs(mat)}
-    lines = ["%d x %d matrix of T_%d on the %s quotient in weight 2k=%d:"
-             % (len(mat), len(mat), args.m, kind, args.weight2k)]
-    for row in mat:
-        lines.append("  [" + ", ".join(str(x) for x in row) + "]")
-    if args.charpoly:
-        obj["scaled_charpoly"] = [str(c) for c in cp]
-        lines.append("charpoly of %d^%d * matrix: %s"
-                     % (args.m, args.weight2k - 1, linalg.poly_str(cp)))
-    code = EXIT_OK
-    if args.check:
-        ok = quotient.matches_dual(cp, args.weight2k, kind, args.m)
-        obj["check"] = bool(ok)
-        lines.append("theorem check: %s" % ("pass" if ok else "FAIL"))
-        if not ok:
-            code = EXIT_MISMATCH
-    _emit(args, obj, "\n".join(lines))
-    return code
+    ok = quotient.matches_dual(cp, args.weight2k, kind, args.m) if args.check else True
+
+    def as_json():
+        obj = {"weight2k": args.weight2k, "kind": kind, "m": args.m,
+               "matrix": _matrix_strs(mat)}
+        if args.charpoly:
+            obj["scaled_charpoly"] = [str(c) for c in cp]
+        if args.check:
+            obj["check"] = bool(ok)
+        return obj
+
+    def as_text():
+        lines = ["%d x %d matrix of T_%d on the %s quotient in weight 2k=%d:"
+                 % (len(mat), len(mat), args.m, kind, args.weight2k)]
+        for row in mat:
+            lines.append("  [" + ", ".join(str(x) for x in row) + "]")
+        if args.charpoly:
+            lines.append("charpoly of %d^%d * matrix: %s"
+                         % (args.m, args.weight2k - 1, linalg.poly_str(cp)))
+        if args.check:
+            lines.append("theorem check: %s" % ("pass" if ok else "FAIL"))
+        return "\n".join(lines)
+
+    _emit(args, as_json, as_text)
+    return EXIT_OK if ok else EXIT_MISMATCH
 
 
 def _theorem_grid():

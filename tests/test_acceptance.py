@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 import mpmath
+from hypothesis import example, given, settings, strategies as st
 
 from merohecke import forms, linalg, meroforms
 from merohecke.forms import CUSPIDAL, HOLOMORPHIC, ModularForm
@@ -243,86 +244,190 @@ def test_criterion_10_poincare_sums():
     _line(10, "poincare-sums", not bad, ",".join(bad))
 
 
-def test_criterion_11_property_suites():
+# criterion 11: five property suites.  Each runs under hypothesis with, as
+# @examples, the cases that the loop over one Random(14916) drew for it,
+# replayed below in the loop's order so that every suite keeps them.
+
+def _examples(cases):
+    """The argument tuples in cases as @examples, in order."""
+    def apply(test):
+        for args in reversed(cases):
+            test = example(*args)(test)
+        return test
+
+    return apply
+
+
+def _fractions(lo, hi, den):
+    return st.builds(Fraction, st.integers(lo, hi), st.integers(1, den))
+
+
+_DUAL_WEIGHTS = (12, 16, 20, 24, 26)
+_FREE_WEIGHTS = (-4, -10, -14)
+# the weight -10 part pairs to zero against cusp forms only, so it lives in
+# the free-constant route
+_TRANSPORT_SEEDS = ((-10, PrincipalPart({2: Fraction(1), 1: Fraction(24)}, 0), False),
+                    (-4, PrincipalPart({5: Fraction(1), 1: Fraction(-3126)}, 0), True),
+                    (-4, PrincipalPart({7: Fraction(1), 1: Fraction(-16808)}, 0), True))
+_PREC_POOL = sorted(PINNED_WINDOWS)
+
+
+def _seeded_cases():
+    """{suite: its argument tuples}, as the seeded loop drew them."""
     rng = random.Random(14916)
-    bad = []
-
-    # Hecke composition: both orders agree on the common window, and
-    # coprime pairs also match the single product-index operator
-    for case in range(200):
-        weight = 2 * rng.randint(-6, 8)
-        val = rng.randint(-4, 2)
-        coeffs = {n: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                  for n in range(val, val + 12)}
-        f = LaurentSeries.from_coeff_map(coeffs, 48, valuation=val)
-        if t_op_commutes_check(f, weight, rng.randint(2, 6),
-                               rng.randint(2, 6)) is not True:
-            bad.append("hecke-%d" % case)
-
-    # solvability duality: the solver succeeds exactly when the pairing
-    # vector vanishes, and every solution multiplies against the dual
-    # basis into weight 2 with a zero constant term
-    for case in range(40):
-        w2k = rng.choice((12, 16, 20, 24, 26))
+    cases = {}
+    cases["hecke"] = [
+        (2 * rng.randint(-6, 8), rng.randint(-4, 2),
+         tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(12)),
+         rng.randint(2, 6), rng.randint(2, 6))
+        for _ in range(200)]
+    cases["dual"] = []
+    for _ in range(40):
+        w2k = rng.choice(_DUAL_WEIGHTS)
         poles = rng.sample(range(1, 8), rng.randint(1, 3))
-        pp = PrincipalPart(
-            {r: Fraction(rng.randint(-8, 8), rng.randint(1, 5))
-             for r in poles}, 0)
-        for route, dual in ((True, HOLOMORPHIC), (False, CUSPIDAL)):
-            vec = obstruction(2 - w2k, pp, "holomorphic" if route else "cusp")
-            sol = solve_principal_part(2 - w2k, pp, route, 40)
-            if isinstance(sol, ObstructionWitness):
-                if not any(vec):
-                    bad.append("dual-%d" % case)
-                continue
-            if any(vec):
-                bad.append("dual-%d" % case)
-                continue
-            for gdual in forms.basis(w2k, dual, 44).elements:
-                if (sol * gdual).coefficient(0) != 0:
-                    bad.append("pair-%d" % case)
-
-    # round-trips, free constant: random echelon-slice combinations come
-    # back from the solver bit for bit
-    for case in range(20):
-        w = rng.choice((-4, -10, -14))
+        cases["dual"].append((w2k, PrincipalPart(
+            {r: Fraction(rng.randint(-8, 8), rng.randint(1, 5)) for r in poles}, 0)))
+    cases["rt-free"] = []
+    for _ in range(20):
+        w = rng.choice(_FREE_WEIGHTS)
         a = rng.randint(2, 6) + forms.dim_cusp(2 - w)
-        combo = LaurentSeries.zero(36, valuation=-a)
-        for el in wh_slice_basis(w, a, 36).elements:
-            combo = combo.add(el.series.scale(Fraction(rng.randint(-5, 5))))
-        sol = solve_principal_part(
-            w, PrincipalPart.from_series(combo), False, 36)
-        if isinstance(sol, ObstructionWitness) \
-                or not compare(sol.series, combo):
-            bad.append("rt-free-%d" % case)
+        scalars = tuple(rng.randint(-5, 5) for _ in wh_slice_basis(w, a, 36).elements)
+        cases["rt-free"].append(((w, a, scalars),))
+    cases["rt-transport"] = [(_TRANSPORT_SEEDS[case % 3], rng.randint(2, 7))
+                             for case in range(15)]
+    cases["prec"] = [(_PREC_POOL[case % len(_PREC_POOL)], rng.randint(2, 5))
+                     for case in range(14)]
+    return cases
 
-    # round-trips under transport: Hecke images of known solvable parts
-    # stay solvable in their own route and reproduce the requested poles
-    # exactly; the weight -10 part pairs to zero against cusp forms only,
-    # so it lives in the free-constant route
-    seeds = ((-10, PrincipalPart({2: Fraction(1), 1: Fraction(24)}, 0), False),
-             (-4, PrincipalPart({5: Fraction(1), 1: Fraction(-3126)}, 0), True),
-             (-4, PrincipalPart({7: Fraction(1), 1: Fraction(-16808)}, 0), True))
-    for case in range(15):
-        w, base, zero_constant = seeds[case % 3]
-        pp = hecke_on_principal_part(base, w, rng.randint(2, 7))
-        sol = solve_principal_part(w, pp, zero_constant, 40)
-        if isinstance(sol, ObstructionWitness) \
-                or PrincipalPart.from_series(sol.series).terms != pp.terms \
-                or (zero_constant and sol.coefficient(0) != 0):
-            bad.append("rt-transport-%d" % case)
 
-    # precision soundness: the same construction at two precisions agrees
-    # on the common window, before and after a Hecke operator
-    pool = sorted(PINNED_WINDOWS)
-    for case in range(14):
-        name = pool[case % len(pool)]
-        lo = meroforms.build(name, 20)
-        hi = meroforms.build(name, 45)
-        if not compare(lo.series, hi.series):
-            bad.append("prec-%s" % name)
-        m = rng.randint(2, 5)
-        if not compare(t_op(lo.series, lo.weight, m), t_op(hi.series, hi.weight, m)):
-            bad.append("prec-t-%s" % name)
+_SEEDED = _seeded_cases()
 
+
+def _hecke_composition(weight, val, coeffs, m, n):
+    """Both orders of T_m T_n agree on the common window, and coprime pairs
+    also match the single product-index operator."""
+    f = LaurentSeries.from_coeff_map(dict(zip(range(val, val + 12), coeffs)), 48,
+                                     valuation=val)
+    return [] if t_op_commutes_check(f, weight, m, n) is True else ["hecke"]
+
+
+def _solvability_duality(w2k, pp):
+    """The solver succeeds exactly when the pairing vector vanishes, and
+    every solution multiplies against the dual basis into weight 2 with a
+    zero constant term."""
+    bad = []
+    for route, dual in ((True, HOLOMORPHIC), (False, CUSPIDAL)):
+        vec = obstruction(2 - w2k, pp, "holomorphic" if route else "cusp")
+        sol = solve_principal_part(2 - w2k, pp, route, 40)
+        if isinstance(sol, ObstructionWitness):
+            if not any(vec):
+                bad.append("dual")
+            continue
+        if any(vec):
+            bad.append("dual")
+            continue
+        for gdual in forms.basis(w2k, dual, 44).elements:
+            if (sol * gdual).coefficient(0) != 0:
+                bad.append("pair")
+    return bad
+
+
+@st.composite
+def _free_case(draw):
+    w = draw(st.sampled_from(_FREE_WEIGHTS))
+    a = draw(st.integers(2, 6)) + forms.dim_cusp(2 - w)
+    size = len(wh_slice_basis(w, a, 36).elements)
+    return w, a, tuple(draw(st.lists(st.integers(-5, 5), min_size=size, max_size=size)))
+
+
+def _round_trip_free(case):
+    """Combinations of the echelon slice come back from the solver, free
+    constant, bit for bit."""
+    w, a, scalars = case
+    combo = LaurentSeries.zero(36, valuation=-a)
+    for el, c in zip(wh_slice_basis(w, a, 36).elements, scalars, strict=True):
+        combo = combo.add(el.series.scale(Fraction(c)))
+    sol = solve_principal_part(w, PrincipalPart.from_series(combo), False, 36)
+    if isinstance(sol, ObstructionWitness) or not compare(sol.series, combo):
+        return ["rt-free"]
+    return []
+
+
+def _round_trip_transport(seed, m):
+    """Hecke images of known solvable parts stay solvable in their own route
+    and reproduce the requested poles exactly."""
+    w, base, zero_constant = seed
+    pp = hecke_on_principal_part(base, w, m)
+    sol = solve_principal_part(w, pp, zero_constant, 40)
+    if isinstance(sol, ObstructionWitness) \
+            or PrincipalPart.from_series(sol.series).terms != pp.terms \
+            or (zero_constant and sol.coefficient(0) != 0):
+        return ["rt-transport"]
+    return []
+
+
+def _precision_soundness(name, m):
+    """The same construction at two precisions agrees on the common window,
+    before and after a Hecke operator."""
+    lo = meroforms.build(name, 20)
+    hi = meroforms.build(name, 45)
+    bad = [] if compare(lo.series, hi.series) else ["prec"]
+    if not compare(t_op(lo.series, lo.weight, m), t_op(hi.series, hi.weight, m)):
+        bad.append("prec-t")
+    return bad
+
+
+_SUITES = (("hecke", _hecke_composition), ("dual", _solvability_duality),
+           ("rt-free", _round_trip_free), ("rt-transport", _round_trip_transport),
+           ("prec", _precision_soundness))
+
+
+def test_criterion_11_property_suites():
+    # every seeded case reaches its check, as in the loop it came from;
+    # the tests below run the same cases as @examples among their draws
+    assert [len(_SEEDED[suite]) for suite, _ in _SUITES] == [200, 40, 20, 15, 14]
+    bad = []
+    for suite, check in _SUITES:
+        for i, case in enumerate(_SEEDED[suite]):
+            label = case[0] if suite == "prec" else i
+            bad += ["%s-%s" % (tag, label) for tag in check(*case)]
     _line(11, "property-suites", not bad, ",".join(bad[:6]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-6, 8).map(lambda k: 2 * k), st.integers(-4, 2),
+       st.lists(_fractions(-9, 9, 9), min_size=12, max_size=12).map(tuple),
+       st.integers(2, 6), st.integers(2, 6))
+@_examples(_SEEDED["hecke"])
+def test_criterion_11_hecke_composition(weight, val, coeffs, m, n):
+    assert not _hecke_composition(weight, val, coeffs, m, n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(_DUAL_WEIGHTS),
+       st.dictionaries(st.integers(1, 7), _fractions(-8, 8, 5), min_size=1, max_size=3)
+       .map(lambda terms: PrincipalPart(terms, 0)))
+@_examples(_SEEDED["dual"])
+def test_criterion_11_solvability_duality(w2k, pp):
+    assert not _solvability_duality(w2k, pp)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_free_case())
+@_examples(_SEEDED["rt-free"])
+def test_criterion_11_round_trip_free_constant(case):
+    assert not _round_trip_free(case)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(_TRANSPORT_SEEDS), st.integers(2, 7))
+@_examples(_SEEDED["rt-transport"])
+def test_criterion_11_round_trip_transport(seed, m):
+    assert not _round_trip_transport(seed, m)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(_PREC_POOL), st.integers(2, 5))
+@_examples(_SEEDED["prec"])
+def test_criterion_11_precision_soundness(name, m):
+    assert not _precision_soundness(name, m)

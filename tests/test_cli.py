@@ -547,6 +547,32 @@ def test_quotient_text(capsys):
     assert "3 x 3 matrix" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["expand", "G", "--prec", "30"],
+    ["hecke", "delta", "--m", "3", "--prec", "30"],
+    ["solve-pp", "--weight", "0", "--pp", "1:1", "--prec", "8"],
+    ["quotient", "--weight2k", "24", "--kind", "modM!", "--m", "2", "--charpoly"],
+], ids=lambda argv: argv[0])
+def test_only_the_output_asked_for_is_built(capsys, monkeypatch, argv):
+    # text mode builds no JSON object, and --json builds no text, yet each
+    # prints what it printed with both built
+    monkeypatch.delenv("MEROHECKE_CACHE_DIR", raising=False)
+    text, as_json = run(capsys, argv), run(capsys, argv + ["--json"])
+    assert text[0] == as_json[0] == EXIT_OK
+
+    def refuse(*args):
+        raise AssertionError("built an output that was not asked for")
+
+    with monkeypatch.context() as m:
+        m.setattr(qseries, "to_json_obj", refuse)
+        m.setattr(cli, "_matrix_strs", refuse)
+        assert run(capsys, argv) == text
+    with monkeypatch.context() as m:
+        m.setattr(qseries, "terms_str", refuse)
+        m.setattr(linalg, "terms_str", refuse)
+        assert run(capsys, argv + ["--json"]) == as_json
+
+
 def test_quotient_kind_validation(capsys):
     code, _, _ = run(capsys, ["quotient", "--weight2k", "12", "--kind", "modX",
                               "--m", "2"])
@@ -906,13 +932,26 @@ def test_point_option_missing_value(capsys):
 
 # -- cache -------------------------------------------------------------------------
 
+def _read_entry(path):
+    """The header and the hex coefficient lines of the cache entry at path."""
+    head, *coeffs = path.read_text().splitlines()
+    return json.loads(head), coeffs
+
+
+def _write_entry(path, head, coeffs):
+    """Write head and coeffs as the cache entry at path.  The header is
+    written as given, so its size field still describes the entry it was
+    read from."""
+    path.write_text(json.dumps(head) + "\n" + "".join(c + "\n" for c in coeffs))
+
+
 def test_cache_roundtrip(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("MEROHECKE_CACHE_DIR", str(tmp_path / "cache"))
     code, first, _ = run(capsys, ["expand", "g", "--prec", "10", "--json"])
     assert code == EXIT_OK
     files = list((tmp_path / "cache").iterdir())
     assert len(files) == 1 and files[0].suffix == ".json"
-    stored = json.loads(files[0].read_text())
+    stored, _ = _read_entry(files[0])
     assert stored["format"] == cli.FORMAT_VERSION
     assert stored["construction"] == "E4^2*E6/delta^2"
     code, second, _ = run(capsys, ["expand", "g", "--prec", "10", "--json"])
@@ -930,7 +969,7 @@ def test_cache_corruption_is_ignored(capsys, tmp_path, monkeypatch):
     assert code == EXIT_OK
     assert second == first
     # the rerun repaired the entry
-    assert json.loads(path.read_text())["format"] == cli.FORMAT_VERSION
+    assert _read_entry(path)[0]["format"] == cli.FORMAT_VERSION
 
 
 @pytest.mark.parametrize("payload", ["[1, 2]", '{"format": 2, "weight": 4, "series": '
@@ -956,8 +995,8 @@ def test_cache_roundtrip_past_the_decimal_digit_limit(tmp_path, monkeypatch):
     form = ModularForm(-12, series)
     cli._cache_store("big", form)
     (path,) = list(tmp_path.glob("*.json"))
-    stored = json.loads(path.read_text())
-    assert stored["series"]["coefficients"][0] == "%x" % big
+    _, coeffs = _read_entry(path)
+    assert coeffs[0] == "%x" % big
     loaded = cli._cache_load("big", 3)
     assert loaded == form
     assert [type(c) for c in loaded.series.coeffs] == [int, int, Fraction, int]
@@ -967,11 +1006,11 @@ def test_cache_format_version_gate(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("MEROHECKE_CACHE_DIR", str(tmp_path))
     code, first, _ = run(capsys, ["expand", "f6i", "--prec", "6", "--json"])
     (path,) = list(tmp_path.glob("*.json"))
-    stored = json.loads(path.read_text())
+    stored, coeffs = _read_entry(path)
     stored["format"] = 0
     # a poisoned payload with a stale version must not be served
-    stored["series"]["coefficients"][0] = "999"
-    path.write_text(json.dumps(stored))
+    coeffs[0] = "999"
+    _write_entry(path, stored, coeffs)
     code, second, _ = run(capsys, ["expand", "f6i", "--prec", "6", "--json"])
     assert code == EXIT_OK
     assert second == first
@@ -980,8 +1019,8 @@ def test_cache_format_version_gate(capsys, tmp_path, monkeypatch):
 def _entry_window(cache_dir):
     """The window of the one entry in cache_dir."""
     (path,) = cache_dir.glob("*.json")
-    series = json.loads(path.read_text())["series"]
-    return series["valuation"], series["precision"]
+    head, _ = _read_entry(path)
+    return head["valuation"], head["precision"]
 
 
 def test_cache_serves_shorter_precisions_from_one_entry(capsys, tmp_path, monkeypatch):
@@ -1048,19 +1087,43 @@ def test_cache_entry_not_filling_its_window_is_a_miss(capsys, tmp_path, monkeypa
     monkeypatch.setenv("MEROHECKE_CACHE_DIR", str(tmp_path))
     run(capsys, ["expand", "E4", "--prec", "6"])
     (path,) = tmp_path.glob("*.json")
-    stored = json.loads(path.read_text())
-    coeffs = stored["series"]["coefficients"]
+    stored, coeffs = _read_entry(path)
     if edit == "short":
         coeffs.pop()
     elif edit == "long":
         coeffs.append("1")
     else:
         coeffs[2] = "1/0" if edit == "zero-denominator" else "zz"
-    path.write_text(json.dumps(stored))
+    _write_entry(path, stored, coeffs)
     forms.clear_cache()
     assert run(capsys, ["expand", "E4", "--prec", "5"]) == direct
     # the rebuild replaced the entry
     assert _entry_window(tmp_path) == (0, 5)
+
+
+def test_cache_hit_reads_only_the_lines_it_serves(capsys, tmp_path, monkeypatch):
+    # G's P = 40 entry holds [2, 40); line 30 is the coefficient of q^32
+    monkeypatch.delenv("MEROHECKE_CACHE_DIR", raising=False)
+    direct = {}
+    for precision in ("32", "33"):
+        forms.clear_cache()
+        direct[precision] = run(capsys, ["expand", "G", "--prec", precision])
+    monkeypatch.setenv("MEROHECKE_CACHE_DIR", str(tmp_path))
+    assert run(capsys, ["expand", "G", "--prec", "40"])[0] == EXIT_OK
+    (path,) = tmp_path.glob("*.json")
+    stored, coeffs = _read_entry(path)
+    coeffs[30] = "z" * len(coeffs[30])
+    _write_entry(path, stored, coeffs)
+    # a hit at P = 32 reads lines 0 to 29 only, and leaves the entry alone
+    forms.clear_cache()
+    assert run(capsys, ["expand", "G", "--prec", "32"]) == direct["32"]
+    assert _read_entry(path) == (stored, coeffs)
+    # P = 33 needs line 30: a miss, whose build rewrites the entry
+    forms.clear_cache()
+    assert run(capsys, ["expand", "G", "--prec", "33"]) == direct["33"]
+    stored, coeffs = _read_entry(path)
+    assert (stored["valuation"], stored["precision"]) == (2, 33)
+    assert tuple(map(cli._from_hex, coeffs)) == meroforms.build("G", 33).series.coeffs
 
 
 def test_eval_named_form_served_from_cache(capsys, tmp_path, monkeypatch):

@@ -8,7 +8,8 @@ Set MEROHECKE_CACHE_DIR to enable a flat-file series cache with one entry
 per construction string, holding the longest window built so far; every
 shorter precision is served from it, and a hit reads only the entry's
 header line and the coefficient lines below its precision (see
-_cache_load).  Entries are invalidated by bumping the format version.
+_cache_load).  An entry is named by the hash of its construction alone,
+so bumping the format version makes it a miss that is rewritten in place.
 
 Each command builds only the output it prints: the JSON object under
 --json, the text otherwise (see _emit).
@@ -47,7 +48,7 @@ def _cache_path(construction):
     d = _cache_dir()
     if not d:
         return None
-    key = hashlib.sha256(("%d|%s" % (FORMAT_VERSION, construction)).encode()).hexdigest()
+    key = hashlib.sha256(construction.encode()).hexdigest()
     return os.path.join(d, key + ".json")
 
 

@@ -13,13 +13,13 @@ import threading
 from fractions import Fraction
 
 from . import hecke, linalg
-from .qseries import InsufficientPrecision, LaurentSeries, as_coeff
+from .qseries import Immutable, InsufficientPrecision, LaurentSeries, as_coeff
 
 HOLOMORPHIC = "M"
 CUSPIDAL = "S"
 
 
-class ModularForm:
+class ModularForm(Immutable):
     """A weight tag plus a truncated q-expansion; arithmetic tracks weights."""
 
     __slots__ = ("weight", "series")
@@ -27,9 +27,6 @@ class ModularForm:
     def __init__(self, weight, series):
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "series", series)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ModularForm is immutable")
 
     def coefficient(self, n):
         return self.series.coefficient(n)
@@ -219,7 +216,7 @@ def dimension(weight, kind):
     raise ValueError("kind must be %r or %r" % (HOLOMORPHIC, CUSPIDAL))
 
 
-class FormBasis:
+class FormBasis(Immutable):
     """Echelonized basis: element i starts q^(s+i) + ... with zeros at the
     other leading indices."""
 
@@ -230,9 +227,6 @@ class FormBasis:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "elements", tuple(elements))
         object.__setattr__(self, "leading", tuple(leading))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FormBasis is immutable")
 
     def __len__(self):
         return len(self.elements)

@@ -21,8 +21,9 @@ def _ceil_div(a, b):
     return -((-a) // b)
 
 
-def _weight_power(r, weight):
-    """r^(weight - 1), exact, also for nonpositive weights."""
+def weight_power(r, weight):
+    """r^(weight - 1), exact, also for nonpositive weights: the factor of
+    the index-r operator's normalization in the given weight."""
     e = weight - 1
     if e >= 0:
         return r ** e
@@ -40,6 +41,12 @@ def divisors(m):
         i += 1
     out.sort()
     return out
+
+
+def cosets(m):
+    """The upper-triangular representatives (a, b, d) of the index-m
+    operator: a d = m and 0 <= b < d, by ascending d, then b."""
+    return [(m // d, b, d) for d in divisors(m) for b in range(d)]
 
 
 def v_op(f, m):
@@ -93,7 +100,7 @@ def t_op(f, weight, m):
                     "coefficient %d of the input is outside its window" % idx)
             c = f.coefficient(idx)
             if c:
-                acc += _weight_power(r, weight) * c
+                acc += weight_power(r, weight) * c
         out.append(acc)
     return LaurentSeries(lo, out, hi)
 
@@ -101,7 +108,7 @@ def t_op(f, weight, m):
 def t_op_via_uv(f, weight, m):
     """The decomposition sum over r | m of r^(weight-1) V_r U_{m/r}, on the
     window where every piece is defined; an independent route used in tests."""
-    pieces = [v_op(u_op(f, m // r), r).scale(_weight_power(r, weight))
+    pieces = [v_op(u_op(f, m // r), r).scale(weight_power(r, weight))
               for r in divisors(m)]
     lo = min(p.val for p in pieces)
     hi = min(p.prec for p in pieces)

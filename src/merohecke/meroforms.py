@@ -21,13 +21,14 @@ the numeric layer refuses to evaluate them lower.
 """
 
 import ast
+import functools
 import math
 import re
 from collections import namedtuple
 from fractions import Fraction
 
-from .qseries import (LaurentSeries, InsufficientPrecision, ZeroLeadingCoefficient, as_coeff,
-                      compare)
+from .qseries import (Immutable, LaurentSeries, InsufficientPrecision, ZeroLeadingCoefficient,
+                      as_coeff, compare)
 from . import forms, hecke, linalg, whbasis
 from .forms import ModularForm
 from .whbasis import PrincipalPart
@@ -294,7 +295,7 @@ def build(name, precision):
     return form
 
 
-class IdentityReport:
+class IdentityReport(Immutable):
     __slots__ = ("id", "passed", "window", "mismatch")
 
     def __init__(self, ident, passed, window, mismatch=None):
@@ -302,9 +303,6 @@ class IdentityReport:
         object.__setattr__(self, "passed", passed)
         object.__setattr__(self, "window", window)
         object.__setattr__(self, "mismatch", mismatch)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IdentityReport is immutable")
 
     def __bool__(self):
         return self.passed
@@ -428,29 +426,32 @@ def _id_psi_fourier(precision):
 _INFTY_RE = re.compile(r"^infty-eigen\((\d+)\)$")
 
 
+# identity id -> check(precision), in the order `verify all` runs them
+_IDENTITIES = {
+    "bol-f6iinfty": _id_bol_f6iinfty,
+    **{"infty-eigen(%d)" % m: functools.partial(_id_infty_eigen, m) for m in (2, 3, 5, 7)},
+    "g5-def": functools.partial(_id_gdef, "g5", 5),
+    "g7-def": functools.partial(_id_gdef, "g7", 7),
+    "gT2": functools.partial(_id_gt, 2, GT2_POLY),
+    "gT3": functools.partial(_id_gt, 3, GT3_POLY),
+    "G-hecke": _id_g_hecke,
+    "jpoly-eval": _id_jpoly_eval,
+    "F-over-Delta": _id_f_over_delta,
+    "psi-fourier-consistency": _id_psi_fourier,
+}
+
+
 def identity_ids():
-    return ["bol-f6iinfty", "infty-eigen(2)", "infty-eigen(3)", "infty-eigen(5)",
-            "infty-eigen(7)", "g5-def", "g7-def", "gT2", "gT3", "G-hecke",
-            "jpoly-eval", "F-over-Delta", "psi-fourier-consistency"]
+    return list(_IDENTITIES)
 
 
 def verify_identity(ident, precision=None):
     """Exact coefficient-wise verification of one named identity on the
-    maximal provable window; returns an IdentityReport."""
+    maximal provable window; returns an IdentityReport.  infty-eigen(m)
+    is checked for any index m."""
     m = _INFTY_RE.match(ident)
     if m:
         return _id_infty_eigen(int(m.group(1)), precision)
-    table = {
-        "bol-f6iinfty": lambda: _id_bol_f6iinfty(precision),
-        "g5-def": lambda: _id_gdef("g5", 5, precision),
-        "g7-def": lambda: _id_gdef("g7", 7, precision),
-        "gT2": lambda: _id_gt(2, GT2_POLY, precision),
-        "gT3": lambda: _id_gt(3, GT3_POLY, precision),
-        "G-hecke": lambda: _id_g_hecke(precision),
-        "jpoly-eval": lambda: _id_jpoly_eval(precision),
-        "F-over-Delta": lambda: _id_f_over_delta(precision),
-        "psi-fourier-consistency": lambda: _id_psi_fourier(precision),
-    }
-    if ident not in table:
+    if ident not in _IDENTITIES:
         raise KeyError("unknown identity %r (have %s)" % (ident, identity_ids()))
-    return table[ident]()
+    return _IDENTITIES[ident](precision)

@@ -37,7 +37,8 @@ import mpmath
 from mpmath import workprec
 
 from . import forms, hecke, meroforms
-from .hecke import divisors
+from .hecke import cosets, divisors, weight_power
+from .qseries import Immutable
 
 
 _GUARD_BITS = 30
@@ -52,16 +53,13 @@ class DivergentTail(Exception):
     """Observed coefficient growth beats |q| decay on the stored window."""
 
 
-class EvalResult:
+class EvalResult(Immutable):
     __slots__ = ("value", "err_bound", "tail_note")
 
     def __init__(self, value, err_bound, tail_note=None):
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "err_bound", err_bound)
         object.__setattr__(self, "tail_note", tail_note)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EvalResult is immutable")
 
     def __complex__(self):
         return complex(self.value)
@@ -82,7 +80,7 @@ class EvalResult:
             ", " + self.tail_note if self.tail_note else "")
 
 
-class HPoint:
+class HPoint(Immutable):
     """A point of the upper half-plane; coordinates are kept in their
     given form (string, int, float, mpf) and converted at use precision."""
 
@@ -95,9 +93,6 @@ class HPoint:
             raise ValueError("imaginary part must be positive")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HPoint is immutable")
 
     @classmethod
     def parse(cls, text):
@@ -117,7 +112,7 @@ class HPoint:
         return "HPoint(%s, %s)" % (self.x, self.y)
 
 
-class PoincareSeed:
+class PoincareSeed(Immutable):
     """Weight parameter k (the sum has weight 2k), inner exponent ell, and
     the center point; 2k >= 4 for absolute convergence."""
 
@@ -129,9 +124,6 @@ class PoincareSeed:
         object.__setattr__(self, "k", int(k))
         object.__setattr__(self, "ell", int(ell))
         object.__setattr__(self, "center", center)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PoincareSeed is immutable")
 
     def __repr__(self):
         return "PoincareSeed(k=%d, ell=%d, center=%r)" % (self.k, self.ell, self.center)
@@ -343,48 +335,33 @@ def slash_value(f, weight, gamma, z, bits=200, min_height=None):
                           inner.tail_note)
 
 
-def hecke_value(f, weight, m, z, bits=200, min_height=None, mode="series"):
-    """Value of (f | T_m) at a point, by the exact-series route (apply the
-    operator to coefficients, then evaluate) or the coset route (weighted
-    sum of f((az+b)/d) over ad = m, b mod d)."""
-    if mode == "series":
-        return eval_series(hecke.t_op(f, weight, m), z, bits, min_height)
-    if mode != "coset":
-        raise ValueError("mode must be 'series' or 'coset'")
-    if weight % 2:
-        raise ValueError("weight must be even")
-    kappa = weight // 2
-    with workprec(bits + _GUARD_BITS):
-        zz = _as_mpc(z)
-        total = mpmath.mpc(0)
-        err = mpmath.mpf(0)
-        outer = mpmath.mpf(m) ** (kappa - 1)
-        for d in divisors(m):
-            a = m // d
-            factor = mpmath.mpf(m) ** kappa / mpmath.mpf(d) ** weight
-            for b in range(d):
-                res = eval_series(f, (a * zz + b) / d, bits, min_height)
-                total += factor * res.value
-                err += abs(factor) * res.err_bound
-        return EvalResult(outer * total, outer * err)
+def hecke_value(f, weight, m, z, bits=200, min_height=None):
+    """Value of (f | T_m) at a point: the operator applied to the exact
+    coefficients, then the image evaluated."""
+    return eval_series(hecke.t_op(f, weight, m), z, bits, min_height)
 
 
 def hecke_value_agreement(f, weight, m, z, bits=200, min_height=None):
-    """Both hecke_value routes plus their relative difference; the routes
-    share no code past eval_series."""
-    s = hecke_value(f, weight, m, z, bits, min_height, mode="series")
-    c = hecke_value(f, weight, m, z, bits, min_height, mode="coset")
+    """hecke_value against the coset route, the textbook
+    m^(w/2 - 1) * sum of f |_w ((a, b), (0, d)) over hecke.cosets(m), plus
+    their relative difference; the routes share no code past eval_series."""
+    s = hecke_value(f, weight, m, z, bits, min_height)
     with workprec(bits + _GUARD_BITS):
+        parts = [slash_value(f, weight, ((a, b), (0, d)), z, bits, min_height)
+                 for a, b, d in cosets(m)]
+        outer = mpmath.mpf(m) ** (weight // 2 - 1)
+        c = EvalResult(outer * mpmath.fsum(p.value for p in parts),
+                       outer * mpmath.fsum(p.err_bound for p in parts))
         denom = max(abs(s.value), abs(c.value))
         rel = abs(s.value - c.value) / denom if denom > 0 else mpmath.mpf(0)
     return {"series": s, "coset": c, "rel_diff": rel}
 
 
-def alpha_constant(bits=200, precision=48):
+def alpha_constant(bits=200):
     """The ratio (weight-8 Eisenstein / discriminant) at z = i; a positive
     real constant near 1187.0065."""
-    e8 = forms.eisenstein(8, precision).series
-    dl = forms.delta(precision).series
+    e8 = forms.eisenstein(8, 48).series
+    dl = forms.delta(48).series
     with workprec(bits + _GUARD_BITS):
         zi = mpmath.mpc(0, 1)
         num = eval_series(e8, zi, bits).value
@@ -442,7 +419,7 @@ def script_g_coefficient(g, k, ell, zz, m, bits=200):
     the center point: the q^m coefficient of the associated two-variable
     kernel as a function of z."""
     weight = 2 * ell - 2 * k
-    res = hecke_value(g, weight, m, zz, bits, mode="series")
+    res = hecke_value(g, weight, m, zz, bits)
     with workprec(bits + _GUARD_BITS):
         factor = mpmath.mpf(m) ** (2 * k - ell)
         return EvalResult(factor * res.value, factor * res.err_bound, res.tail_note)
@@ -459,20 +436,18 @@ def _terms_past_peak(mu, ln_target):
     return j
 
 
-def verify_f6i_eigen(m, n_max=10, bits=200, tol=1e-10, sigma_shift=0):
+def verify_f6i_eigen(m, n_max=10, bits=200, tol=1e-10):
     """Numeric verification of the weight-6 elliptic-point eigenvalue
     identity for m in {5, 7}: the exact rational coefficient of q^n in
     (f6i | T_m) - sigma_5(m) f6i must equal the n-th kernel coefficient
-    n^5 (g|T_n)(i) built from the named form g5/g7 de-scaled by alpha.
-
-    sigma_shift perturbs the eigenvalue and is only for negative controls."""
+    n^5 (g|T_n)(i) built from the named form g5/g7 de-scaled by alpha."""
     if m not in (5, 7):
         raise ValueError("the identity is stated for m in {5, 7}")
     name = "g5" if m == 5 else "g7"
     pf = m * n_max + 2
     f6i = meroforms.build("f6i", pf).series
     image = hecke.t_op(f6i, 6, m)
-    lhs_series = image.sub(f6i.scale(forms.sigma(5, m) + sigma_shift).truncate(image.prec))
+    lhs_series = image.sub(f6i.scale(forms.sigma(5, m)).truncate(image.prec))
     terms = _terms_past_peak(m * n_max, math.log(tol) - 25)
     series_precision = int(n_max * terms * 1.1) + 10
     gm = meroforms.build(name, series_precision).series
@@ -854,15 +829,12 @@ def psi_two_variable_check(k, ell, center, z, n, bound=40, bits=53, tol=1e-2):
     tails = 0.0
     # z-side coset sum
     lhs = 0j
-    for d in divisors(n):
-        a = n // d
-        for b in range(d):
-            w = (a * pt + b) / d
-            res = psi_truncated(seed, w, bound, bits)
-            lhs += complex(res.value) / d ** (2 * k)
-            tails += float(res.err_bound) / d ** (2 * k)
-    lhs *= n ** (2 * k - 1)
-    tails *= n ** (2 * k - 1)
+    for a, b, d in cosets(n):
+        res = psi_truncated(seed, (a * pt + b) / d, bound, bits)
+        lhs += complex(res.value) / d ** (2 * k)
+        tails += float(res.err_bound) / d ** (2 * k)
+    lhs *= weight_power(n, 2 * k)
+    tails *= weight_power(n, 2 * k)
     # center-side sum
     rhs = 0j
     for r in divisors(n):

@@ -257,7 +257,17 @@ def _divide_series(num, vn, pn, den, target):
     return LaurentSeries._make(lo, tuple(coeffs), target)
 
 
-class LaurentSeries:
+class Immutable:
+    """Base of the value types: attributes are set once, in the constructor,
+    through object.__setattr__, and never rebound."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+
+class LaurentSeries(Immutable):
     """Immutable truncated Laurent series over the rationals."""
 
     __slots__ = ("val", "prec", "coeffs")
@@ -285,9 +295,6 @@ class LaurentSeries:
         object.__setattr__(s, "prec", precision)
         object.__setattr__(s, "coeffs", coeffs)
         return s
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentSeries is immutable")
 
     # -- constructors -------------------------------------------------
 

@@ -8,19 +8,19 @@ term ("modM!", dual to the cusp space in weight 2k) and classes modulo
 zero-constant-term forms ("modS!", dual to the full holomorphic space).
 For even 2k >= 2 the classes of q^-1 .. q^-d are a basis; the index-m
 action on them is an exact d x d rational matrix Q, found by one row
-reduction.  The paper's normalization is written once, in scaled_charpoly:
-charpoly(m^(2k-1) * Q), read off charpoly(Q) by linalg.scale_roots, which
-matches_dual compares exactly with the classical charpoly on the dual space.
+reduction.  The paper's normalization, the factor m^(2k-1) of
+hecke.weight_power, enters in scaled_charpoly: charpoly(m^(2k-1) * Q), read
+off charpoly(Q) by linalg.scale_roots, which matches_dual compares exactly
+with the classical charpoly on the dual space.
 quotient_hecke_matrix, theorem_check and eigen_witness refuse any other
 weight with ValueError: in weight 0 the class of q^-1 pairs to zero
 against the constants, and odd or negative weights have no quotient.
 """
 
-from fractions import Fraction
-
-from .qseries import as_coeff
+from .qseries import Immutable, as_coeff
 from . import forms, hecke, linalg, whbasis
 from .forms import HOLOMORPHIC, CUSPIDAL
+from .hecke import weight_power
 from .whbasis import PrincipalPart
 
 
@@ -69,7 +69,7 @@ def hecke_on_principal_part(pp, weight, m):
     return PrincipalPart.from_series(hecke.t_op(pp.to_series(1), weight, m))
 
 
-class QuotientClass:
+class QuotientClass(Immutable):
     """Coordinates of a principal part in the quotient, written against the
     echelon dual basis."""
 
@@ -79,9 +79,6 @@ class QuotientClass:
         object.__setattr__(self, "weight2k", weight2k)
         object.__setattr__(self, "kind", _canon_kind(kind))
         object.__setattr__(self, "coords", tuple(coords))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuotientClass is immutable")
 
     def is_zero(self):
         return all(c == 0 for c in self.coords)
@@ -146,7 +143,7 @@ def quotient_hecke_matrix(weight2k, kind, m):
 def scaled_charpoly(q, weight2k, m):
     """charpoly(m^(2k-1) * q), the index-m quotient matrix q in weight 2k
     scaled to the normalization of the dual space."""
-    return linalg.scale_roots(linalg.charpoly(q), m ** (weight2k - 1))
+    return linalg.scale_roots(linalg.charpoly(q), weight_power(m, weight2k))
 
 
 def matches_dual(scaled_cp, weight2k, kind, m):
@@ -181,7 +178,7 @@ def eigen_witness(weight2k, m, eigenvalue, kind=None, precision=24):
         kind = _canon_kind(kind)
     w = 2 - weight2k
     pp1 = PrincipalPart({1: 1})
-    lam = as_coeff(eigenvalue) * Fraction(1, m ** (weight2k - 1))
+    lam = as_coeff(eigenvalue) * weight_power(m, w)
     diff = hecke_on_principal_part(pp1, w, m) - pp1.scale(lam)
     in_s_shriek = kind == MOD_S
     return whbasis.solve_principal_part(w, diff, in_s_shriek, precision)

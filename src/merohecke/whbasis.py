@@ -13,7 +13,7 @@ echelon basis.
 
 from fractions import Fraction
 
-from .qseries import LaurentSeries, InsufficientPrecision, as_coeff, compare
+from .qseries import Immutable, LaurentSeries, InsufficientPrecision, as_coeff, compare
 from . import forms
 from .forms import ModularForm, FormBasis, HOLOMORPHIC, CUSPIDAL
 
@@ -27,7 +27,7 @@ class NotPolynomialInJ(Exception):
     pass
 
 
-class PrincipalPart:
+class PrincipalPart(Immutable):
     """Finite prescription {r: coefficient of q^-r, r >= 1} plus a constant
     term.  Zero entries are dropped."""
 
@@ -44,9 +44,6 @@ class PrincipalPart:
                 clean[r] = c
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "constant", as_coeff(constant))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PrincipalPart is immutable")
 
     @classmethod
     def from_series(cls, s):
@@ -107,7 +104,7 @@ class PrincipalPart:
         return "PrincipalPart(%s)" % " + ".join(parts)
 
 
-class ObstructionWitness:
+class ObstructionWitness(Immutable):
     """Nonzero pairing vector certifying that no form with the requested
     principal part exists; indexed by the echelon dual basis."""
 
@@ -117,9 +114,6 @@ class ObstructionWitness:
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "dual_kind", dual_kind)
         object.__setattr__(self, "vector", tuple(vector))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ObstructionWitness is immutable")
 
     def is_zero(self):
         return all(c == 0 for c in self.vector)
@@ -234,15 +228,13 @@ def solve_principal_part(weight, pp, in_s_shriek, precision):
     return ModularForm(weight, sol.truncate(precision))
 
 
-def j_polynomial_decompose(f, seed, max_precision_used=None):
+def j_polynomial_decompose(f, seed):
     """Write f = seed * Q(j) and return Q's coefficients ascending; raises
     NotPolynomialInJ when the ratio is not a polynomial in j on the provable
     window."""
     if f.weight != seed.weight:
         raise ValueError("weight mismatch: %d vs %d" % (f.weight, seed.weight))
     ratio = f.series.div(seed.series)
-    if max_precision_used is not None:
-        ratio = ratio.truncate(min(ratio.prec, max_precision_used))
     if ratio.prec < 1:
         raise InsufficientPrecision("ratio window ends at %d" % ratio.prec)
     v = ratio.valuation()
@@ -267,7 +259,7 @@ def j_polynomial_decompose(f, seed, max_precision_used=None):
     return coeffs
 
 
-class BolReport:
+class BolReport(Immutable):
     """Outcome of a Bol-image membership test."""
 
     __slots__ = ("ok", "witness", "obstruction", "mismatch", "window")
@@ -278,9 +270,6 @@ class BolReport:
         object.__setattr__(self, "obstruction", obstruction)
         object.__setattr__(self, "mismatch", mismatch)
         object.__setattr__(self, "window", window)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BolReport is immutable")
 
     def __bool__(self):
         return self.ok

@@ -1016,6 +1016,19 @@ def test_cache_format_version_gate(capsys, tmp_path, monkeypatch):
     assert second == first
 
 
+def test_cache_format_bump_replaces_the_entry(capsys, tmp_path, monkeypatch):
+    # the header gates the format, so an entry of an older version is
+    # rewritten under the same name, not left behind
+    monkeypatch.setenv("MEROHECKE_CACHE_DIR", str(tmp_path))
+    version = cli.FORMAT_VERSION
+    monkeypatch.setattr(cli, "FORMAT_VERSION", version - 1)
+    assert run(capsys, ["expand", "f6i", "--prec", "8"])[0] == EXIT_OK
+    monkeypatch.setattr(cli, "FORMAT_VERSION", version)
+    assert run(capsys, ["expand", "f6i", "--prec", "8"])[0] == EXIT_OK
+    (path,) = list(tmp_path.glob("*.json"))
+    assert _read_entry(path)[0]["format"] == version
+
+
 def _entry_window(cache_dir):
     """The window of the one entry in cache_dir."""
     (path,) = cache_dir.glob("*.json")

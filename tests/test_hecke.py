@@ -28,6 +28,13 @@ def test_divisors():
     assert divisors(1) == [1]
 
 
+def test_cosets():
+    for m in range(1, 61):
+        reps = hecke.cosets(m)
+        assert len(set(reps)) == len(reps) == sigma(1, m)
+        assert all(a * d == m and 0 <= b < d for a, b, d in reps)
+
+
 def test_v_op_window_and_values():
     f = LaurentSeries(-1, [2, 0, 5])  # [-1, 2)
     g = v_op(f, 3)

@@ -396,11 +396,6 @@ def test_hecke_value_routes_agree():
         assert abs(image + 24 * direct) / abs(direct) < mpmath.mpf(1e-40)
 
 
-def test_hecke_value_mode_guard():
-    with pytest.raises(ValueError):
-        hecke_value(forms.delta(10).series, 12, 2, (0, 1.5), mode="parallel")
-
-
 # -- special constants -------------------------------------------------------
 
 def test_alpha_constant():
@@ -452,12 +447,14 @@ def test_verify_f6i_eigen_small():
     assert out7["max_rel"] < 1e-20
 
 
-def test_verify_f6i_eigen_negative_control():
+def test_verify_f6i_eigen_negative_control(monkeypatch):
     # perturbing the eigenvalue moves the residual from rounding level to
     # the size of the f6i coefficients relative to the huge lhs ones; the
     # effect is small in relative terms but far above the true residual
     clean = verify_f6i_eigen(5, n_max=2, bits=150)
-    shifted = verify_f6i_eigen(5, n_max=2, bits=150, sigma_shift=1)
+    sigma = forms.sigma
+    monkeypatch.setattr(forms, "sigma", lambda r, n: sigma(r, n) + 1)
+    shifted = verify_f6i_eigen(5, n_max=2, bits=150)
     assert shifted["max_rel"] > 1e-12
     assert shifted["max_rel"] > 1e6 * clean["max_rel"]
 

@@ -1,5 +1,5 @@
-"""Package hygiene: the public names resolve, and no module imports a name
-it never uses."""
+"""Package hygiene: the public names resolve, no module imports a name it
+never uses, and one class holds the immutability rule."""
 
 import ast
 import os
@@ -36,3 +36,18 @@ def test_no_unused_imports():
             if found:
                 unused[fname] = found
     assert not unused
+
+
+def test_only_immutable_defines_setattr():
+    # the value types inherit qseries.Immutable instead of each carrying
+    # its own copy of the rule
+    found = []
+    for fname in sorted(os.listdir(SRC)):
+        if fname.endswith(".py"):
+            with open(os.path.join(SRC, fname)) as fh:
+                tree = ast.parse(fh.read(), fname)
+            found += ["%s:%s" % (fname, node.name) for node in ast.walk(tree)
+                      if isinstance(node, ast.ClassDef)
+                      and any(isinstance(d, ast.FunctionDef) and d.name == "__setattr__"
+                              for d in node.body)]
+    assert found == ["qseries.py:Immutable"]

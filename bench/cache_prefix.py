@@ -25,13 +25,16 @@ once at the largest precision any of its jobs asks for, then runs all the
 universe's jobs on that cache: each must be a hit and reproduce its
 recorded exit code and digest.
 
-With --hits, only times cache hits, best of --reps: of G at P = 100, 250
-and 487 on its P = 500 entry, and of g7 at P = 300 on its P = 500 entry.
-For each it prints the load (cli._cache_load), the text format (str of
-the served series, which `expand` prints), the JSON format (the --json
-output), and the whole `expand` job through cli.main with and without
---json, the in-process memo cleared before each.  Run it from the root of
-a checkout.
+With --hits, only times cache hits on P = 500 entries, best of --reps:
+`expand` of G at P = 100, 250 and 487, of g7 at P = 300 and of
+E4^3/delta - 744 at P = 359 (a median-sized hit of the decks), and `hecke
+--m 3` of G at P = 250 and of g7 at P = 132.  Entries are cache format 5,
+one coefficient's decimal text per line.  For each it prints the load
+(cli._cache_load: the served lines, checked canonical), the form
+(cli._build_form: the load plus the int parse that `hecke` and `eval`
+pay), for `expand` the text and JSON formatted from the served lines, and
+the whole job through cli.main with and without --json, the in-process
+memo cleared before each.  Run it from the root of a checkout.
 """
 
 import argparse
@@ -49,7 +52,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import harness  # noqa: E402
 import jobs  # noqa: E402
-from merohecke import cli, forms, meroforms  # noqa: E402
+from merohecke import cli, forms, meroforms, qseries  # noqa: E402
 
 CACHE_ENV = "MEROHECKE_CACHE_DIR"
 
@@ -71,11 +74,11 @@ class Recorder:
             hits.append(hit is not None)
             return hit
 
-        def build_form(name, precision):
+        def build_form(name, precision, **kw):
             construction = meroforms.CONSTRUCTIONS.get(name, name)
             del hits[:]
             try:
-                form = self._build_form(name, precision)
+                form = self._build_form(name, precision, **kw)
             except Exception:
                 self.records.append((construction, precision, hits[0], False))
                 raise
@@ -158,7 +161,10 @@ def timing(reps, scratch):
           "hit on a P = 500 entry %.2f ms" % (reps, 1e3 * build_s, 1e3 * hit_s))
 
 
-HITS = (("G", 500, 100), ("G", 500, 250), ("G", 500, 487), ("g7", 500, 300))
+HITS = (("expand", "G", 100), ("expand", "G", 250), ("expand", "G", 487),
+        ("expand", "g7", 300), ("expand", "E4^3/delta - 744", 359),
+        ("hecke", "G", 250), ("hecke", "g7", 132))
+HIT_ENTRY = 500
 
 
 def hit_timing(reps, scratch):
@@ -175,24 +181,32 @@ def hit_timing(reps, scratch):
         code, _, err, _ = harness.run_job(cli, argv)
         assert code == 0, (argv, err)
 
+    def cell(ms):
+        return "%8s" % "-" if ms is None else "%8.3f" % ms
+
     os.environ[CACHE_ENV] = tempfile.mkdtemp(dir=scratch)
-    print("cache hits, best of %d, ms:" % reps)
-    print("  %-4s %5s %5s %8s %8s %8s %8s %9s"
-          % ("name", "entry", "P", "load", "text", "json", "job", "job-json"))
-    for name, entry, precision in HITS:
+    print("cache hits on P = %d entries, best of %d, ms:" % (HIT_ENTRY, reps))
+    print("  %-6s %-16s %4s %8s %8s %8s %8s %8s %9s"
+          % ("cmd", "name", "P", "load", "form", "text", "json", "job", "job-json"))
+    for command, name, precision in HITS:
         forms.clear_cache()
-        cli._build_form(name, entry)
-        construction = meroforms.CONSTRUCTIONS[name]
-        form = cli._cache_load(construction, precision)
-        assert form is not None and form.series.prec == precision, (name, precision)
-        argv = ["expand", name, "--prec", str(precision)]
-        print("  %-4s %5d %5d %8.3f %8.3f %8.3f %8.3f %9.3f" % (
-            name, entry, precision,
-            best(lambda: cli._cache_load(construction, precision)),
-            best(lambda: str(form.series)),
-            best(lambda: json.dumps(cli._series_json(form.series, form.weight, name),
-                                    indent=2, default=str)),
-            best(lambda: job(argv)), best(lambda: job(argv + ["--json"]))))
+        cli._build_form(name, HIT_ENTRY)
+        construction = meroforms.CONSTRUCTIONS.get(name, name)
+        weight, val, texts = cli._cache_load(construction, precision)
+        assert val + len(texts) == precision, (name, precision)
+        argv = [command, name, "--prec", str(precision)]
+        if command == "hecke":
+            argv += ["--m", "3"]
+        text = obj = None
+        if command == "expand":
+            text = best(lambda: qseries.series_str(val, texts))
+            obj = best(lambda: json.dumps(cli._series_json(qseries.series_obj(val, texts),
+                                                           weight, name), indent=2, default=str))
+        print("  %-6s %-16.16s %4d %s %s %s %s %s %9.3f" % (
+            command, name, precision,
+            cell(best(lambda: cli._cache_load(construction, precision))),
+            cell(best(lambda: cli._build_form(name, precision))), cell(text), cell(obj),
+            cell(best(lambda: job(argv))), best(lambda: job(argv + ["--json"]))))
 
 
 def universe_check(universe, scratch):

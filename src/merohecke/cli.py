@@ -5,9 +5,9 @@ obstructed request, 2 usage or parse error, 3 numeric guard tripped
 (validity-height or divergent-tail errors).
 
 Set MEROHECKE_CACHE_DIR to enable a flat-file series cache with one entry
-per construction string, holding the longest window built so far; every
-shorter precision is served from it, and a hit reads only the entry's
-header line and the coefficient lines below its precision (see
+per construction string, holding the longest window built so far as the
+decimal text `expand` prints; every shorter precision is served from it,
+and a hit reads only the header and the lines below its precision (see
 _cache_load).  An entry is named by the hash of its construction alone,
 so bumping the format version makes it a miss that is rewritten in place.
 
@@ -23,14 +23,13 @@ import os
 import re
 import sys
 import tempfile
-from fractions import Fraction
 
 from . import hecke, linalg, meroforms, numeval, qseries, quotient, whbasis
 from .forms import ModularForm
 from .numeval import HPoint, PoincareSeed, RegionGuard, DivergentTail
 from .whbasis import ObstructionWitness, PrincipalPart
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -52,30 +51,24 @@ def _cache_path(construction):
     return os.path.join(d, key + ".json")
 
 
-# cache entries hold coefficients as "%x" or "%x/%x": hex conversion is
-# linear and has no digit limit, unlike int <-> decimal str
-def _to_hex(c):
-    return "%x" % c if type(c) is int else "%x/%x" % (c.numerator, c.denominator)
-
-
-def _from_hex(text):
-    num, _, den = text.partition("/")
-    return Fraction(int(num, 16), int(den, 16)) if den else int(num, 16)
+# Served entry lines: each the decimal text str() gives an int or, with a
+# "/", a Fraction, reduced and not integral (a round trip checks those lines).
+_CANONICAL_LINES = re.compile(r"(?:(?:0|-?[1-9][0-9]*)(?:/[1-9][0-9]*)?\n)*")
 
 
 def _cache_load(construction, precision):
-    """The cached form of construction truncated to precision, or None.
+    """The entry (weight, val, texts) of construction to precision, or None.
 
     An entry holds the longest window [val, prec) built so far: one JSON
-    header line, then one hex coefficient per line.  A build truncated to P
-    gives what a build at P gives (the invariant forms._cached serves its
-    hits on too), so every val < P <= prec is a hit, and only the header and
-    the P - val lines below P are read.  An empty window, P <= val, is a
-    miss: the builder decides whether it exists (the constant 7 has none at
-    P = 0).  So is an entry whose file size is not its header line's
-    plus the body size the header declares, which catches a short or long
-    entry without reading its tail, and one whose served lines do not
-    parse."""
+    header line, then each coefficient's canonical decimal text on a line.
+    A build truncated to P gives what a build at P gives (the invariant
+    forms._cached serves its hits on too), so every val < P <= prec is a
+    hit, and only the header and the P - val lines below P are read, as one
+    block.  An empty window, P <= val, is a miss: the builder decides
+    whether it exists (the constant 7 has none at P = 0).  So is an entry
+    whose file size is not its header line's plus the body size the header
+    declares, which catches a short or long entry without reading its tail,
+    and one whose served lines are not all canonical (_CANONICAL_LINES)."""
     path = _cache_path(construction)
     if not path:
         return None
@@ -89,17 +82,21 @@ def _cache_load(construction, precision):
             if not val < precision <= prec \
                     or os.fstat(fh.fileno()).st_size != len(line) + int(head["size"]):
                 return None
-            coeffs = [_from_hex(c) for c in itertools.islice(fh, precision - val)]
-        if len(coeffs) != precision - val:
+            block = "".join(itertools.islice(fh, precision - val))
+        texts = block.split("\n")
+        if not _CANONICAL_LINES.fullmatch(block) or texts.pop() or len(texts) != precision - val \
+                or "/" in block and any(qseries._dec_str(qseries.as_coeff(t)) != t
+                                        for t in texts if "/" in t):
             return None
-        return ModularForm(int(head["weight"]), qseries.LaurentSeries(val, coeffs, precision))
-    except (OSError, ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError):
+        return int(head["weight"]), val, texts
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
         # a missing, corrupt or malformed entry is a miss
         return None
 
 
-def _cache_store(construction, form):
-    """Make form the entry of construction, replacing any shorter one.
+def _cache_store(construction, entry):
+    """Make entry, (weight, val, texts) as _cache_load returns it, the entry
+    of construction, replacing any shorter one.
 
     Writers do not lock: a concurrent writer may replace a longer entry with
     a shorter one, which costs later requests a hit but never gives a wrong
@@ -108,14 +105,16 @@ def _cache_store(construction, form):
     if not path:
         return
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    body = "".join(_to_hex(c) + "\n" for c in form.series.coeffs)
+    weight, val, texts = entry
     head = json.dumps({"format": FORMAT_VERSION, "construction": construction,
-                       "weight": form.weight, "valuation": form.series.val,
-                       "precision": form.series.prec, "size": len(body)})
+                       "weight": weight, "valuation": val, "precision": val + len(texts),
+                       "size": sum(map(len, texts)) + len(texts)})
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
+        # line by line, so that no copy of the whole body is made
         with os.fdopen(fd, "w") as fh:
-            fh.write(head + "\n" + body)
+            fh.write(head + "\n")
+            fh.writelines(t + "\n" for t in texts)
         os.replace(tmp, path)
     except (OSError, ValueError):
         try:
@@ -124,23 +123,33 @@ def _cache_store(construction, form):
             pass
 
 
-def _build_form(name_or_expr, precision):
-    """Named form or whitelisted expression, through the flat-file cache."""
-    if name_or_expr in meroforms.CONSTRUCTIONS:
-        construction = meroforms.CONSTRUCTIONS[name_or_expr]
-    else:
-        construction = name_or_expr
-    hit = _cache_load(construction, precision)
-    if hit is not None:
-        return hit
+def _build_form(name_or_expr, precision, as_text=False):
+    """Named form or whitelisted expression, through the flat-file cache: a
+    ModularForm, or under as_text its entry (weight, val, texts).  A miss
+    converts its coefficients to text once, and only if one of them needs it."""
+    construction = meroforms.CONSTRUCTIONS.get(name_or_expr, name_or_expr)
+    entry = _cache_load(construction, precision)
+    if entry is not None:
+        if as_text:
+            return entry
+        weight, val, texts = entry
+        try:
+            coeffs = tuple(map(int, texts))
+        except ValueError:
+            # a fraction, or past CPython's str -> int digit limit
+            coeffs = tuple(map(qseries.as_coeff, texts))
+        return ModularForm(weight, qseries.LaurentSeries._make(val, coeffs, val + len(texts)))
     if name_or_expr in meroforms.CONSTRUCTIONS:
         form = meroforms.build(name_or_expr, precision)
     else:
         form = meroforms.build_expression(name_or_expr, precision)
     # an empty window serves nothing and would replace a longer entry
-    if form.series.prec > form.series.val:
-        _cache_store(construction, form)
-    return form
+    store = _cache_dir() and form.series.prec > form.series.val
+    if as_text or store:
+        entry = form.weight, form.series.val, qseries.coeff_texts(form.series)
+    if store:
+        _cache_store(construction, entry)
+    return entry if as_text else form
 
 
 # -- helpers -------------------------------------------------------------
@@ -155,8 +164,7 @@ def _emit(args, obj, text):
 
 
 def _series_json(series, weight=None, name=None):
-    obj = {"series": qseries.to_json_obj(series),
-           "window": [series.val, series.prec]}
+    obj = {"series": series, "window": [series["valuation"], series["precision"]]}
     if weight is not None:
         obj["weight"] = weight
     if name is not None:
@@ -205,16 +213,16 @@ def _load_series_arg(target, weight_flag, precision):
 # -- subcommands ---------------------------------------------------------
 
 def _cmd_expand(args):
-    form = _build_form(args.name, args.prec)
-    _emit(args, lambda: _series_json(form.series, form.weight, args.name),
-          lambda: str(form.series))
+    weight, val, texts = _build_form(args.name, args.prec, as_text=True)
+    _emit(args, lambda: _series_json(qseries.series_obj(val, texts), weight, args.name),
+          lambda: qseries.series_str(val, texts))
     return EXIT_OK
 
 
 def _cmd_hecke(args):
     weight, series, label = _load_series_arg(args.target, args.weight, args.prec)
     image = hecke.t_op(series, weight, args.m)
-    _emit(args, lambda: _series_json(image, weight),
+    _emit(args, lambda: _series_json(qseries.to_json_obj(image), weight),
           lambda: "window [%d, %d)\n%s" % (image.val, image.prec, image))
     return EXIT_OK
 
@@ -228,7 +236,8 @@ def _cmd_solve_pp(args):
               "obstructed: pairing vector %s against the weight-%d %s basis"
               % (vec, 2 - args.weight, "holomorphic" if sol.dual_kind == "M" else "cusp"))
         return EXIT_MISMATCH
-    _emit(args, lambda: _series_json(sol.series, sol.weight), lambda: str(sol.series))
+    _emit(args, lambda: _series_json(qseries.to_json_obj(sol.series), sol.weight),
+          lambda: str(sol.series))
     return EXIT_OK
 
 

@@ -3,7 +3,7 @@
 from fractions import Fraction
 from math import lcm
 
-from .qseries import as_coeff, terms_str
+from .qseries import _dec_str, as_coeff, terms_str
 
 
 def rref(rows):
@@ -112,7 +112,7 @@ def scale_roots(p, c):
 
 def poly_str(coeffs, var="x"):
     """Human form of an ascending coefficient list."""
-    return terms_str(((e, coeffs[e]) for e in range(len(coeffs) - 1, -1, -1)), var)
+    return terms_str(((e, _dec_str(coeffs[e])) for e in range(len(coeffs) - 1, -1, -1)), var)
 
 
 def poly_eval(coeffs, x):

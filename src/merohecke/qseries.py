@@ -472,30 +472,41 @@ class LaurentSeries(Immutable):
         return "LaurentSeries(val=%d, prec=%d, %s)" % (self.val, self.prec, str(self))
 
     def __str__(self):
-        return "%s + O(q^%d)" % (terms_str(self.coeff_items(), "q"), self.prec)
+        return series_str(self.val, coeff_texts(self))
+
+
+def coeff_texts(s):
+    """The canonical decimal text of each coefficient of s: "-3", "1/2"."""
+    try:
+        return list(map(str, s.coeffs))
+    except ValueError:
+        # past CPython's int -> str digit limit
+        return list(map(_dec_str, s.coeffs))
+
+
+def series_str(val, texts):
+    """The text of the series on [val, val + len(texts)) with coefficient texts."""
+    return "%s + O(q^%d)" % (terms_str(enumerate(texts, val), "q"), val + len(texts))
 
 
 def terms_str(items, var):
-    """Nonzero terms c*var^n of (n, c) pairs, in order: "-3*q^-1 + q - 1/2*q^2"."""
+    """Nonzero terms c*var^n of (n, c) pairs, c as text, in order: "-3*q^-1 + q - 1/2*q^2"."""
     parts = []
     for n, c in items:
-        if not c:
+        if c == "0":
             continue
-        mag = abs(c)
-        try:
-            if n == 0:
-                term = str(mag)
-            else:
-                vp = var if n == 1 else "%s^%d" % (var, n)
-                term = vp if mag == 1 else "%s*%s" % (mag, vp)
-        except ValueError:
-            # past CPython's int -> str digit limit
-            term = _dec_str(mag) if n == 0 else "%s*%s" % (_dec_str(mag), vp)
-        if not parts:
-            parts.append(term if c > 0 else "-" + term)
+        sign, c = ("- ", c[1:]) if c[0] == "-" else ("+ ", c)
+        if n == 0:
+            parts.append(sign + c)
+        elif c == "1":
+            parts.append(f"{sign}{var}" if n == 1 else f"{sign}{var}^{n}")
         else:
-            parts.append(("+ " if c > 0 else "- ") + term)
-    return " ".join(parts) if parts else "0"
+            parts.append(f"{sign}{c}*{var}" if n == 1 else f"{sign}{c}*{var}^{n}")
+    if not parts:
+        return "0"
+    # the first term has no space after its sign, and no sign if positive
+    parts[0] = parts[0][2:] if parts[0][0] == "+" else "-" + parts[0][2:]
+    return " ".join(parts)
 
 
 class Comparison(NamedTuple):
@@ -525,12 +536,12 @@ def compare(a, b):
 # -- serialization ----------------------------------------------------
 
 def to_json_obj(s):
-    try:
-        coeffs = [str(c) for c in s.coeffs]
-    except ValueError:
-        # past CPython's int -> str digit limit
-        coeffs = [_dec_str(c) for c in s.coeffs]
-    return {"valuation": s.val, "precision": s.prec, "coefficients": coeffs}
+    return series_obj(s.val, coeff_texts(s))
+
+
+def series_obj(val, texts):
+    """The JSON object of the series on [val, val + len(texts)) with coefficient texts."""
+    return {"valuation": val, "precision": val + len(texts), "coefficients": texts}
 
 
 def from_json_obj(obj):

@@ -1,15 +1,19 @@
 """Command-line interface: output formats, exit codes, and the series cache."""
 
+import contextlib
 import decimal
 import hashlib
+import io
 import json
 import os
+import tempfile
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from merohecke import cli, forms, linalg, meroforms, qseries, quotient
+from merohecke import cli, forms, hecke, linalg, meroforms, qseries, quotient
 from merohecke.cli import EXIT_GUARD, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from merohecke.forms import ModularForm
 from merohecke.qseries import LaurentSeries
@@ -565,6 +569,7 @@ def test_only_the_output_asked_for_is_built(capsys, monkeypatch, argv):
 
     with monkeypatch.context() as m:
         m.setattr(qseries, "to_json_obj", refuse)
+        m.setattr(qseries, "series_obj", refuse)
         m.setattr(cli, "_matrix_strs", refuse)
         assert run(capsys, argv) == text
     with monkeypatch.context() as m:
@@ -933,7 +938,7 @@ def test_point_option_missing_value(capsys):
 # -- cache -------------------------------------------------------------------------
 
 def _read_entry(path):
-    """The header and the hex coefficient lines of the cache entry at path."""
+    """The header and the coefficient text lines of the cache entry at path."""
     head, *coeffs = path.read_text().splitlines()
     return json.loads(head), coeffs
 
@@ -987,17 +992,20 @@ def test_cache_malformed_entry_is_a_miss(capsys, tmp_path, monkeypatch, payload)
 
 def test_cache_roundtrip_past_the_decimal_digit_limit(tmp_path, monkeypatch):
     # CPython refuses int <-> decimal str above 4300 digits; the cache
-    # stores hex, which has no such limit
+    # writes and reads such coefficients through qseries._dec_str/_dec_int
     monkeypatch.setenv("MEROHECKE_CACHE_DIR", str(tmp_path))
     big = 7 ** 6000 + 1
     assert big > 10 ** 4300
     series = LaurentSeries(-1, [big, -big, Fraction(big, 3 ** 9000), 0], 3)
     form = ModularForm(-12, series)
-    cli._cache_store("big", form)
+    texts = qseries.coeff_texts(series)
+    cli._cache_store("big", (form.weight, series.val, texts))
     (path,) = list(tmp_path.glob("*.json"))
     _, coeffs = _read_entry(path)
-    assert coeffs[0] == "%x" % big
-    loaded = cli._cache_load("big", 3)
+    assert coeffs == texts
+    assert coeffs[0] == qseries._dec_str(big) and coeffs[1] == "-" + coeffs[0]
+    assert cli._cache_load("big", 3) == (-12, -1, texts)
+    loaded = cli._build_form("big", 3)
     assert loaded == form
     assert [type(c) for c in loaded.series.coeffs] == [int, int, Fraction, int]
 
@@ -1136,7 +1144,116 @@ def test_cache_hit_reads_only_the_lines_it_serves(capsys, tmp_path, monkeypatch)
     assert run(capsys, ["expand", "G", "--prec", "33"]) == direct["33"]
     stored, coeffs = _read_entry(path)
     assert (stored["valuation"], stored["precision"]) == (2, 33)
-    assert tuple(map(cli._from_hex, coeffs)) == meroforms.build("G", 33).series.coeffs
+    assert coeffs == qseries.coeff_texts(meroforms.build("G", 33).series)
+
+
+@pytest.mark.parametrize("line", ["zzzz", "-0", "007", "+5", "3/1", "2/4", "1/0", "5 "])
+def test_cache_non_canonical_line_is_a_miss(capsys, tmp_path, monkeypatch, line):
+    # a served line must be the text str() prints: no sign on zero or
+    # positives, no leading zeros or spaces, and a fraction only when reduced
+    # and not integral; the header's size is kept true, so only the line
+    # guard can refuse it
+    monkeypatch.delenv("MEROHECKE_CACHE_DIR", raising=False)
+    direct = run(capsys, ["expand", "E4", "--prec", "5"])
+    monkeypatch.setenv("MEROHECKE_CACHE_DIR", str(tmp_path))
+    run(capsys, ["expand", "E4", "--prec", "6"])
+    (path,) = tmp_path.glob("*.json")
+    stored, coeffs = _read_entry(path)
+    for text, served in (("-1" + "0" * (len(line) - 2), True), (line, False)):
+        stored["size"] += len(text) - len(coeffs[2])
+        coeffs[2] = text
+        _write_entry(path, stored, coeffs)
+        hit = cli._cache_load("E4", 5)
+        assert (hit is not None) == served, text
+    forms.clear_cache()
+    assert run(capsys, ["expand", "E4", "--prec", "5"]) == direct
+    # the rebuild replaced the entry
+    stored, coeffs = _read_entry(path)
+    assert (stored["valuation"], stored["precision"]) == (0, 5)
+    assert coeffs == qseries.coeff_texts(meroforms.build_expression("E4", 5).series)
+
+
+_BIG = 7 ** 6000 + 1
+_COEFFS = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-10 ** 30, 10 ** 30),
+                    st.builds(Fraction, st.integers(-99, 99), st.integers(1, 12)))
+
+
+@st.composite
+def _stored_series(draw):
+    """A window of up to 7 terms from q^-3 on, at most one of them past
+    CPython's 4300-digit limit."""
+    val = draw(st.integers(-3, 1))
+    coeffs = draw(st.lists(_COEFFS, min_size=1, max_size=7))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(coeffs) - 1))
+        coeffs[i] = draw(st.sampled_from([_BIG, -_BIG, Fraction(_BIG, 3)]))
+    return LaurentSeries(val, coeffs)
+
+
+def _quiet_main(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == EXIT_OK, argv
+    return out.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(series=_stored_series(), weight=st.integers(-12, 12))
+def test_cache_hit_matches_build_on_every_served_window(series, weight):
+    # every P in (val, prec] of a stored entry is served as a build at P
+    # prints it, in text and JSON, and _build_form gives back the same form
+    # with the same coefficient types
+    def build(expr, precision):
+        return ModularForm(weight, series.truncate(precision))
+
+    def no_build(*args):
+        raise AssertionError("built, not served from the cache")
+
+    window = range(series.val + 1, series.prec + 1)
+    with pytest.MonkeyPatch.context() as m, tempfile.TemporaryDirectory() as cache_dir:
+        m.setattr(meroforms, "build_expression", build)
+        m.delenv("MEROHECKE_CACHE_DIR", raising=False)
+        argvs = {P: [["expand", "s", "--prec", str(P)] + flag for flag in ([], ["--json"])]
+                 for P in window}
+        direct = {P: tuple(map(_quiet_main, argvs[P])) for P in window}
+        m.setenv("MEROHECKE_CACHE_DIR", cache_dir)
+        _quiet_main(["expand", "s", "--prec", str(series.prec)])
+        m.setattr(meroforms, "build_expression", no_build)
+        for P in window:
+            assert tuple(map(_quiet_main, argvs[P])) == direct[P], P
+            want = series.truncate(P)
+            form = cli._build_form("s", P)
+            assert form == ModularForm(weight, want)
+            assert list(map(type, form.series.coeffs)) == list(map(type, want.coeffs))
+
+
+@pytest.mark.parametrize("argv", [
+    ["hecke", "G", "--m", "3", "--prec", "30"],
+    ["hecke", "G", "--m", "3", "--prec", "30", "--json"],
+    ["eval", "g7", "--at=0.1,1.2", "--prec", "60"],
+    ["expand", "G", "--prec", "30", "--json"],
+], ids=" ".join)
+def test_no_cache_dir_stores_nothing_and_converts_only_the_output(capsys, monkeypatch, argv):
+    # without a cache directory no entry is written, and the only series
+    # converted to text is the one printed: hecke's image, expand's form
+    monkeypatch.delenv("MEROHECKE_CACHE_DIR", raising=False)
+    stored, converted = [], []
+    coeff_texts = qseries.coeff_texts
+
+    def count(series):
+        converted.append(series)
+        return coeff_texts(series)
+
+    monkeypatch.setattr(cli, "_cache_store", lambda *args: stored.append(args))
+    monkeypatch.setattr(qseries, "coeff_texts", count)
+    forms.clear_cache()
+    assert run(capsys, argv)[0] == EXIT_OK
+    assert stored == []
+    form = meroforms.build(argv[1], 30 if argv[1] == "G" else 60)
+    printed = {"hecke": [hecke.t_op(form.series, form.weight, 3)], "eval": [],
+               "expand": [form.series]}
+    assert converted == printed[argv[0]]
 
 
 def test_eval_named_form_served_from_cache(capsys, tmp_path, monkeypatch):

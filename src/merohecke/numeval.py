@@ -525,7 +525,8 @@ def psi_truncated(seed, z, bound=40, bits=53):
     """Truncated group sum of the elliptic kernel of weight 2k with inner
     exponent ell around the seed center: matrices are enumerated as
     coprime bottom rows (c, d) with max(|c|,|d|) <= bound, each completed
-    by translates T^t with |t| <= bound.
+    by translates T^t with |t| <= bound.  Rows (c, d) and (-c, -d) give
+    the same summands, so each pair is computed once and counted twice.
 
     If ell + k is not divisible by the elliptic order of the center the
     full series vanishes identically: returns 0 with a VanishingSeries
@@ -687,13 +688,6 @@ def _mpf_to_fixed(v, frac):
     return -n if sign else n
 
 
-# the largest bound whose binary64 sum shares its +-gamma rows: sharing
-# runs 1.5-1.7x faster at bounds 30-60, but its stack, 12.3 MiB here, is
-# already about 40 % of what the rest of a CLI process holds (about 30 MB)
-# and reaches 97 MiB at bound 100 (bench/psi_routes.py)
-_SHARE_MAX_BOUND = 50
-
-
 def _psi_sum(k, ell, zz, zc, bound, near_pole=None):
     """The truncated sum over rows (c, d) and translates t, generic over the
     scalar type: complex for machine precision, _Fixed above it.  For
@@ -702,43 +696,24 @@ def _psi_sum(k, ell, zz, zc, bound, near_pole=None):
     route hands each x to near_pole(x, c, d, t), which returns None or the
     summand retaken at a finer unit.
 
-    The complex route computes each pair of rows (c, d) and (-c, -d) once.
-    _bezout(-c, -d) is -_bezout(c, d), and every operation of a summand is
-    symmetric under a change of sign in round-to-nearest: int times complex,
-    complex sums, complex division and the even power -2k.  So w0 and every
-    summand of the two rows agree bit for bit, up to the sign of a zero
-    part, which does not change a sum that starts at +0.  The summands of
-    each row with c < 0, and of (0, -1), are kept on a stack, and its
-    mirror adds them again in the same t order: the rows with c > 0 meet
-    the mirrors in exactly the reverse order, so each is the top of the
-    stack.  The stack holds about half the summands, so it grows as bound^3:
-    a peak of 6.3 MiB at bound 40, 12.3 MiB at bound 50 and 97 MiB at
-    bound 100 (bench/psi_routes.py), so rows are shared only up to
-    _SHARE_MAX_BOUND; computed in full they give the same sum.  Rows are
-    shared only for k <= 50 as well: CPython raises a complex to an integer
-    power of magnitude up to 100 by repeated squaring, which is
-    sign-symmetric for an even power, but above that takes a polar power,
-    whose angle atan2(-y, -x) differs from atan2(y, x) by a rounded pi.
-    The fixed route computes every row, because _Fixed floors its products
-    toward -infinity, so a row and its negative differ in the last units."""
+    Since -I acts trivially and the weight is even, the rows (c, d) and
+    (-c, -d) give the same summands, so only the rows with c < 0 and
+    (0, -1) are summed, in the loop order of c and then d, and the total is
+    doubled, which is exact on both routes.  These rows come first in
+    that order, so a pole is refused at the same row and t as when every
+    row is summed."""
     zzbar = zz.conjugate()
     w2k = -2 * k
     total = type(zc)(0)
-    share = isinstance(zc, complex) and k <= 50 and bound <= _SHARE_MAX_BOUND
-    stack = []
-    for c in range(-bound, bound + 1):
-        for d in range(-bound, bound + 1):
-            if math.gcd(abs(c), abs(d)) != 1:
-                continue
-            if share and (c > 0 or (c == 0 and d == 1)):
-                for term in stack.pop():
-                    total += term
+    for c in range(-bound, 1):
+        # at c = 0 only d = -1 is coprime to c among d < 0
+        for d in range(-bound, bound + 1 if c else 0):
+            if math.gcd(c, d) != 1:
                 continue
             a, b = _bezout(c, d)
             denom = c * zc + d
             base = denom ** w2k
             w0 = (a * zc + b) / denom
-            terms = []
             for t in range(-bound, bound + 1):
                 w = w0 + t
                 dzbar = w - zzbar
@@ -749,16 +724,11 @@ def _psi_sum(k, ell, zz, zc, bound, near_pole=None):
                         total += term
                         continue
                 try:
-                    term = base * dzbar ** w2k * x ** ell
+                    total += base * dzbar ** w2k * x ** ell
                 except (OverflowError, ZeroDivisionError):
                     _refuse_pole(x, ell, c, d, t)
                     raise
-                total += term
-                if share:
-                    terms.append(term)
-            if share:
-                stack.append(terms)
-    return total
+    return total + total
 
 
 def _refuse_pole(x, ell, c, d, t):

@@ -702,6 +702,19 @@ def test_psi_sum_binary64_near_pole_is_refused(capsys, k, ell, center, at, row):
     assert "within rounding of the orbit of the center" in err and row in err
 
 
+@pytest.mark.parametrize("k, ell, center, bits, row", [
+    # z at i is met first on row (-1, 0), a generic z on (0, -1)
+    ("3", "-1", "0,1", "200", "row (-1, 0), t = 0"),
+    ("4", "-2", "0.25,1.5", "120", "row (0, -1), t = 0"),
+], ids=["at-i", "generic"])
+def test_psi_sum_fixed_route_pole_is_refused(capsys, k, ell, center, bits, row):
+    code, out, err = run(capsys, ["psi-sum", "--k", k, "--ell", ell, "--zz=" + center,
+                                  "--at=" + center, "--bound", "4", "--bits", bits])
+    assert (code, out) == (EXIT_GUARD, "")
+    assert ("within 2^-%s of the orbit of the center (pole of the kernel): w near center at %s"
+            % (bits, row)) in err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["psi-sum", "--bound", "0"], "bound must be >= 1"),
     (["psi-sum", "--bound", "-3"], "bound must be >= 1"),
@@ -768,7 +781,9 @@ def test_psi_prop_check_weight_12_runs(capsys):
 # machine-precision route, the others the fixed-point route.  At bits 80 the
 # 40 printed digits run past the 110-bit working precision, so their last
 # seven or so are rounding noise of the route: the six bits-80 digests were
-# recorded on the fixed-point route, all others on the mpc route it replaced.
+# recorded on the fixed-point route, the other fixed-point ones on the mpc
+# route it replaced, and the bits-53 ones on the binary64 route that sums
+# half the rows and doubles the total.
 
 _PSI_CENTERS = ("0,1", "-0.5,0.8660254037844386", "-0.31,1.17")
 _PSI_AT = "-0.21,1.37"
@@ -795,33 +810,33 @@ def _psi_argv(bits, bound, combo):
 
 # first 16 hex digits of the sha256 of each case's stdout, in _PSI_PLAN order
 PINNED_PSI = (
-    "cf6b83d28f6e7abb", "415cfe7311a951b5", "dc58bf5951078811", "6dcc6290ecb9b983",
-    "0d3fb5db26775242", "d4250d3f00d7259c", "6c2658121d5e5d2d", "1e0d3f287636619f",
-    "1d98873764c80742", "b3241ea1b78faac2", "afde0dd618986d9d", "7c47697dfe3e4c6e",
-    "6b33532cd58c23a9", "8d492563b356cfd8", "4e791500f86a5593", "727ad7a233bff2a8",
-    "a844bdb9ebb59c2d", "b6b4d60539dd485a", "eec29e7cbfb81586", "d3dfadeea18bdb88",
-    "00e694fcbaf9af27", "f2083b20aa2fd2ed", "4fab47baa1867bfe", "0f46d3a87fc496d4",
-    "4865e3577706c182", "4ebdd0130b2e9330", "5c6633c9135ad013", "f24f24e617024fa1",
-    "2dd2ff55bca0da78", "dfb7aeab5690906f", "93dc8bc1b388ff1f", "fb73f0c4aa3af481",
-    "75dc1e8346a23552", "1a47e4ea3e5f46a8", "1ce1cda3cc74ee6e", "04376b6aa256ebb1",
-    "8c73b7d79bdf9864", "214b2e70df1b2e14", "648d732afe38e830", "11027560f4183c43",
-    "d4278fa7a5778f26", "fd5dfabd75e643a5", "673f1d14402226c8", "cef42714df25d828",
-    "c3d141db2d4b471d", "a0323ec62fcd51c7", "6c56e14e99fa7ef4", "ba3edbc0a92ec5ab",
-    "9c0cdcb3121f8b2d", "888e74883b46564d", "9c29766372db98cf", "dcd769ca35226908",
-    "5d5b75a9431447eb", "b0b95c3562fb89c0", "e2265af7b384da43", "80088648235e85cd",
-    "f11fb39c82e592ef", "184f3188cc7fe72b", "5ca04e1ed5e48991", "f470de6d942a41f0",
-    "e40d45e42b34958b", "11847175c9d19041", "844aa0dd051d4adf", "a6e044c492c7fbc9",
-    "4e4a7fe0e35f222c", "32871f3bbe23ab20", "00a53e5cca73a67a", "6e54eee7095f3892",
-    "dd32467120ae9770", "d7d22edf32ef5fdf", "2ff2c07595f7e3f8", "6db9e2873eaf6dbe",
-    "44414e354d372687", "90717ff9c11a31df", "803b51e5d5accc7c", "e1116ad4e0824416",
-    "89f0a5232efc6d31", "c8d172b1ba800c04", "1d2defd34eb9216a", "440aa08175272956",
-    "a8d0de971b5f02fc", "519e9fdd19a99944", "d1109165d9b72390", "3db986ea8ee9beb4",
-    "ff480d27bf606bbe", "8c6567a490fca084", "a342dbf4bb165de9", "21394effdea82d0b",
-    "6e54f79a3720bd81", "fe03fdb9b9455b57", "2770e8043904114b", "6ff74ff15bfa9d56",
-    "8c92bfcde2e5b462", "b53a1592a1a56731", "20fb59521dd89cf4", "6e5b22f6aff077b2",
-    "2e254de0616c5c08", "c94b4f2f9e25e6dc", "e70b1eb11cc91ac2", "3bdc144d2d665c10",
-    "f46df00e1d2b556c", "270a6812fffd6a3c", "6ad79f900f468b8d", "9ac36c4be4693ef6",
-    "67b0787d561e7843", "ec23cef9013fb8f5", "a1e8024f62db745a", "a031e314abed79f2",
+    "8cf44251e1bb7f14", "415cfe7311a951b5", "6ab3fe2736a65c7e", "baab65e723e0059e",
+    "f3c355362b79f582", "9086b9a55f8eb111", "70e1469e52d80126", "fe8d989af3f69dfc",
+    "66a661ffb8dc9799", "b3241ea1b78faac2", "020d066981eb0d17", "f48df225bc7986b4",
+    "16a1cadf848d42d1", "3f84874e79b342e0", "4e791500f86a5593", "f754a508a31c6319",
+    "af2779167f7670bd", "d1d9ec94f20cdeb7", "d08d4c1e52dde7a9", "e8a95d574cad64b7",
+    "2e41467652f862dc", "f2083b20aa2fd2ed", "e71121c0928c5e74", "590c15f282363fdb",
+    "5184857a9e227cfb", "0cdade7cc7740f11", "415c8c7eea769957", "c4306fea724dc861",
+    "2dd2ff55bca0da78", "5b54c6e0ce928a9b", "261ec8907bfeb50f", "99a5bd85f13d4193",
+    "61c63551346d3c5d", "b22272843a47d0a9", "37f95921c228bb68", "391adcce23dd1e50",
+    "742ffab2cdbf5fa9", "b0555d2bc8ef90f6", "75e6653e6381c391", "131a9cfe93211344",
+    "a27fc8c61d557e42", "a225375aaf3fa669", "cc597ff3267766e6", "d0265013e88022ce",
+    "84c7ab58101b6a86", "2ccd6d2d9a344745", "ce35ea07ed84f5b7", "9c6dd91c7a4e8583",
+    "430ccb0952cd4e90", "f2f38a314523e461", "68507e1d39c3287a", "5047343871e602d3",
+    "8747ae0adbe037db", "b0b95c3562fb89c0", "6f51f7e2c4ae2dfd", "7dd73630a614ecf8",
+    "ff2ca65a913846f3", "8c85032ccf15546d", "fa5adc1f80d0d6c3", "96a4cc3b73bdf560",
+    "3e7d1f10f2e34b70", "4dce224c5392e09b", "b8cece6c6150688b", "70cf6147cee84a52",
+    "e9c4fce6fe83a5a2", "e772b4c1cffcf56b", "ea066e9b92710fd1", "c6ea220c9c536b55",
+    "4f2863ece2329a14", "6fe95c01f801f0d1", "030a0cb661f186e3", "9b42164b7dc14167",
+    "16829235842b932d", "49d7b423c1955d3e", "dc1f549796bb017b", "05d0c99f2b019596",
+    "b75f17740c9f5c55", "e6b25bdb5adc8444", "2be7b9b36f604ca8", "ebc6a757465c9a2c",
+    "ff44f4da9920f6b0", "387ddfc615deeb6b", "428f4aca75ba342a", "d87adba41d9043a5",
+    "6284047eacdba890", "a72359bbabd56fa7", "adf0eacb42361a54", "ee588ac4e6364ce8",
+    "02d69f37fb688dba", "dde1babc9905bccc", "8df9a3e166291b49", "e4aaff1b52647245",
+    "67100f0d2d33ba1e", "6f042b232a2a5788", "44817a69a423e058", "ba8c765c2c774784",
+    "9f34b04ac9928717", "aef165cdb7e7c902", "b200c6e240701d15", "80470764af916bac",
+    "c878dcc747821100", "d0db1509394b71d9", "1c799907277b13af", "394a7ef0788526aa",
+    "0e3905cefe0c8444", "00abe81283e2f365", "02d47437351f889e", "a031e314abed79f2",
     "7cba2aa7cad2a5c9", "c271f944a9adae26", "17fe901499937d16", "223747bb340f4cd0",
     "0772ca4842a1add0", "a9abfdb7cb1883e3", "78a5936b908f5c8a", "33163032f0938b53",
     "63fc8e378075e11b", "9781994d673f37d3", "36fb84832012dd96", "f5e1a517cc3feadf",

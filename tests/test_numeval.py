@@ -491,38 +491,38 @@ def test_psi_machine_vs_mp():
     assert isinstance(m53.value, complex)
 
 
-def _psi_binary64_unshared(k, ell, center, z, bound):
-    """The 53-bit truncated sum with every row (c, d) computed in full, in
-    the loop order and binary64 operations of psi_truncated."""
+def _psi_binary64_half_doubled(k, ell, center, z, bound):
+    """The 53-bit truncated sum written out: the rows (c, d) with c < 0,
+    then (0, -1), in the loop order and binary64 operations of
+    psi_truncated, and their total doubled."""
     zz, zc = complex(*center), complex(*z)
     zzbar = zz.conjugate()
     w2k = -2 * k
+    rows = [(c, d) for c in range(-bound, 0) for d in range(-bound, bound + 1)
+            if math.gcd(c, d) == 1] + [(0, -1)]
     total = 0j
-    for c in range(-bound, bound + 1):
-        for d in range(-bound, bound + 1):
-            if math.gcd(c, d) != 1:
-                continue
-            a, b = numeval._bezout(c, d)
-            denom = c * zc + d
-            base = denom ** w2k
-            w0 = (a * zc + b) / denom
-            for t in range(-bound, bound + 1):
-                w = w0 + t
-                dzbar = w - zzbar
-                x = (w - zz) / dzbar
-                if ell < 0 and x == 0:
-                    raise RegionGuard(
-                        "evaluation point lies in the orbit of the center (pole of "
-                        "the kernel): w = center at row (%d, %d), t = %d" % (c, d, t))
-                try:
-                    power = x ** ell
-                except (OverflowError, ZeroDivisionError):
-                    raise RegionGuard(
-                        "evaluation point lies within rounding of the orbit of the center "
-                        "(pole of the kernel): w near center at row (%d, %d), t = %d"
-                        % (c, d, t)) from None
-                total += base * dzbar ** w2k * power
-    return total
+    for c, d in rows:
+        a, b = numeval._bezout(c, d)
+        denom = c * zc + d
+        base = denom ** w2k
+        w0 = (a * zc + b) / denom
+        for t in range(-bound, bound + 1):
+            w = w0 + t
+            dzbar = w - zzbar
+            x = (w - zz) / dzbar
+            if ell < 0 and x == 0:
+                raise RegionGuard(
+                    "evaluation point lies in the orbit of the center (pole of "
+                    "the kernel): w = center at row (%d, %d), t = %d" % (c, d, t))
+            try:
+                power = x ** ell
+            except (OverflowError, ZeroDivisionError):
+                raise RegionGuard(
+                    "evaluation point lies within rounding of the orbit of the center "
+                    "(pole of the kernel): w near center at row (%d, %d), t = %d"
+                    % (c, d, t)) from None
+            total += base * dzbar ** w2k * power
+    return total + total
 
 
 _RHO = (-0.5, math.sqrt(3) / 2)
@@ -534,7 +534,7 @@ _coord = st.floats(-0.5, 0.5)
        center=st.sampled_from([(0.0, 1.0), _RHO, (0.5, _RHO[1])])
        | st.tuples(_coord | st.just(0.0), st.floats(0.8, 2)),
        z=st.tuples(_coord | st.just(0.0), st.floats(0.5, 2.5)), bound=st.integers(1, 12))
-# bound 1: the eight rows (+-1, -1..1) and (0, +-1), each pair shared
+# bound 1: the rows (-1, -1..1) and (0, -1), mirroring the other four
 @example(k=2, ell=2, center=(-0.31, 1.17), z=(0.0, 1.3), bound=1)
 @example(k=3, ell=-1, center=(0.0, 1.0), z=(0.0, 2.0), bound=12)
 # exact poles: z at i is met first on row (-1, 0), a generic z on (0, -1)
@@ -544,23 +544,17 @@ _coord = st.floats(-0.5, 0.5)
 # underflows to 0 and the reciprocal divides by zero; both are refused
 @example(k=2, ell=-3, center=(0.0, 0.875), z=(5.088552706072287e-158, 0.875), bound=1)
 @example(k=2, ell=-2, center=(0.0, 1.0), z=(5.088552706072287e-158, 1.0), bound=1)
-# 2k up to 100 is raised by repeated squaring, which is sign-symmetric;
-# above it CPython's polar power of -z differs from that of z in the last
-# bits, so no row may be shared
+# 2k up to 100 is raised by repeated squaring, above it by CPython's polar
+# power
 @example(k=50, ell=2, center=(-0.31, 1.17), z=(0.2, 1.3), bound=3)
 @example(k=51, ell=2, center=(-0.31, 1.17), z=(0.2, 1.3), bound=3)
 @example(k=51, ell=-1, center=(0.0, 1.0), z=(0.0, 2.0), bound=3)
-# rows are shared up to bound numeval._SHARE_MAX_BOUND and computed in full
-# above it
-@example(k=3, ell=-1, center=(0.0, 1.0), z=(0.2, 1.7), bound=numeval._SHARE_MAX_BOUND)
-@example(k=3, ell=-1, center=(0.0, 1.0), z=(0.2, 1.7), bound=numeval._SHARE_MAX_BOUND + 1)
-def test_psi_binary64_matches_unshared_rows(k, ell, center, z, bound):
-    # rows (c, d) and (-c, -d) are summed once and replayed: the total, its
-    # bound and note, and any error a summand raises, with its message, are
-    # those of the full loop
+def test_psi_binary64_matches_half_rows_doubled(k, ell, center, z, bound):
+    # the total, its bound and note, and any error a summand raises, with
+    # its message, are those of the written-out half sum
     assume((k + ell) % elliptic_order(complex(*center)) == 0)
     try:
-        want = _psi_binary64_unshared(k, ell, center, z, bound)
+        want = _psi_binary64_half_doubled(k, ell, center, z, bound)
     except (RegionGuard, ArithmeticError) as exc:
         with pytest.raises(type(exc)) as got:
             psi_truncated(PoincareSeed(k, ell, center), z, bound, 53)
@@ -570,6 +564,21 @@ def test_psi_binary64_matches_unshared_rows(k, ell, center, z, bound):
     assert res.value == want and repr(res.value) == repr(want)
     assert res.err_bound == mpmath.mpf(bound) ** (1 - 2 * k)
     assert res.tail_note == "tail estimate O(bound^%d), not certified" % (1 - 2 * k)
+
+
+@pytest.mark.parametrize("bits", [53, 200])
+@pytest.mark.parametrize("bound", [1, 2, 5])
+def test_psi_computes_each_pair_of_rows_once(monkeypatch, bits, bound):
+    # one _bezout per computed row: those with c < 0, and (0, -1)
+    calls = []
+    bezout = numeval._bezout
+    monkeypatch.setattr(numeval, "_bezout", lambda c, d: calls.append((c, d)) or bezout(c, d))
+    rows = sum(1 for c in range(-bound, 0) for d in range(-bound, bound + 1)
+               if math.gcd(c, d) == 1)
+    for ell in (-1, 1):
+        del calls[:]
+        psi_truncated(PoincareSeed(3, ell, HPoint(0, 1)), HPoint("0.1", "1.4"), bound, bits)
+        assert len(calls) == rows + 1, (ell, calls)
 
 
 def _psi_direct(k, ell, center, z, bound, prec):

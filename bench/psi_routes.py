@@ -14,9 +14,14 @@ term-by-term re-summation of every row at bits + 64.  It also prints the
 largest difference from the oracle over those cases: relative to the
 value, and as a share of the oracle's allowance 2^-bits * sum |summands|.
 At bits 53 (the binary64 route) that share may pass 1, since binary64
-rounds each operation of a summand to 2^-53.  --skip-oracle leaves out the
-re-summation, which takes minutes per case from bound 50 up.  Run it from
-the root of a checkout.
+rounds each operation of a summand to 2^-53; and the oracle re-sums the
+binary64 route's old summand formula in binary64, so its error there
+favours that formula.  At bits <= 53 the last column is therefore the
+largest error against the same truncated sum at the binary64 values of the
+center and point, re-summed in mpmath at 160 bits, in units of
+2^-53 * sum |summands|.  --skip-oracle leaves out both re-summations,
+which take minutes per case from bound 50 up.  Run it from the root of a
+checkout.
 """
 
 import argparse
@@ -24,6 +29,7 @@ import math
 import os
 import sys
 import time
+from decimal import Decimal
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -55,6 +61,22 @@ def run_oracle(bits, bound):
     return [oracle.psi_reference(k, ell, center, z, bound, bits) for k, ell, center, z in CASES]
 
 
+def binary64_units(values, bound):
+    """The largest error of the binary64 values over CASES against the same
+    truncated sums at the binary64 center and point, re-summed by
+    psi_reference at 96 + 64 = 160 bits, in units of
+    2^-53 * sum |summands|.  The decimal expansion of a binary64 coordinate
+    is exact, so mpmath reads the binary64 value itself."""
+    def exact(xy):
+        return tuple(str(Decimal(float(v))) for v in xy)
+    worst = 0.0
+    for value, (k, ell, center, z) in zip(values, CASES):
+        ref, scale = oracle.psi_reference(k, ell, exact(center), exact(z), bound, 96)
+        with mpmath.workprec(160):
+            worst = max(worst, float(abs(value - ref) / (mpmath.mpf(2) ** -53 * scale)))
+    return worst
+
+
 def best_of(reps, fn, *args):
     best = float("inf")
     for _ in range(reps):
@@ -71,12 +93,15 @@ def main():
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--skip-oracle", action="store_true")
     args = p.parse_args()
-    print("%5s %5s %6s %9s %9s %9s %10s %10s" % ("bits", "bound", "rows", "summands", "time_s",
-                                                 "oracle_s", "rel_err", "allowance"))
+    print("%5s %5s %6s %9s %9s %9s %10s %10s %9s" % ("bits", "bound", "rows", "summands", "time_s",
+                                                     "oracle_s", "rel_err", "allowance",
+                                                     "units160"))
     for bits in [int(x) for x in args.bits.split(",")]:
         for bound in [int(x) for x in args.bounds.split(",")]:
             best, values = best_of(args.reps, run_cases, bits, bound)
-            t_oracle = rel = share = "-"
+            t_oracle = rel = share = units = "-"
+            if not args.skip_oracle and bits <= 53:
+                units = "%.3f" % binary64_units(values, bound)
             if not args.skip_oracle:
                 t, refs = best_of(1, run_oracle, bits, bound)
                 t_oracle, rel, share = "%.3f" % t, 0.0, 0.0
@@ -86,9 +111,9 @@ def main():
                         rel = max(rel, float(err / abs(ref)))
                         share = max(share, float(err / (mpmath.mpf(2) ** -bits * scale)))
                 rel, share = "%.2e" % rel, "%.2e" % share
-            print("%5d %5d %6d %9d %9.3f %9s %10s %10s"
+            print("%5d %5d %6d %9d %9.3f %9s %10s %10s %9s"
                   % (bits, bound, rows(bound), rows(bound) * (2 * bound + 1), best, t_oracle,
-                     rel, share), flush=True)
+                     rel, share, units), flush=True)
 
 
 if __name__ == "__main__":

@@ -29,6 +29,8 @@ digits past bits + 30 are rounding noise.
 """
 
 import bisect
+import cmath
+import contextlib
 import functools
 import math
 from fractions import Fraction
@@ -483,18 +485,20 @@ def verify_f6i_eigen(m, n_max=10, bits=200, tol=1e-10):
 def elliptic_order(zz):
     """2 at points equivalent to i, 3 at points equivalent to the sixth
     root of unity, 1 elsewhere (numeric reduction to the fundamental
-    domain)."""
-    z = complex(zz)
+    domain), i or rho within 4 err: half a unit of the given point, scaled
+    by each inversion z -> -1/z, which adds 4 units."""
+    z, err = complex(zz), abs(complex(zz)) * 2.0 ** -53
     for _ in range(256):
         z = complex(z.real - round(z.real), z.imag)
         if abs(z) < 1 - 1e-12:
+            err = (err / abs(z) + 4 * 2.0 ** -53) / abs(z)
             z = -1 / z
         else:
             break
-    if abs(z - 1j) < 1e-9:
+    if abs(z - 1j) < 4 * err:
         return 2
     if min(abs(z - complex(0.5, math.sqrt(3) / 2)),
-           abs(z - complex(-0.5, math.sqrt(3) / 2))) < 1e-9:
+           abs(z - complex(-0.5, math.sqrt(3) / 2))) < 4 * err:
         return 3
     return 1
 
@@ -528,9 +532,10 @@ def psi_truncated(seed, z, bound=40, bits=53):
     by translates T^t with |t| <= bound.  Rows (c, d) and (-c, -d) give
     the same summands, so each pair is computed once and counted twice.
 
-    If ell + k is not divisible by the elliptic order of the center the
-    full series vanishes identically: returns 0 with a VanishingSeries
-    note.  A crude tail estimate of order bound^(1-2k) is reported."""
+    If ell + k is not divisible by the elliptic order of the center (that
+    of i or rho if it is one within binary64 rounding) the full series
+    vanishes identically: returns 0 with a VanishingSeries note.  A crude
+    tail estimate of order bound^(1-2k) is reported."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if bits < 1:
@@ -544,7 +549,8 @@ def psi_truncated(seed, z, bound=40, bits=53):
     note = "tail estimate O(bound^%d), not certified" % (1 - 2 * k)
     # each route rounds the tail estimate at its own working precision
     if bits <= 53:
-        total = _psi_sum(k, ell, _as_complex(seed.center), _as_complex(z), bound)
+        row = _binary64_row(k, ell, _as_complex(seed.center), bound)
+        total = _psi_sum(k, _as_complex(z), bound, row)
         return EvalResult(total, mpmath.mpf(bound) ** (1 - 2 * k), note)
     # 16 bits for the units each summand loses in its quotients and
     # products, and log2 of the summand count for their sum
@@ -553,7 +559,8 @@ def psi_truncated(seed, z, bound=40, bits=53):
     with workprec(bits + _GUARD_BITS):
         center, pt = _as_mpc(seed.center), _as_mpc(z)
         near_pole = functools.partial(_psi_near_pole, k, ell, center, pt, frac, bits)
-        total = _psi_sum(k, ell, fixed.from_mpc(center), fixed.from_mpc(pt), bound, near_pole)
+        row = _fixed_row(k, ell, fixed.from_mpc(center), bound, near_pole)
+        total = _psi_sum(k, fixed.from_mpc(pt), bound, row)
         return EvalResult(total.to_mpc(), mpmath.mpf(bound) ** (1 - 2 * k), note)
 
 
@@ -645,7 +652,6 @@ class _Fixed:
         return self.__class__(((a * c + b * d) * r) >> 2 * f, ((b * c - a * d) * r) >> 2 * f)
 
     def __pow__(self, n):
-        # binary powering on the int parts, squaring with two products
         f = self.F
         a, b = self.re, self.im
         if n < 0:
@@ -653,17 +659,7 @@ class _Fixed:
             a, b, n = (a * r) >> f, (-b * r) >> f, -n
         elif n == 0:
             return self.__class__(1 << f)
-        re = None
-        while True:
-            if n & 1:
-                if re is None:
-                    re, im = a, b
-                else:
-                    re, im = (re * a - im * b) >> f, (re * b + im * a) >> f
-            n >>= 1
-            if not n:
-                return self.__class__(re, im)
-            a, b = ((a + b) * (a - b)) >> f, (a * b) >> (f - 1)
+        return self.__class__(*_ipow(a, b, n, f))
 
     def conjugate(self):
         return self.__class__(self.re, -self.im)
@@ -671,6 +667,19 @@ class _Fixed:
     def __eq__(self, n):
         # against an int n only
         return self.re == n << self.F and not self.im
+
+
+def _ipow(a, b, n, f):
+    # (a + b i)^n, n >= 1, on parts scaled by 2^f: binary powering, squaring with two products
+    while not n & 1:
+        a, b, n = ((a + b) * (a - b)) >> f, (a * b) >> (f - 1), n >> 1
+    re, im = a, b
+    while n > 1:
+        n >>= 1
+        a, b = ((a + b) * (a - b)) >> f, (a * b) >> (f - 1)
+        if n & 1:
+            re, im = (re * a - im * b) >> f, (re * b + im * a) >> f
+    return re, im
 
 
 @functools.lru_cache(maxsize=64)
@@ -688,13 +697,11 @@ def _mpf_to_fixed(v, frac):
     return -n if sign else n
 
 
-def _psi_sum(k, ell, zz, zc, bound, near_pole=None):
+def _psi_sum(k, zc, bound, row):
     """The truncated sum over rows (c, d) and translates t, generic over the
-    scalar type: complex for machine precision, _Fixed above it.  For
-    ell < 0 the complex route refuses a summand whose x ** ell leaves
-    binary64, at an exact pole or within rounding of one, and the fixed
-    route hands each x to near_pole(x, c, d, t), which returns None or the
-    summand retaken at a finer unit.
+    scalar type of zc: complex for machine precision, _Fixed above it.  The
+    route's kernel row(base, w0, c, d) sums the summands at w = w0 + t over
+    |t| <= bound, with base = (c z + d)^-2k and w0 = (a z + b) / (c z + d).
 
     Since -I acts trivially and the weight is even, the rows (c, d) and
     (-c, -d) give the same summands, so only the rows with c < 0 and
@@ -702,48 +709,81 @@ def _psi_sum(k, ell, zz, zc, bound, near_pole=None):
     doubled, which is exact on both routes.  These rows come first in
     that order, so a pole is refused at the same row and t as when every
     row is summed."""
-    zzbar = zz.conjugate()
-    w2k = -2 * k
     total = type(zc)(0)
     for c in range(-bound, 1):
         # at c = 0 only d = -1 is coprime to c among d < 0
         for d in range(-bound, bound + 1 if c else 0):
-            if math.gcd(c, d) != 1:
-                continue
-            a, b = _bezout(c, d)
-            denom = c * zc + d
-            base = denom ** w2k
-            w0 = (a * zc + b) / denom
-            for t in range(-bound, bound + 1):
-                w = w0 + t
-                dzbar = w - zzbar
-                x = (w - zz) / dzbar
-                if ell < 0 and near_pole is not None:
-                    term = near_pole(x, c, d, t)
-                    if term is not None:
-                        total += term
-                        continue
-                try:
-                    total += base * dzbar ** w2k * x ** ell
-                except (OverflowError, ZeroDivisionError):
-                    _refuse_pole(x, ell, c, d, t)
-                    raise
+            if math.gcd(c, d) == 1:
+                a, b = _bezout(c, d)
+                denom = c * zc + d
+                total += row(denom ** (-2 * k), (a * zc + b) / denom, c, d)
     return total + total
 
 
-def _refuse_pole(x, ell, c, d, t):
-    """Raise RegionGuard when the binary64 x ** ell fails, for ell < 0: x is
-    0, or so near it that x ** ell overflows or x ** -ell underflows to 0."""
-    try:
-        x ** ell
-    except (OverflowError, ZeroDivisionError):
-        if x == 0:
-            where = "in the orbit of the center (pole of the kernel): w = center"
-        else:
-            where = ("within rounding of the orbit of the center (pole of the kernel): "
-                     "w near center")
-        raise RegionGuard("evaluation point lies %s at row (%d, %d), t = %d"
-                          % (where, c, d, t)) from None
+def _binary64_row(k, ell, zz, bound):
+    """The binary64 kernel of _psi_sum: with u = w - center and
+    v = w - conj(center), from w0 - center and w0 - conj(center) per row, a
+    summand base u^ell / v^(2k + ell) is one quotient, for ell < 0
+    base / ((u v)^-ell v^(2k + 2 ell)).  ** raises on overflow but / gives
+    inf, so a row whose sum raises or is not finite is summed again as
+    base v^-2k x^ell, x = u / v, as on the fixed route, which refuses a pole
+    where x ** ell fails (x is 0, or so near it that x ** ell overflows)."""
+    zzbar, m, n = zz.conjugate(), 2 * k + ell, 2 * (k + ell)
+
+    def row(base, w0, c, d):
+        u0, v0 = w0 - zz, w0 - zzbar
+        s = 0j
+        with contextlib.suppress(OverflowError, ZeroDivisionError):
+            if ell == 0:
+                for t in range(-bound, bound + 1):
+                    s += base / (v0 + t) ** m
+            elif ell > 0:
+                for t in range(-bound, bound + 1):
+                    s += base * (u0 + t) ** ell / (v0 + t) ** m
+            else:
+                for t in range(-bound, bound + 1):
+                    v = v0 + t
+                    s += base / (((u0 + t) * v) ** -ell * v ** n)
+            if cmath.isfinite(s):
+                return s
+        s = 0j
+        for t in range(-bound, bound + 1):
+            x = (u0 + t) / (v0 + t)
+            try:
+                power = x ** ell
+            except (OverflowError, ZeroDivisionError):
+                where = ("in the orbit of the center (pole of the kernel): w = center" if x == 0
+                         else "within rounding of the orbit of the center (pole of the "
+                         "kernel): w near center")
+                raise RegionGuard("evaluation point lies %s at row (%d, %d), t = %d"
+                                  % (where, c, d, t)) from None
+            s += base * (v0 + t) ** (-2 * k) * power
+        return s
+    return row
+
+
+def _fixed_row(k, ell, zz, bound, near_pole):
+    """The fixed-point kernel of _psi_sum: base v^-2k x^ell, x = u / v (u, v
+    as in _binary64_row, with equal real parts), in _Fixed's int operations,
+    x and v^-2k sharing r = 2^3F // |v|^2.  For ell < 0 near_pole(x, c, d, t)
+    returns None or the summand retaken at a finer unit."""
+    fixed, f, one3 = type(zz), zz.F, 1 << 3 * zz.F
+
+    def row(base, w0, c, d):
+        ur0, ui, vi = w0.re - zz.re, w0.im - zz.im, w0.im + zz.im
+        sr = si = 0
+        for t in range(-bound, bound + 1):
+            ur = ur0 + (t << f)
+            r = one3 // (ur * ur + vi * vi)
+            x = fixed(((ur * ur + ui * vi) * r) >> 2 * f, ((ui - vi) * ur * r) >> 2 * f)
+            term = near_pole(x, c, d, t) if ell < 0 else None
+            if term is None:
+                term = base * fixed(*_ipow((ur * r) >> f, (-vi * r) >> f, 2 * k, f))
+                if ell:
+                    term *= x ** ell
+            sr, si = sr + term.re, si + term.im
+        return fixed(sr, si)
+    return row
 
 
 def psi_section_check(bound=40, bits=53, tol=1e-3, precision=40):

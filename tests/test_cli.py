@@ -682,6 +682,16 @@ def test_psi_sum_vanishing(capsys):
     assert "VanishingSeries" in out
 
 
+def test_psi_sum_center_near_i_is_not_i(capsys):
+    # 1e-10 off i is past the rounding of the center, so the series does not
+    # vanish and no zero error bound is claimed
+    code, out, _ = run(capsys, ["psi-sum", "--k", "3", "--ell", "0", "--zz", "1e-10,1",
+                                "--at", "0.2,1.3", "--bound", "8", "--bits", "200", "--json"])
+    obj = json.loads(out)
+    assert code == EXIT_OK and obj["tail_note"].startswith("tail estimate")
+    assert float(obj["err_bound"]) > 0 and float(obj["value_re"]) != 0
+
+
 def test_psi_sum_pole_guard(capsys):
     code, _, err = run(capsys, ["psi-sum", "--k", "3", "--ell", "-1",
                                 "--zz", "0,1", "--at", "0,1", "--bound", "4"])
@@ -783,7 +793,7 @@ def test_psi_prop_check_weight_12_runs(capsys):
 # seven or so are rounding noise of the route: the six bits-80 digests were
 # recorded on the fixed-point route, the other fixed-point ones on the mpc
 # route it replaced, and the bits-53 ones on the binary64 route that sums
-# half the rows and doubles the total.
+# half the rows, each summand one quotient, and doubles the total.
 
 _PSI_CENTERS = ("0,1", "-0.5,0.8660254037844386", "-0.31,1.17")
 _PSI_AT = "-0.21,1.37"
@@ -810,33 +820,33 @@ def _psi_argv(bits, bound, combo):
 
 # first 16 hex digits of the sha256 of each case's stdout, in _PSI_PLAN order
 PINNED_PSI = (
-    "8cf44251e1bb7f14", "415cfe7311a951b5", "6ab3fe2736a65c7e", "baab65e723e0059e",
-    "f3c355362b79f582", "9086b9a55f8eb111", "70e1469e52d80126", "fe8d989af3f69dfc",
-    "66a661ffb8dc9799", "b3241ea1b78faac2", "020d066981eb0d17", "f48df225bc7986b4",
-    "16a1cadf848d42d1", "3f84874e79b342e0", "4e791500f86a5593", "f754a508a31c6319",
-    "af2779167f7670bd", "d1d9ec94f20cdeb7", "d08d4c1e52dde7a9", "e8a95d574cad64b7",
-    "2e41467652f862dc", "f2083b20aa2fd2ed", "e71121c0928c5e74", "590c15f282363fdb",
-    "5184857a9e227cfb", "0cdade7cc7740f11", "415c8c7eea769957", "c4306fea724dc861",
-    "2dd2ff55bca0da78", "5b54c6e0ce928a9b", "261ec8907bfeb50f", "99a5bd85f13d4193",
-    "61c63551346d3c5d", "b22272843a47d0a9", "37f95921c228bb68", "391adcce23dd1e50",
-    "742ffab2cdbf5fa9", "b0555d2bc8ef90f6", "75e6653e6381c391", "131a9cfe93211344",
-    "a27fc8c61d557e42", "a225375aaf3fa669", "cc597ff3267766e6", "d0265013e88022ce",
-    "84c7ab58101b6a86", "2ccd6d2d9a344745", "ce35ea07ed84f5b7", "9c6dd91c7a4e8583",
-    "430ccb0952cd4e90", "f2f38a314523e461", "68507e1d39c3287a", "5047343871e602d3",
-    "8747ae0adbe037db", "b0b95c3562fb89c0", "6f51f7e2c4ae2dfd", "7dd73630a614ecf8",
-    "ff2ca65a913846f3", "8c85032ccf15546d", "fa5adc1f80d0d6c3", "96a4cc3b73bdf560",
-    "3e7d1f10f2e34b70", "4dce224c5392e09b", "b8cece6c6150688b", "70cf6147cee84a52",
-    "e9c4fce6fe83a5a2", "e772b4c1cffcf56b", "ea066e9b92710fd1", "c6ea220c9c536b55",
-    "4f2863ece2329a14", "6fe95c01f801f0d1", "030a0cb661f186e3", "9b42164b7dc14167",
-    "16829235842b932d", "49d7b423c1955d3e", "dc1f549796bb017b", "05d0c99f2b019596",
-    "b75f17740c9f5c55", "e6b25bdb5adc8444", "2be7b9b36f604ca8", "ebc6a757465c9a2c",
-    "ff44f4da9920f6b0", "387ddfc615deeb6b", "428f4aca75ba342a", "d87adba41d9043a5",
-    "6284047eacdba890", "a72359bbabd56fa7", "adf0eacb42361a54", "ee588ac4e6364ce8",
-    "02d69f37fb688dba", "dde1babc9905bccc", "8df9a3e166291b49", "e4aaff1b52647245",
-    "67100f0d2d33ba1e", "6f042b232a2a5788", "44817a69a423e058", "ba8c765c2c774784",
-    "9f34b04ac9928717", "aef165cdb7e7c902", "b200c6e240701d15", "80470764af916bac",
-    "c878dcc747821100", "d0db1509394b71d9", "1c799907277b13af", "394a7ef0788526aa",
-    "0e3905cefe0c8444", "00abe81283e2f365", "02d47437351f889e", "a031e314abed79f2",
+    "4067b19532470b4d", "bbd384caad611587", "4fab4f235ffd470e", "b7735d7c5b1ca14f",
+    "8c3c1246eb989c06", "9086b9a55f8eb111", "287f65f1a5c463fb", "fe8d989af3f69dfc",
+    "10d865666985df7a", "8c2cc7818d21078d", "4b6e3f061227e0c9", "cc5ec7c7148c3bf7",
+    "98cbbff52ee55114", "5634c6e7c29ab498", "acd33a625336e437", "ed47cbe14c1be116",
+    "b47503b58d28ddd4", "d4624865a9073d8a", "9846bdf0b728c36a", "64adcfca7a1dcf03",
+    "b36fe9c8d987cd85", "5563619c73e0f12f", "c5377f316d601e04", "53ec5d49ba482e44",
+    "2e6e059a4595d88e", "1311b05bcc2ff896", "f3743798bf4a4118", "6a64f7652a52ce74",
+    "9aa6b13d9a42ac60", "a42ede226430b7d9", "22b49151da886423", "1de3f16747ca57be",
+    "bc4ae3f981532a6c", "26fd552805b14bed", "ffc8823b8a747d00", "b77737824f76a13b",
+    "7107003cc07dfdcb", "e8ac294c04211f26", "061835ac21ae8e4c", "e670464af7ff39be",
+    "6e4e0568c03a62c9", "eb6cd37ef40ef5e4", "69a2affc84bd3a8e", "a85de540ca67a0d4",
+    "35d80e38ceef0c3b", "3da2fe133f8d2aa8", "ec977a9bed456c41", "6fd01054ad08dd1b",
+    "3cae526b88a27776", "d4d4ecb1c79c4bf3", "548d62d55f8d90d2", "6129858e5942e492",
+    "0037fd5dc04189c1", "38e24b7ffc390a4c", "b14d7422922841ce", "194b6623b18691dd",
+    "192143da70ab4cf3", "1a049fbf913abd8a", "048804ea2f685bf3", "39b9f860ad05d86d",
+    "3f2a2b13915ddddf", "049ae1a4b6c497b1", "04501fdff3ee0d20", "dbe52d863e611fc9",
+    "9a8d0d4246013493", "4f0076052f69951a", "e389a0ccb99da22c", "505a002d9255392d",
+    "c43d46c5c33c7274", "f1ef1c98a22f227f", "61abb8323640fea1", "4468bdfe4e55c001",
+    "f9e3817556f6533b", "2f9a467738c78f6a", "cb25375f3623bedd", "93f7e939814c9189",
+    "31b50926f34a639b", "32bfb0922ae4eef0", "b2e77d4e914a019c", "b48c263d3e0f89c4",
+    "c40194df42e31747", "5191c552e0de7390", "6a03d3eb3e5e1544", "8829cd6fc46707e4",
+    "fc3d6931fd8d7a79", "75982f5a6dbfba85", "cfa66d67fe2cb9ff", "ca72b3e2fad28127",
+    "3eb15047b4305a69", "19c66f8e936f66b0", "1de352cf7bb240e0", "783f050109c5b47d",
+    "c2fb3f6bc35a7fc2", "a0890ea4646369e2", "e441710eaf0ac6be", "46387326fdc56524",
+    "728280c9769ab182", "24d0a30aaa89db67", "8847a7cf918638c6", "cdcdcf10cf043853",
+    "9ac616307beda0a6", "5ce56bed0746f3af", "abc385102f72e73c", "2e16d0f128554c6a",
+    "2b35cf9ffb4a51d5", "f6a810b9d14b6358", "d75ac379695e86e9", "a031e314abed79f2",
     "7cba2aa7cad2a5c9", "c271f944a9adae26", "17fe901499937d16", "223747bb340f4cd0",
     "0772ca4842a1add0", "a9abfdb7cb1883e3", "78a5936b908f5c8a", "33163032f0938b53",
     "63fc8e378075e11b", "9781994d673f37d3", "36fb84832012dd96", "f5e1a517cc3feadf",

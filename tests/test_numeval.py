@@ -1,6 +1,7 @@
 """Arbitrary-precision numeric layer: series evaluation on the upper
 half-plane, special-point checks, and truncated elliptic Poincare sums."""
 
+import cmath
 import functools
 import hashlib
 import json
@@ -428,6 +429,20 @@ def test_elliptic_order():
     assert elliptic_order(2j) == 1
 
 
+@pytest.mark.parametrize("bits", [53, 80, 200, 512])
+def test_elliptic_order_within_rounding(bits):
+    # a point 1e-10 or 1e-6 off i is not i; binary64 centers that round
+    # to i or rho, or reduce to i, keep their order and their vanishing sums
+    assert elliptic_order(complex(1e-10, 1)) == elliptic_order(complex(1e-6, 1)) == 1
+    assert elliptic_order(complex(0.5, 0.5)) == 2
+    for center, k, ell in ((HPoint("0", "1"), 3, 0), (HPoint("0.5", "0.5"), 3, 0),
+                           (HPoint("-0.5", "0.8660254037844386"), 3, -1)):
+        r = psi_truncated(PoincareSeed(k, ell, center), HPoint("0.2", "1.3"), 2, bits)
+        assert r.value == 0 and r.tail_note.startswith("VanishingSeries"), (center, bits)
+    r = psi_truncated(PoincareSeed(3, 0, HPoint("1e-10", "1")), HPoint("0.2", "1.3"), 2, bits)
+    assert r.tail_note.startswith("tail estimate") and r.value != 0
+
+
 # -- the elliptic-point eigenvalue identity ----------------------------------
 
 def test_script_g_matches_composed_route():
@@ -494,34 +509,56 @@ def test_psi_machine_vs_mp():
 def _psi_binary64_half_doubled(k, ell, center, z, bound):
     """The 53-bit truncated sum written out: the rows (c, d) with c < 0,
     then (0, -1), in the loop order and binary64 operations of
-    psi_truncated, and their total doubled."""
+    psi_truncated, and their total doubled.  With u = w - center and
+    v = w - conj(center) from u0 = w0 - center and v0 = w0 - conj(center),
+    each summand is base u^ell / v^(2k + ell), one quotient, for ell < 0
+    base / ((u v)^-ell v^(2k + 2 ell)), and each row is summed on its own.
+    A row whose sum raises or is not finite is summed again as
+    base v^-2k x^ell with x = u / v, refused as a pole where x ** ell
+    fails."""
     zz, zc = complex(*center), complex(*z)
     zzbar = zz.conjugate()
-    w2k = -2 * k
+    m, w2k = 2 * k + ell, -2 * k
     rows = [(c, d) for c in range(-bound, 0) for d in range(-bound, bound + 1)
             if math.gcd(c, d) == 1] + [(0, -1)]
+    translates = range(-bound, bound + 1)
     total = 0j
     for c, d in rows:
         a, b = numeval._bezout(c, d)
         denom = c * zc + d
         base = denom ** w2k
         w0 = (a * zc + b) / denom
-        for t in range(-bound, bound + 1):
-            w = w0 + t
-            dzbar = w - zzbar
-            x = (w - zz) / dzbar
-            if ell < 0 and x == 0:
-                raise RegionGuard(
-                    "evaluation point lies in the orbit of the center (pole of "
-                    "the kernel): w = center at row (%d, %d), t = %d" % (c, d, t))
-            try:
-                power = x ** ell
-            except (OverflowError, ZeroDivisionError):
-                raise RegionGuard(
-                    "evaluation point lies within rounding of the orbit of the center "
-                    "(pole of the kernel): w near center at row (%d, %d), t = %d"
-                    % (c, d, t)) from None
-            total += base * dzbar ** w2k * power
+        u0, v0 = w0 - zz, w0 - zzbar
+        row = 0j
+        try:
+            for t in translates:
+                u, v = u0 + t, v0 + t
+                if ell == 0:
+                    row += base / v ** m
+                elif ell > 0:
+                    row += base * u ** ell / v ** m
+                else:
+                    row += base / ((u * v) ** -ell * v ** (m + ell))
+        except (OverflowError, ZeroDivisionError):
+            row = complex("inf")
+        if not cmath.isfinite(row):
+            row = 0j
+            for t in translates:
+                u, v = u0 + t, v0 + t
+                x = u / v
+                if ell < 0 and x == 0:
+                    raise RegionGuard(
+                        "evaluation point lies in the orbit of the center (pole of "
+                        "the kernel): w = center at row (%d, %d), t = %d" % (c, d, t))
+                try:
+                    power = x ** ell
+                except (OverflowError, ZeroDivisionError):
+                    raise RegionGuard(
+                        "evaluation point lies within rounding of the orbit of the center "
+                        "(pole of the kernel): w near center at row (%d, %d), t = %d"
+                        % (c, d, t)) from None
+                row += base * v ** w2k * power
+        total += row
     return total + total
 
 
@@ -544,6 +581,11 @@ _coord = st.floats(-0.5, 0.5)
 # underflows to 0 and the reciprocal divides by zero; both are refused
 @example(k=2, ell=-3, center=(0.0, 0.875), z=(5.088552706072287e-158, 0.875), bound=1)
 @example(k=2, ell=-2, center=(0.0, 1.0), z=(5.088552706072287e-158, 1.0), bound=1)
+# (u v) ** -ell is subnormal, so the quotient is inf without an exception; the
+# row is summed again, and x ** ell fails there, so these are refused too
+@example(k=4, ell=-2, center=(0.0, 1.0), z=(5e-158, 1.0), bound=1)
+@example(k=3, ell=-1, center=(0.0, 1.0), z=(1e-312, 1.0), bound=1)
+@example(k=2, ell=-2, center=(0.0, 1.17), z=(1e-157, 1.17), bound=2)
 # 2k up to 100 is raised by repeated squaring, above it by CPython's polar
 # power
 @example(k=50, ell=2, center=(-0.31, 1.17), z=(0.2, 1.3), bound=3)
@@ -634,6 +676,64 @@ def test_psi_fixed_point_matches_mpc(cx, cy, zx, zy, k, ell, bits, bound):
     assert isinstance(res.value, mpmath.mpc)
     with mpmath.workprec(bits + 64):
         assert abs(res.value - value) <= mpmath.mpf(2) ** -bits * scale
+
+
+def _psi_fixed_half_doubled(k, ell, center, z, bound, bits):
+    """The fixed-point truncated sum written out in _Fixed operations, at
+    the unit psi_truncated plans: the rows of _psi_binary64_half_doubled,
+    each summand base (w - conj(center))^-2k x^ell with
+    x = (w - center) / (w - conj(center)), or for ell < 0 the summand
+    _psi_near_pole retakes at a finer unit, and the total doubled."""
+    frac = bits + 30 + 16 + ((2 * bound + 1) ** 3).bit_length()
+    fixed = numeval._fixed_type(frac)
+    rows = [(c, d) for c in range(-bound, 0) for d in range(-bound, bound + 1)
+            if math.gcd(c, d) == 1] + [(0, -1)]
+    with mpmath.workprec(bits + 30):
+        cz, pz = mpmath.mpc(*center), mpmath.mpc(*z)
+        zz, zc = fixed.from_mpc(cz), fixed.from_mpc(pz)
+        total = fixed(0)
+        for c, d in rows:
+            a, b = numeval._bezout(c, d)
+            denom = c * zc + d
+            base = denom ** (-2 * k)
+            w0 = (a * zc + b) / denom
+            for t in range(-bound, bound + 1):
+                w = w0 + t
+                dzbar = w - zz.conjugate()
+                x = (w - zz) / dzbar
+                term = None
+                if ell < 0:
+                    term = numeval._psi_near_pole(k, ell, cz, pz, frac, bits, x, c, d, t)
+                total += base * dzbar ** (-2 * k) * x ** ell if term is None else term
+        return (total + total).to_mpc()
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(2, 4), ell=st.integers(-3, 2),
+       center=st.sampled_from([(0.0, 1.0), _RHO, (-0.31, 1.17)])
+       | st.tuples(_coord, st.floats(0.8, 2)),
+       z=st.tuples(_coord, st.floats(0.5, 2.5)), bits=st.sampled_from([54, 80, 200]),
+       bound=st.integers(1, 4))
+# z within 2^-126 and 2^-149 of the center: _psi_near_pole retakes the summand
+@example(k=2, ell=-1, center=(0.0, 0.875), z=(2.0 ** -126, 0.875), bits=80, bound=1)
+@example(k=2, ell=-2, center=(0.0, 1.0), z=(2.0 ** -149, 1.0), bits=200, bound=2)
+@example(k=3, ell=-3, center=(0.25, 1.5), z=(0.25 + 2.0 ** -60, 1.5), bits=54, bound=3)
+# exact poles, refused at the row and t of the loop
+@example(k=3, ell=-1, center=(0.0, 1.0), z=(0.0, 1.0), bits=200, bound=4)
+@example(k=4, ell=-2, center=(0.25, 1.5), z=(0.25, 1.5), bits=120, bound=2)
+def test_psi_fixed_row_matches_fixed_loop(k, ell, center, z, bits, bound):
+    # the fixed-point kernel's total is that of the _Fixed loop, bit for bit
+    assume((k + ell) % elliptic_order(complex(*center)) == 0)
+    seed = PoincareSeed(k, ell, center)
+    try:
+        want = _psi_fixed_half_doubled(k, ell, center, z, bound, bits)
+    except RegionGuard as exc:
+        with pytest.raises(RegionGuard) as got:
+            psi_truncated(seed, z, bound, bits)
+        assert str(got.value) == str(exc)
+        return
+    res = psi_truncated(seed, z, bound, bits)
+    assert res.value == want and repr(res.value) == repr(want)
 
 
 def test_fixed_point_scalar():

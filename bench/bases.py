@@ -4,15 +4,16 @@
     python3 bench/bases.py [--deck perfbench/data/exact-session.json] [--reps 3]
 
 Runs the quotient, solve-pp and verify command lines of the deck once, in
-this process, from a cleared memo, so the memo ends up holding every
-holomorphic or cuspidal basis ("basis", weight, kind) and every pole-bounded
-slice ("wh", weight, max_pole) that workload asks for, each at the largest
-precision asked for.  Then, for each of those entries, prints the best time
-over --reps of a request at that precision with the entry removed (a miss:
-the build, on warm E4, E6 and delta) and with it present (a hit: the
-truncated copy), the dimension, the coefficient bits stored and the bytes
-of the stored coefficient objects and tuples.  The last lines give the
-totals.  Run it from the root of a checkout.
+this process, from a cleared memo, so the memo ends up holding every echelon
+basis ("basis", weight, e) of delta^e * M_(weight-12e) that workload asks
+for, each at the largest precision asked for: e = 0 is the holomorphic
+space (and the slice with max_pole 0), e = 1 the cuspidal space and
+e = -max_pole the pole-bounded slice.  Then, for each of those entries,
+prints the best time over --reps of a request at that precision with the
+entry removed (a miss: the build, on warm E4, E6 and delta) and with it
+present (a hit: the truncated copy), the dimension, the coefficient bits
+stored and the bytes of the stored coefficient objects and tuples.  The
+last lines give the totals.  Run it from the root of a checkout.
 """
 
 import argparse
@@ -30,9 +31,10 @@ from merohecke import cli, forms, whbasis  # noqa: E402
 
 
 def request(key, precision):
-    if key[0] == "basis":
-        return forms.basis(key[1], key[2], precision)
-    return whbasis.wh_slice_basis(key[1], key[2], precision)
+    _, weight, e = key
+    if e >= 0:
+        return forms.basis(weight, forms.CUSPIDAL if e else forms.HOLOMORPHIC, precision)
+    return whbasis.wh_slice_basis(weight, -e, precision)
 
 
 def best_time(key, precision, reps, miss):
@@ -77,8 +79,10 @@ def main():
                 cli.main(job["argv"])
             sink.seek(0)
             sink.truncate()
-    entries = sorted((key, stored[0]) for key, stored in forms._cache.items()
-                     if key[0] in ("basis", "wh"))
+    # M and S by weight, then the slices by weight and max_pole
+    entries = sorted(((key, stored[0]) for key, stored in forms._cache.items()
+                      if key[0] == "basis"),
+                     key=lambda entry: (entry[0][2] < 0, entry[0][1], abs(entry[0][2])))
     print("%-5s %6s %5s %5s %4s %9s %9s %9s %9s"
           % ("entry", "weight", "space", "P", "dim", "miss_ms", "hit_ms", "bits", "bytes"))
     total_bits = total_bytes = 0
@@ -89,12 +93,13 @@ def main():
         bits, size = stored_size(fb)
         total_bits += bits
         total_bytes += size
-        space = key[2] if key[0] == "basis" else "a=%d" % key[2]
+        entry = "basis" if key[2] >= 0 else "wh"
+        space = fb.kind if key[2] >= 0 else "a=%d" % -key[2]
         print("%-5s %6d %5s %5d %4d %9.2f %9.3f %9d %9d"
-              % (key[0], key[1], space, precision, len(fb), 1e3 * miss, 1e3 * hit, bits, size))
+              % (entry, key[1], space, precision, len(fb), 1e3 * miss, 1e3 * hit, bits, size))
     print("entries %d (%d basis, %d wh)" % (len(entries),
-                                            sum(k[0] == "basis" for k, _ in entries),
-                                            sum(k[0] == "wh" for k, _ in entries)))
+                                            sum(k[2] >= 0 for k, _ in entries),
+                                            sum(k[2] < 0 for k, _ in entries)))
     print("coefficient bits %d, coefficient and tuple bytes %d (%.2f MB)"
           % (total_bits, total_bytes, total_bytes / 2 ** 20))
 

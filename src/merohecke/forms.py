@@ -4,8 +4,10 @@ Eisenstein series, the discriminant form, the modular invariant j, echelon
 (row-reduced) bases of the holomorphic and cuspidal spaces in even weight,
 and exact characteristic polynomials of Hecke operators on those spaces.
 
-The forms and the bases are memoized per process (see _cached): each is
-built once at the largest precision asked for and truncated on request.
+Every echelon basis, here and in whbasis, is delta^e * M_(w-12e) reduced
+from q^e (_echelon_basis): M_w for e = 0, S_w for e = 1, poles of order at
+most a for e = -a.  Forms and bases are memoized per process (see _cached):
+each is built once at the largest precision asked for and truncated on request.
 """
 
 import math
@@ -205,15 +207,19 @@ def dim_modular(weight):
 
 
 def dim_cusp(weight):
-    return max(dim_modular(weight) - 1, 0)
+    return dim_modular(weight - 12)
+
+
+def leading_start(kind):
+    """0 for "M" and 1 for "S": the kind's space is delta^s * M_(w-12s),
+    echelonized from q^s."""
+    if kind not in (HOLOMORPHIC, CUSPIDAL):
+        raise ValueError("kind must be %r or %r" % (HOLOMORPHIC, CUSPIDAL))
+    return 0 if kind == HOLOMORPHIC else 1
 
 
 def dimension(weight, kind):
-    if kind == HOLOMORPHIC:
-        return dim_modular(weight)
-    if kind == CUSPIDAL:
-        return dim_cusp(weight)
-    raise ValueError("kind must be %r or %r" % (HOLOMORPHIC, CUSPIDAL))
+    return dim_modular(weight - 12 * leading_start(kind))
 
 
 class FormBasis(Immutable):
@@ -251,23 +257,6 @@ class FormBasis(Immutable):
         return [series.coefficient(e) for e in self.leading]
 
 
-def _monomial_span(weight, precision):
-    # E4^b * E6^c with 4b + 6c = weight spans the holomorphic space
-    span = []
-    for c in range(weight // 6 + 1):
-        rest = weight - 6 * c
-        if rest < 0 or rest % 4:
-            continue
-        b = rest // 4
-        f = ModularForm(0, LaurentSeries.one(precision))
-        if b:
-            f = f * (eisenstein(4, precision) ** b)
-        if c:
-            f = f * (eisenstein(6, precision) ** c)
-        span.append(ModularForm(weight, f.series.truncate(precision)))
-    return span
-
-
 def echelonize(forms, weight, kind, window_start, precision):
     """Exact row reduction of q-expansions aligned on [window_start, precision)."""
     rows = []
@@ -279,39 +268,57 @@ def echelonize(forms, weight, kind, window_start, precision):
     return FormBasis(weight, kind, elements, leading)
 
 
-def basis(weight, kind, precision):
-    """Echelon basis of the holomorphic ("M") or cuspidal ("S") space, from
-    the memo: one build at the largest precision asked for so far serves
-    every request at or below it."""
-    d = dimension(weight, kind)
+def _echelon_basis(weight, e, precision, label):
+    """Echelon basis of delta^e * M_(weight-12e) on [e, precision), labelled
+    label, from the memo: one build per (weight, e) at the largest precision
+    asked for so far serves every request at or below it."""
+    d = dim_modular(weight - 12 * e)
     if d == 0:
-        return FormBasis(weight, kind, [], [])
-    s = 0 if kind == HOLOMORPHIC else 1
-    if precision < s + d + 1:
+        return FormBasis(weight, label, [], [])
+    if precision < e + d + 1:
         raise InsufficientPrecision(
-            "basis of dimension %d from q^%d needs precision >= %d" % (d, s, s + d + 1))
+            "pole-bounded basis with leading indices up to %d needs precision > %d"
+            % (e + d - 1, e + d))
 
     def build(p):
-        if kind == HOLOMORPHIC:
-            span = _monomial_span(weight, p)
+        # delta^e times E4^b * E6^c, 4b + 6c = weight - 12e, which span
+        # M_(weight-12e); the reduced echelon form of any span is unique
+        if e > 0:
+            lead = delta(p).series.pow(e)
+        elif e < 0:
+            lead = delta(p + 1 - e).series.invert().pow(-e).truncate(p)
         else:
-            span = [delta(p) * g for g in _monomial_span(weight - 12, p)]
-            span = [ModularForm(weight, f.series.truncate(p)) for f in span]
-        fb = echelonize(span, weight, kind, s, p)
-        if len(fb) != d or list(fb.leading) != list(range(s, s + d)):
-            raise AssertionError("echelon basis of weight %d %s came out wrong" % (weight, kind))
+            lead = LaurentSeries.one(p)
+        q, hol = p - min(e, 0), weight - 12 * e
+        span = []
+        for c in range(hol // 6 + 1):
+            b, rest = divmod(hol - 6 * c, 4)
+            if not rest:
+                f = lead
+                if b:
+                    f = f.mul(eisenstein(4, q).series ** b)
+                if c:
+                    f = f.mul(eisenstein(6, q).series ** c)
+                span.append(ModularForm(weight, f.truncate(p)))
+        fb = echelonize(span, weight, label, e, p)
+        if len(fb) != d or list(fb.leading) != list(range(e, e + d)):
+            raise AssertionError("echelon basis of delta^%d M_%d came out wrong" % (e, hol))
         return fb
 
-    return _cached(("basis", weight, kind), precision, build)
+    fb = _cached(("basis", weight, e), precision, build)
+    # the M entry also serves the max_pole = 0 slice, labelled "wh"
+    return fb if fb.kind == label else FormBasis(weight, label, fb.elements, fb.leading)
+
+
+def basis(weight, kind, precision):
+    """Echelon basis of the holomorphic ("M") or cuspidal ("S") space."""
+    return _echelon_basis(weight, leading_start(kind), precision, kind)
 
 
 def hecke_matrix_on_space(weight, kind, m):
     """Exact matrix of the index-m Hecke operator on the echelon basis."""
     d = dimension(weight, kind)
-    if d == 0:
-        return []
-    s = 0 if kind == HOLOMORPHIC else 1
-    fb = basis(weight, kind, m * (s + d + 1) + 2)
+    fb = basis(weight, kind, m * (leading_start(kind) + d + 1) + 2)
     cols = []
     for f in fb:
         image = hecke.t_op(f.series, weight, m)

@@ -396,13 +396,7 @@ def cm_checks(bits=200, precision=40, tol=1e-20):
         e4_rel = abs(e4_val - e4_target) / abs(e4_target)
         e6_rel = abs(e6_val - e6_target) / abs(e6_target)
         j_rel = abs(j_val + 3375) / 3375
-        checks = {
-            "delta_negative_real": d_val.real < 0 and imag_rel <= tol,
-            "e4_rel": e4_rel,
-            "e6_rel": e6_rel,
-            "j_rel": j_rel,
-        }
-        ok = (checks["delta_negative_real"] and e4_rel <= tol
+        ok = (d_val.real < 0 and imag_rel <= tol and e4_rel <= tol
               and e6_rel <= tol and j_rel <= tol)
         return {
             "point": "(1+sqrt(7)i)/2",
@@ -559,7 +553,7 @@ def psi_truncated(seed, z, bound=40, bits=53):
     with workprec(bits + _GUARD_BITS):
         center, pt = _as_mpc(seed.center), _as_mpc(z)
         near_pole = functools.partial(_psi_near_pole, k, ell, center, pt, frac, bits)
-        row = _fixed_row(k, ell, fixed.from_mpc(center), bound, near_pole)
+        row = _fixed_row(k, ell, fixed.from_mpc(center), bound, bits, near_pole)
         total = _psi_sum(k, fixed.from_mpc(pt), bound, row)
         return EvalResult(total.to_mpc(), mpmath.mpf(bound) ** (1 - 2 * k), note)
 
@@ -762,12 +756,13 @@ def _binary64_row(k, ell, zz, bound):
     return row
 
 
-def _fixed_row(k, ell, zz, bound, near_pole):
+def _fixed_row(k, ell, zz, bound, bits, near_pole):
     """The fixed-point kernel of _psi_sum: base v^-2k x^ell, x = u / v (u, v
     as in _binary64_row, with equal real parts), in _Fixed's int operations,
-    x and v^-2k sharing r = 2^3F // |v|^2.  For ell < 0 near_pole(x, c, d, t)
-    returns None or the summand retaken at a finer unit."""
-    fixed, f, one3 = type(zz), zz.F, 1 << 3 * zz.F
+    x and v^-2k sharing r = 2^3F // |v|^2.  For ell < 0 and x below
+    2^(bits + _GUARD_BITS) units, near_pole(x, c, d, t) returns None or the
+    summand retaken at a finer unit."""
+    fixed, f, one3, near = type(zz), zz.F, 1 << 3 * zz.F, bits + _GUARD_BITS
 
     def row(base, w0, c, d):
         ur0, ui, vi = w0.re - zz.re, w0.im - zz.im, w0.im + zz.im
@@ -776,7 +771,9 @@ def _fixed_row(k, ell, zz, bound, near_pole):
             ur = ur0 + (t << f)
             r = one3 // (ur * ur + vi * vi)
             x = fixed(((ur * ur + ui * vi) * r) >> 2 * f, ((ui - vi) * ur * r) >> 2 * f)
-            term = near_pole(x, c, d, t) if ell < 0 else None
+            term = None
+            if ell < 0 and not max(abs(x.re), abs(x.im)) >> near:
+                term = near_pole(x, c, d, t)
             if term is None:
                 term = base * fixed(*_ipow((ur * r) >> f, (-vi * r) >> f, 2 * k, f))
                 if ell:

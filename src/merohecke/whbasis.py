@@ -8,14 +8,16 @@ exists is decided by pairing against an echelon basis of the dual weight
 full holomorphic space for forms required to have zero constant term
 ("S-shriek").  A vanishing pairing vector is equivalent to solvability,
 and the solver then realizes the form greedily against a pole-bounded
-echelon basis.
+echelon basis.  The dual bases and the pole-bounded ones come from the one
+builder in forms: delta^e * M_(w-12e) reduced from q^e, with e = -a for
+poles of order at most a.
 """
 
 from fractions import Fraction
 
 from .qseries import Immutable, LaurentSeries, InsufficientPrecision, as_coeff, compare
 from . import forms
-from .forms import ModularForm, FormBasis, HOLOMORPHIC, CUSPIDAL
+from .forms import ModularForm, HOLOMORPHIC, CUSPIDAL
 
 
 class NonUniqueSolution(Exception):
@@ -127,35 +129,14 @@ def wh_slice_basis(weight, max_pole, precision):
     """Echelon basis of the weight-w weakly holomorphic forms with pole
     order at most max_pole at the cusp: delta^-max_pole times the
     holomorphic space of weight w + 12*max_pole, re-reduced.  Window
-    [-max_pole, precision) on every element; memoized like forms.basis."""
+    [-max_pole, precision) on every element; built and memoized by
+    forms._echelon_basis, so max_pole = 0 shares the entry of
+    forms.basis(weight, "M", precision)."""
     if weight % 2:
         raise ValueError("weight must be even")
     if max_pole < 0:
         raise ValueError("max_pole must be >= 0")
-    a = max_pole
-    if a == 0:
-        fb = forms.basis(weight, HOLOMORPHIC, precision)
-        return FormBasis(weight, "wh", fb.elements, fb.leading)
-    d = forms.dim_modular(weight + 12 * a)
-    if d == 0:
-        return FormBasis(weight, "wh", [], [])
-    if precision <= -a + d:
-        raise InsufficientPrecision(
-            "pole-bounded basis with leading indices up to %d needs precision > %d"
-            % (-a + d - 1, -a + d))
-
-    def build(p):
-        dinv = forms.delta(p + a + 1).series.invert()
-        dinv_pow = dinv.pow(a).truncate(p)
-        # any spanning set works: the reduced echelon form of the span is unique
-        hol = forms._monomial_span(weight + 12 * a, p + a)
-        span = [ModularForm(weight, h.series.mul(dinv_pow).truncate(p)) for h in hol]
-        fb = forms.echelonize(span, weight, "wh", -a, p)
-        if len(fb) != d or list(fb.leading) != list(range(-a, -a + d)):
-            raise AssertionError("pole-bounded echelon basis came out wrong")
-        return fb
-
-    return forms._cached(("wh", weight, a), precision, build)
+    return forms._echelon_basis(weight, -max_pole, precision, "wh")
 
 
 _DUAL_KINDS = {
@@ -173,10 +154,7 @@ def obstruction(weight, pp, dual_kind):
         raise ValueError("dual kind must be 'cusp' or 'holomorphic'")
     dual_weight = 2 - weight
     d = forms.dimension(dual_weight, kind)
-    if d == 0:
-        return []
-    s = 0 if kind == HOLOMORPHIC else 1
-    need = max(pp.max_pole + 1, s + d + 1)
+    need = max(pp.max_pole + 1, forms.leading_start(kind) + d + 1)
     fb = forms.basis(dual_weight, kind, need)
     vec = []
     for g in fb:

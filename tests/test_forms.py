@@ -1,6 +1,7 @@
 """Classical level-one forms: Eisenstein series, delta, j, bases, Hecke
 matrices on holomorphic spaces."""
 
+import functools
 import threading
 from fractions import Fraction
 
@@ -177,6 +178,8 @@ def test_dimensions():
     assert dim_cusp(26) == 1
     assert dimension(12, CUSPIDAL) == 1
     assert dimension(12, HOLOMORPHIC) == 2
+    for w in range(-30, 201):
+        assert dim_cusp(w) == dim_modular(w - 12), w
 
 
 def test_basis_echelon_property():
@@ -299,7 +302,7 @@ def test_memoized_basis_matches_fresh_build(data, half_weight, kind):
     s = 0 if kind == HOLOMORPHIC else 1
     precisions = data.draw(precision_sequences(s + d + 1))
     assert_memo_matches_fresh_builds(lambda p: basis(weight, kind, p),
-                                     ("basis", weight, kind), precisions)
+                                     ("basis", weight, s), precisions)
 
 
 @settings(max_examples=60, deadline=None)
@@ -310,11 +313,74 @@ def test_memoized_wh_slice_basis_matches_fresh_build(data, half_weight, max_pole
     if d == 0:
         assert wh_slice_basis(weight, max_pole, 5).elements == ()
         return
-    # pole order 0 is the holomorphic basis, memoized under its own key
-    key = ("wh", weight, max_pole) if max_pole else ("basis", weight, HOLOMORPHIC)
+    # delta^-max_pole * M_(weight+12*max_pole); max_pole = 0 shares the M entry
+    key = ("basis", weight, -max_pole)
     precisions = data.draw(precision_sequences(-max_pole + d + 1))
     assert_memo_matches_fresh_builds(lambda p: wh_slice_basis(weight, max_pole, p),
                                      key, precisions)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_power(weight, n):
+    # E_weight^n on [0, 73), past every window of the reference test below
+    return eisenstein(weight, 73).series ** n
+
+
+def _reference_monomials(weight, precision):
+    # E4^b * E6^c with 4b + 6c = weight, each on [0, precision)
+    span = []
+    for c in range(weight // 6 + 1):
+        b, rest = divmod(weight - 6 * c, 4)
+        if not rest:
+            f = _reference_power(4, b).truncate(precision) * _reference_power(6, c).truncate(precision)
+            span.append(ModularForm(weight, f))
+    return span
+
+
+def _reference_echelon(span, weight, kind, start, precision):
+    red, pivots = linalg.rref([[f.coefficient(n) for n in range(start, precision)]
+                               for f in span])
+    elements = tuple(ModularForm(weight, LaurentSeries(start, row, precision)) for row in red)
+    return kind, elements, tuple(start + p for p in pivots)
+
+
+def _reference_basis(weight, kind, precision):
+    """M_w from its monomials, S_w as delta * M_(w-12), each echelonized."""
+    if kind == HOLOMORPHIC:
+        return _reference_echelon(_reference_monomials(weight, precision),
+                                  weight, kind, 0, precision)
+    span = [delta(precision) * g for g in _reference_monomials(weight - 12, precision)]
+    span = [ModularForm(weight, f.series.truncate(precision)) for f in span]
+    return _reference_echelon(span, weight, kind, 1, precision)
+
+
+def _reference_slice(weight, a, precision):
+    """delta^-a * M_(w+12a), echelonized from q^-a; a = 0 is M_w."""
+    if a == 0:
+        return ("wh",) + _reference_basis(weight, HOLOMORPHIC, precision)[1:]
+    dinv_pow = delta(precision + a + 1).series.invert().pow(a).truncate(precision)
+    span = [ModularForm(weight, h.series.mul(dinv_pow).truncate(precision))
+            for h in _reference_monomials(weight + 12 * a, precision + a)]
+    return _reference_echelon(span, weight, "wh", -a, precision)
+
+
+def test_bases_match_reference_constructions():
+    # every basis is delta^e * M_(w-12e): e = 0 for M, 1 for S, -a for the
+    # slice with poles of order <= a; compare against each space's own
+    # construction at the least valid precision and at 60
+    clear_cache()
+    for weight in range(-40, 121, 2):
+        cases = [(kind, 0 if kind == HOLOMORPHIC else 1, basis, kind)
+                 for kind in (HOLOMORPHIC, CUSPIDAL)]
+        cases += [(a, -a, wh_slice_basis, None) for a in range(13)]
+        for arg, e, request, kind in cases:
+            d = dim_modular(weight - 12 * e)
+            for p in sorted({e + d + 1, 60}):
+                fb = request(weight, arg, p)
+                want = (_reference_basis(weight, kind, p) if kind
+                        else _reference_slice(weight, arg, p))
+                assert (fb.kind, fb.elements, fb.leading) == want, (weight, arg, p)
+    clear_cache()
 
 
 def test_cache_thread_smoke():

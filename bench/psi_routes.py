@@ -20,8 +20,11 @@ favours that formula.  At bits <= 53 the last column is therefore the
 largest error against the same truncated sum at the binary64 values of the
 center and point, re-summed in mpmath at 160 bits, in units of
 2^-53 * sum |summands|.  --skip-oracle leaves out both re-summations,
-which take minutes per case from bound 50 up.  Run it from the root of a
-checkout.
+which take minutes per case from bound 50 up.  A second table times the
+binary64 route (bits 53) on one case per loop shape of its kernel
+(ell = 0, 1, -1, -k, and -2 with 2k + 2 ell > 0, at k = 3 about a generic
+center) at each bound, best of reps, in ns per summand.  Run it from the
+root of a checkout.
 """
 
 import argparse
@@ -45,6 +48,12 @@ from merohecke.numeval import HPoint, PoincareSeed, psi_truncated  # noqa: E402
 CASES = ((3, -1, ("0", "1"), ("0", "2")),
          (4, -1, ("-0.5", "0.8660254037844386"), ("-0.21", "1.37")),
          (2, 2, ("-0.31", "1.17"), ("0.2", "1.3")))
+
+
+# one case per loop shape of the binary64 kernel: (shape, k, ell)
+SHAPES = (("ell=0", 3, 0), ("ell=1", 3, 1), ("ell=-1", 3, -1), ("ell=-k", 3, -3),
+          ("ell=-2,n>0", 3, -2))
+SHAPE_CENTER, SHAPE_POINT = ("-0.31", "1.17"), ("0.2", "1.3")
 
 
 def rows(bound):
@@ -114,6 +123,14 @@ def main():
             print("%5d %5d %6d %9d %9.3f %9s %10s %10s %9s"
                   % (bits, bound, rows(bound), rows(bound) * (2 * bound + 1), best, t_oracle,
                      rel, share, units), flush=True)
+    print("\n%-11s %5s %9s %9s %12s" % ("shape", "bound", "summands", "time_s", "ns/summand"))
+    for shape, k, ell in SHAPES:
+        seed = PoincareSeed(k, ell, HPoint(*SHAPE_CENTER))
+        for bound in [int(x) for x in args.bounds.split(",")]:
+            best, _ = best_of(args.reps, psi_truncated, seed, HPoint(*SHAPE_POINT), bound, 53)
+            summands = rows(bound) * (2 * bound + 1)
+            print("%-11s %5d %9d %9.4f %12.1f" % (shape, bound, summands, best,
+                                                  1e9 * best / summands), flush=True)
 
 
 if __name__ == "__main__":

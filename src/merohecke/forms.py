@@ -10,6 +10,7 @@ most a for e = -a.  Forms and bases are memoized per process (see _cached):
 each is built once at the largest precision asked for and truncated on request.
 """
 
+import functools
 import math
 import threading
 from fractions import Fraction
@@ -283,23 +284,27 @@ def _echelon_basis(weight, e, precision, label):
     def build(p):
         # delta^e times E4^b * E6^c, 4b + 6c = weight - 12e, which span
         # M_(weight-12e); the reduced echelon form of any span is unique
+        lead = None
         if e > 0:
             lead = delta(p).series.pow(e)
         elif e < 0:
             lead = delta(p + 1 - e).series.invert().pow(-e).truncate(p)
-        else:
-            lead = LaurentSeries.one(p)
         q, hol = p - min(e, 0), weight - 12 * e
+        # c rises by 2 from c0 as b falls by 3 to b0, so the powers of E4 and
+        # E6 form two chains of d, one product a step (None stands for 1)
+        c0 = hol // 2 % 2
+        b0 = (hol - 6 * c0) // 4 - 3 * (d - 1)
+        e4, e6 = eisenstein(4, q).series, eisenstein(6, q).series
+        fours, sixes = [e4.pow(b0) if b0 else None], [e6 if c0 else None]
+        steps = (e4.pow(3), e6.pow(2)) if d > 1 else ()
+        for _ in range(d - 1):
+            for chain, step in zip((fours, sixes), steps):
+                chain.append(step if chain[-1] is None else chain[-1].mul(step))
         span = []
-        for c in range(hol // 6 + 1):
-            b, rest = divmod(hol - 6 * c, 4)
-            if not rest:
-                f = lead
-                if b:
-                    f = f.mul(eisenstein(4, q).series ** b)
-                if c:
-                    f = f.mul(eisenstein(6, q).series ** c)
-                span.append(ModularForm(weight, f.truncate(p)))
+        for x, y in zip(reversed(fours), sixes):
+            factors = [g for g in (lead, x, y) if g is not None] or [LaurentSeries.one(p)]
+            f = functools.reduce(LaurentSeries.mul, factors)
+            span.append(ModularForm(weight, f.truncate(p)))
         fb = echelonize(span, weight, label, e, p)
         if len(fb) != d or list(fb.leading) != list(range(e, e + d)):
             raise AssertionError("echelon basis of delta^%d M_%d came out wrong" % (e, hol))

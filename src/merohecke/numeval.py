@@ -8,13 +8,13 @@ Tail bounds are heuristic (ratio test over the last quarter of the stored
 window) and are surfaced in every result rather than hidden; truncated
 group sums report a crude O(B^(1-2k)) tail estimate.
 
-Both numeric loops sum in one Gaussian fixed-point type, _Fixed: two Python
-ints scaled by 2^F.  Sums are exact; each product is floored to F
-fractional bits and each quotient takes one integer division, so every
-operation is off by a few units of 2^-F (fixed-point error accounting as
-in Brent and Zimmermann, Modern Computer Arithmetic, ch. 3).  F is planned
-from the job, not found by retry, and each total is rounded to an mpc at
-the working precision bits + 30:
+Both numeric loops sum on pairs of Python ints scaled by 2^F, in the
+operations of the Gaussian fixed-point type _Fixed written out.  Sums are
+exact; each product is floored to F fractional bits and each quotient takes
+one integer division, so every operation is off by a few units of 2^-F
+(fixed-point error accounting as in Brent and Zimmermann, Modern Computer
+Arithmetic, ch. 3).  F is planned from the job, not found by retry, and
+each total is rounded to an mpc at the working precision bits + 30:
 - eval_series sums the stored window by Horner's rule, one product per
   term, with F = bits + 30 + 8 + log2 of the error count in units, a few
   per term plus the terms' size weighted by degree (for the error of q),
@@ -30,7 +30,6 @@ digits past bits + 30 are rounding noise.
 
 import bisect
 import cmath
-import contextlib
 import functools
 import math
 from fractions import Fraction
@@ -172,8 +171,8 @@ def eval_series(f, z, bits=200, min_height=None):
 
     With w_0, ..., w_n the stored coefficients from the first nonzero
     one, at index v, to the last, the value is q^v V(q) with
-    V(q) = sum_j w_j q^j.  V is summed by Horner's rule in _fixed_type(F),
-    one _Fixed product per term, and q^v is applied last, in mpmath.  The
+    V(q) = sum_j w_j q^j.  V is summed by Horner's rule on int pairs, one
+    _Fixed product per term, and q^v is applied last, in mpmath.  The
     error of V is under 2^-F (3 (n + 1) + 2 S') with
     S' = sum_j j |w_j| |q|^(j-1), which bounds |dV/dq|: a few units per
     product and coefficient, and one unit of q times the derivative (Brent
@@ -210,9 +209,9 @@ def eval_series(f, z, bits=200, min_height=None):
         first = nonzero[0]
         cap = 2 * frac
         while True:
-            acc = _horner(coeffs, lg, nonzero, lq, q, frac)
+            re, im = _horner(coeffs, lg, nonzero, lq, q, frac)
             # log2 |V| is at least this
-            got = max(abs(acc.re), abs(acc.im)).bit_length() - 1 - frac
+            got = max(abs(re), abs(im)).bit_length() - 1 - frac
             deficit = math.ceil(lg[first] - got)
             if deficit <= _SPARE_BITS // 2 or frac == cap:
                 break
@@ -220,7 +219,8 @@ def eval_series(f, z, bits=200, min_height=None):
             frac = cap = min(frac + deficit, cap)
             q, _ = _q_point(z, frac, zz)
         with workprec(bits + _GUARD_BITS + _SPARE_BITS):
-            value = acc.to_mpc() * q ** (f.val + first)
+            value = mpmath.mpc(mpmath.mpf((re, -frac)), mpmath.mpf((im, -frac)))
+            value *= q ** (f.val + first)
         return EvalResult(+value, bound, note)
 
 
@@ -270,20 +270,19 @@ def _tail_bound(f, lg, nonzero, qa, y, bits):
 
 
 def _horner(coeffs, lg, nonzero, lq, q, frac):
-    """sum_j w_j q^j from the first nonzero coefficient, by Horner's rule
-    in _fixed_type(frac), up to the last term worth a quarter unit over
-    all terms: the ones past it are worth less together.  An int enters
-    as c << frac, exact, and a Fraction p/r as (p << frac) // r."""
+    """sum_j w_j q^j from the first nonzero coefficient as int parts (re, im)
+    in units of 2^-frac, by Horner's rule with _Fixed's product, up to the
+    last term worth a quarter unit over all terms (the ones past it are
+    worth less together).  An int c enters as c << frac, p/r as (p << frac) // r."""
     first = nonzero[0]
     floor = -frac - math.log2(nonzero[-1] - first + 1) - 2
     cut = next(i for i in reversed(nonzero) if lg[i] + (i - first) * lq >= floor)
-    fixed = _fixed_type(frac)
-    qf = fixed.from_mpc(q)
-    acc = fixed(0)
+    qr, qi = _mpf_to_fixed(q.real, frac), _mpf_to_fixed(q.imag, frac)
+    re = im = 0
     for c in reversed(coeffs[first:cut + 1]):
-        acc = acc * qf + (c if c.__class__ is int
-                          else fixed((c.numerator << frac) // c.denominator))
-    return acc
+        re, im = (re * qr - im * qi) >> frac, (re * qi + im * qr) >> frac
+        re += c << frac if c.__class__ is int else (c.numerator << frac) // c.denominator
+    return re, im
 
 
 def _q_point(z, frac, zz):
@@ -601,7 +600,8 @@ class _Fixed:
     F fractional bits, which costs under one unit of 2^-F per part.  A
     quotient x / y takes one integer division r = 2^(3F) // (c^2 + d^2) for
     y = c + d i, and is off by under 1 + |x| |y| units per part; negative
-    powers start from the reciprocal."""
+    powers start from the reciprocal; _horner and _fixed_row write these
+    rules out on int pairs."""
 
     __slots__ = ("re", "im")
     F = 0
@@ -703,15 +703,20 @@ def _psi_sum(k, zc, bound, row):
     doubled, which is exact on both routes.  These rows come first in
     that order, so a pole is refused at the same row and t as when every
     row is summed."""
-    total = type(zc)(0)
-    for c in range(-bound, 1):
-        # at c = 0 only d = -1 is coprime to c among d < 0
-        for d in range(-bound, bound + 1 if c else 0):
-            if math.gcd(c, d) == 1:
-                a, b = _bezout(c, d)
-                denom = c * zc + d
-                total += row(denom ** (-2 * k), (a * zc + b) / denom, c, d)
+    total, w2k, rows = type(zc)(0), -2 * k, iter(_rows(bound))
+    for c, d, a, b in zip(rows, rows, rows, rows):
+        denom = c * zc + d
+        total += row(denom ** w2k, (a * zc + b) / denom, c, d)
     return total + total
+
+
+@functools.lru_cache(maxsize=32)
+def _rows(bound):
+    """The rows (c, d, a, b) of _psi_sum, flat: coprime (c, d) with c < 0,
+    and the one with c = 0 and d < 0, (0, -1), in the order of c and then d,
+    with (a, b) from _bezout."""
+    return tuple(v for c in range(-bound, 1) for d in range(-bound, bound + 1 if c else 0)
+                 if math.gcd(c, d) == 1 for v in (c, d) + _bezout(c, d))
 
 
 def _binary64_row(k, ell, zz, bound):
@@ -721,25 +726,39 @@ def _binary64_row(k, ell, zz, bound):
     base / ((u v)^-ell v^(2k + 2 ell)).  ** raises on overflow but / gives
     inf, so a row whose sum raises or is not finite is summed again as
     base v^-2k x^ell, x = u / v, as on the fixed route, which refuses a pole
-    where x ** ell fails (x is 0, or so near it that x ** ell overflows)."""
+    where x ** ell fails (x is 0, or so near it that x ** ell overflows).
+    At ell = 1, -1 and 2k + 2 ell = 0 the power 1 is left out: a finite y ** 1
+    or y * v ** 0 is y but for the sign of a zero part, which moves no sum."""
     zzbar, m, n = zz.conjugate(), 2 * k + ell, 2 * (k + ell)
 
     def row(base, w0, c, d):
         u0, v0 = w0 - zz, w0 - zzbar
         s = 0j
-        with contextlib.suppress(OverflowError, ZeroDivisionError):
+        try:
             if ell == 0:
                 for t in range(-bound, bound + 1):
                     s += base / (v0 + t) ** m
+            elif ell == 1:
+                for t in range(-bound, bound + 1):
+                    s += base * (u0 + t) / (v0 + t) ** m
             elif ell > 0:
                 for t in range(-bound, bound + 1):
                     s += base * (u0 + t) ** ell / (v0 + t) ** m
+            elif n == 0:
+                for t in range(-bound, bound + 1):
+                    s += base / ((u0 + t) * (v0 + t)) ** -ell
+            elif ell == -1:
+                for t in range(-bound, bound + 1):
+                    v = v0 + t
+                    s += base / ((u0 + t) * v * v ** n)
             else:
                 for t in range(-bound, bound + 1):
                     v = v0 + t
                     s += base / (((u0 + t) * v) ** -ell * v ** n)
             if cmath.isfinite(s):
                 return s
+        except (OverflowError, ZeroDivisionError):
+            pass
         s = 0j
         for t in range(-bound, bound + 1):
             x = (u0 + t) / (v0 + t)
@@ -758,27 +777,37 @@ def _binary64_row(k, ell, zz, bound):
 
 def _fixed_row(k, ell, zz, bound, bits, near_pole):
     """The fixed-point kernel of _psi_sum: base v^-2k x^ell, x = u / v (u, v
-    as in _binary64_row, with equal real parts), in _Fixed's int operations,
-    x and v^-2k sharing r = 2^3F // |v|^2.  For ell < 0 and x below
-    2^(bits + _GUARD_BITS) units, near_pole(x, c, d, t) returns None or the
+    as in _binary64_row, with equal real parts), in _Fixed's int operations
+    written out, x and v^-2k sharing r = 2^3F // |v|^2.  For ell < 0 and x
+    below 2^(bits + _GUARD_BITS) units, near_pole(x, c, d, t) returns the
     summand retaken at a finer unit."""
-    fixed, f, one3, near = type(zz), zz.F, 1 << 3 * zz.F, bits + _GUARD_BITS
+    fixed, f, f2, one3, near = type(zz), zz.F, 2 * zz.F, 1 << 3 * zz.F, bits + _GUARD_BITS
+    # Im x = -2 Im(center) Re(u) r, as u and v share their real part
+    zr, zi, xi_r, w2k, e = zz.re, zz.im, -2 * zz.im, 2 * k, abs(ell)
 
     def row(base, w0, c, d):
-        ur0, ui, vi = w0.re - zz.re, w0.im - zz.im, w0.im + zz.im
+        br, bi, ur0, ui, vi = base.re, base.im, w0.re - zr, w0.im - zi, w0.im + zi
+        uivi, vi2 = ui * vi, vi * vi
         sr = si = 0
         for t in range(-bound, bound + 1):
             ur = ur0 + (t << f)
-            r = one3 // (ur * ur + vi * vi)
-            x = fixed(((ur * ur + ui * vi) * r) >> 2 * f, ((ui - vi) * ur * r) >> 2 * f)
-            term = None
-            if ell < 0 and not max(abs(x.re), abs(x.im)) >> near:
-                term = near_pole(x, c, d, t)
-            if term is None:
-                term = base * fixed(*_ipow((ur * r) >> f, (-vi * r) >> f, 2 * k, f))
-                if ell:
-                    term *= x ** ell
-            sr, si = sr + term.re, si + term.im
+            r = one3 // (ur * ur + vi2)
+            xr, xi = ((ur * ur + uivi) * r) >> f2, (xi_r * ur * r) >> f2
+            if ell < 0 and not max(abs(xr), abs(xi)) >> near:
+                # near_pole makes this test too, so it returns the summand
+                term = near_pole(fixed(xr, xi), c, d, t)
+                sr, si = sr + term.re, si + term.im
+                continue
+            pr, pi = _ipow((ur * r) >> f, (-vi * r) >> f, w2k, f)
+            tr, ti = (br * pr - bi * pi) >> f, (br * pi + bi * pr) >> f
+            if ell < 0:
+                q = one3 // (xr * xr + xi * xi)
+                xr, xi = (xr * q) >> f, (-xi * q) >> f
+            if e > 1:
+                xr, xi = _ipow(xr, xi, e, f)
+            if ell:
+                tr, ti = (tr * xr - ti * xi) >> f, (tr * xi + ti * xr) >> f
+            sr, si = sr + tr, si + ti
         return fixed(sr, si)
     return row
 

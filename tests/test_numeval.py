@@ -336,12 +336,12 @@ def test_eval_at_zero_of_form_ends(monkeypatch, name, point):
     # E6(i) = E4(rho) = 0: |V| stays below the planned 2^-(bits + 34) |w_0|,
     # so the unit is refined exactly once, to at most twice the plan
     units = []
-    fixed_type = numeval._fixed_type
+    horner = numeval._horner
 
-    def spy(frac):
-        units.append(frac)
-        return fixed_type(frac)
-    monkeypatch.setattr(numeval, "_fixed_type", spy)
+    def spy(*args):
+        units.append(args[-1])
+        return horner(*args)
+    monkeypatch.setattr(numeval, "_horner", spy)
     res = eval_series(forms.eisenstein(int(name[1:]), 60).series, point, 128)
     assert len(units) == 2 and units[0] < units[1] <= 2 * units[0]
     assert abs(res.value) < mpmath.mpf(2) ** -128
@@ -591,6 +591,18 @@ _coord = st.floats(-0.5, 0.5)
 @example(k=50, ell=2, center=(-0.31, 1.17), z=(0.2, 1.3), bound=3)
 @example(k=51, ell=2, center=(-0.31, 1.17), z=(0.2, 1.3), bound=3)
 @example(k=51, ell=-1, center=(0.0, 1.0), z=(0.0, 2.0), bound=3)
+# each loop shape near the pole: ell = 1, ell = -1, ell = -k (2k + 2 ell = 0)
+# and ell = -2 with 2k + 2 ell > 0, with z within 1e-157 and 1e-312 of the
+# center, where (u v)^-ell is subnormal (ell = -1 at 1e-312, ell = -2 at
+# 1e-157) or 0
+@example(k=3, ell=1, center=(0.0, 1.17), z=(1e-157, 1.17), bound=2)
+@example(k=3, ell=1, center=(0.0, 1.17), z=(1e-312, 1.17), bound=1)
+@example(k=3, ell=-1, center=(0.0, 1.17), z=(1e-157, 1.17), bound=2)
+@example(k=2, ell=-1, center=(0.0, 1.17), z=(1e-312, 1.17), bound=1)
+@example(k=3, ell=-3, center=(0.0, 1.17), z=(1e-157, 1.17), bound=2)
+@example(k=4, ell=-4, center=(0.0, 1.17), z=(1e-312, 1.17), bound=1)
+@example(k=3, ell=-2, center=(0.0, 1.17), z=(1e-157, 1.17), bound=2)
+@example(k=4, ell=-2, center=(0.0, 1.17), z=(1e-312, 1.17), bound=1)
 def test_psi_binary64_matches_half_rows_doubled(k, ell, center, z, bound):
     # the total, its bound and note, and any error a summand raises, with
     # its message, are those of the written-out half sum
@@ -611,16 +623,29 @@ def test_psi_binary64_matches_half_rows_doubled(k, ell, center, z, bound):
 @pytest.mark.parametrize("bits", [53, 200])
 @pytest.mark.parametrize("bound", [1, 2, 5])
 def test_psi_computes_each_pair_of_rows_once(monkeypatch, bits, bound):
-    # one _bezout per computed row: those with c < 0, and (0, -1)
+    # the route kernel sums each computed row once: those with c < 0, and (0, -1)
     calls = []
-    bezout = numeval._bezout
-    monkeypatch.setattr(numeval, "_bezout", lambda c, d: calls.append((c, d)) or bezout(c, d))
+    for name in ("_binary64_row", "_fixed_row"):
+        def counting(*args, kernel=getattr(numeval, name)):
+            row = kernel(*args)
+            return lambda base, w0, c, d: calls.append((c, d)) or row(base, w0, c, d)
+        monkeypatch.setattr(numeval, name, counting)
     rows = sum(1 for c in range(-bound, 0) for d in range(-bound, bound + 1)
                if math.gcd(c, d) == 1)
     for ell in (-1, 1):
         del calls[:]
         psi_truncated(PoincareSeed(3, ell, HPoint(0, 1)), HPoint("0.1", "1.4"), bound, bits)
         assert len(calls) == rows + 1, (ell, calls)
+
+
+def test_psi_rows_table_matches_enumeration():
+    # the memoized table holds the rows (c, d, a, b) of the gcd loop, in its
+    # order, one after another
+    for bound in range(1, 41):
+        rows = [(c, d) for c in range(-bound, 0) for d in range(-bound, bound + 1)
+                if math.gcd(c, d) == 1] + [(0, -1)]
+        want = [v for c, d in rows for v in (c, d) + numeval._bezout(c, d)]
+        assert list(numeval._rows(bound)) == want
 
 
 def _psi_direct(k, ell, center, z, bound, prec):
@@ -709,7 +734,7 @@ def _psi_fixed_half_doubled(k, ell, center, z, bound, bits):
 
 
 @settings(max_examples=60, deadline=None)
-@given(k=st.integers(2, 4), ell=st.integers(-3, 2),
+@given(k=st.integers(2, 4), ell=st.integers(-4, 3),
        center=st.sampled_from([(0.0, 1.0), _RHO, (-0.31, 1.17)])
        | st.tuples(_coord, st.floats(0.8, 2)),
        z=st.tuples(_coord, st.floats(0.5, 2.5)), bits=st.sampled_from([54, 80, 200]),

@@ -11,8 +11,10 @@ per pass on expand-cold) and runs the deck of WORKLOAD and SEED
 on B, or on B and then on A in odd reps, so both sides see the same drift
 of a shared host, which over a minute can move a whole perfbench run by a
 quarter.  Prints, per side, the summed time of each job category (each
-job's median over the reps), the p50 and p90 of all job times and how many
-deck jobs gave the same exit code and stdout on both sides in every rep.
+job's median over the reps) beside the p50 and p90 of that category's job
+times over all reps, so that a change in the tail can be traced to its
+category, then the p50 and p90 of all job times and how many deck jobs
+gave the same exit code and stdout on both sides in every rep.
 Times are measured seconds, not perfbench's calibrated ones.  Only the
 perfbench files of this checkout are read, never changed.
 """
@@ -42,6 +44,11 @@ def load(tree, name):
     sys.modules[name] = pkg
     spec.loader.exec_module(pkg)
     return {m: importlib.import_module("%s.%s" % (name, m)) for m in harness.MODULES}
+
+
+def quantile(values, q):
+    """perfbench's q-th percentile, or the one value there is."""
+    return run._quantile(values, q) if len(values) > 1 else values[0]
 
 
 def run_job(session, job):
@@ -86,14 +93,18 @@ def main(argv):
 
     print("workload %s  seed %d  deck of %d jobs  %d reps  A = %s  B = %s"
           % (workload, seed, len(deck), reps, tree_a, tree_b))
-    print("%-14s %6s %12s %12s %8s" % ("category", "jobs", "A_ms", "B_ms", "B/A"))
+    print("%-14s %6s %12s %12s %8s %9s %9s %9s %9s" % (
+        "category", "jobs", "A_ms", "B_ms", "B/A", "A_p50", "B_p50", "A_p90", "B_p90"))
     cats = sorted({job["cat"] for job in deck})
     for cat in cats + ["all"]:
         idx = [i for i, job in enumerate(deck) if cat in ("all", job["cat"])]
         a, b = (1e3 * sum(statistics.median(times[side][i]) for i in idx) for side in (0, 1))
-        print("%-14s %6d %12.2f %12.2f %8.3f" % (cat, len(idx), a, b, b / a if a else 0.0))
+        tails = [1e3 * quantile([s for i in idx for s in times[side][i]], q)
+                 for q in (50, 90) for side in (0, 1)]
+        print("%-14s %6d %12.2f %12.2f %8.3f %9.3f %9.3f %9.3f %9.3f"
+              % (cat, len(idx), a, b, b / a if a else 0.0, *tails))
     for q in (50, 90):
-        a, b = (1e3 * run._quantile([s for per_job in times[side] for s in per_job], q)
+        a, b = (1e3 * quantile([s for per_job in times[side] for s in per_job], q)
                 for side in (0, 1))
         print("%-14s %6s %12.3f %12.3f %8.3f" % ("deck p%d" % q, "", a, b, b / a))
     print("outputs identical: %d of %d" % (sum(same), len(deck)))

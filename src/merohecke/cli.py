@@ -467,10 +467,10 @@ def _build_parser():
     add_json(sp)
     sp.set_defaults(func=_cmd_psi_prop)
 
-    return p
+    return p, sub.choices
 
 
-_PARSER = None
+_PARSER = _COMMANDS = None
 
 # Options whose value is a point "x,y".  argparse takes a value with a
 # negative x, such as "-0.4,2.1", for an option flag, so main joins it to
@@ -489,14 +489,25 @@ def _join_point_values(argv):
     return out
 
 
+def _parse(argv):
+    """_PARSER.parse_args(argv), in one pass by the subcommand's parser when
+    it takes every argument; else by _PARSER, whose messages stay its own."""
+    sub = _COMMANDS.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return _PARSER.parse_args(argv)
+
+
 def main(argv=None):
-    global _PARSER
+    global _PARSER, _COMMANDS
     if _PARSER is None:
         # built once per process: building it costs more than a small job
-        _PARSER = _build_parser()
+        _PARSER, _COMMANDS = _build_parser()
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _PARSER.parse_args(_join_point_values(argv))
+        args = _parse(_join_point_values(argv))
     except SystemExit as e:
         return int(e.code or 0)
     try:

@@ -75,7 +75,8 @@ def u_op(f, m):
 
 
 def t_op(f, weight, m):
-    """Index-m Hecke operator in the given even weight, direct formula."""
+    """Index-m Hecke operator in the given even weight, direct formula: one
+    weight power per divisor r of m, and none for r = 1, whose power is 1."""
     if m < 1:
         raise ValueError("operator index must be >= 1")
     if weight % 2:
@@ -85,22 +86,23 @@ def t_op(f, weight, m):
     if hi <= lo:
         raise InsufficientPrecision(
             "window [%d, %d) too narrow for the index-%d operator" % (f.val, f.prec, m))
-    divs = divisors(m)
+    steps = [(r, weight_power(r, weight)) for r in divisors(m)]
+    val, prec, coeffs = f.val, f.prec, f.coeffs
     out = []
     for n in range(lo, hi):
         g = m if n == 0 else math.gcd(m, abs(n))
         acc = 0
-        for r in divs:
+        for r, power in steps:
             if g % r:
                 continue
             idx = m * n // (r * r)
-            if idx >= f.prec:
+            if idx >= prec:
                 # only reachable for windows that end at or below 0
                 raise InsufficientPrecision(
                     "coefficient %d of the input is outside its window" % idx)
-            c = f.coefficient(idx)
+            c = coeffs[idx - val] if idx >= val else 0
             if c:
-                acc += weight_power(r, weight) * c
+                acc += c if r == 1 else power * c
         out.append(acc)
     return LaurentSeries(lo, out, hi)
 

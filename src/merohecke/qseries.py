@@ -72,14 +72,10 @@ def as_coeff(x):
     if isinstance(x, int):
         return int(x)
     if isinstance(x, str):
-        try:
-            return as_coeff(Fraction(x))
-        except ValueError as e:
-            # past CPython's str -> int digit limit, or not a number at all
-            coeff = _dec_coeff(x)
-            if coeff is None:
-                raise e
-            return coeff
+        # canonical text, "-3" or "5/7", is read by int; any other text,
+        # "1.5" or "1_000", by Fraction, which also raises for non-numbers
+        coeff = _dec_coeff(x)
+        return as_coeff(Fraction(x)) if coeff is None else coeff
     raise TypeError("coefficient must be int, Fraction or 'num/den' string, got %r" % (x,))
 
 
@@ -123,6 +119,8 @@ def _dec_str(c):
 
 def _dec_int(text):
     """The int of a string of ASCII decimal digits of any length."""
+    if len(text) <= _DEC_LEAF:
+        return int(text)
     pows = [10 ** _DEC_LEAF]
     while _DEC_LEAF << len(pows) < len(text):
         pows.append(pows[-1] * pows[-1])

@@ -147,15 +147,21 @@ _DUAL_KINDS = {
 
 def obstruction(weight, pp, dual_kind):
     """Pairing vector of a weight-w principal part against the echelon basis
-    of the weight (2-w) dual space; entry i is
-    sum_r pp(r) * c_i(r) + pp(0) * c_i(0)."""
+    of the weight (2-w) dual space, fetched at the precision pp needs (see
+    pairing)."""
     kind = _DUAL_KINDS.get(dual_kind)
     if kind is None:
         raise ValueError("dual kind must be 'cusp' or 'holomorphic'")
     dual_weight = 2 - weight
     d = forms.dimension(dual_weight, kind)
     need = max(pp.max_pole + 1, forms.leading_start(kind) + d + 1)
-    fb = forms.basis(dual_weight, kind, need)
+    return pairing(pp, forms.basis(dual_weight, kind, need))
+
+
+def pairing(pp, fb):
+    """Pairing vector of a principal part against the basis fb, whose
+    windows reach past pp.max_pole; entry i is
+    sum_r pp(r) * c_i(r) + pp(0) * c_i(0)."""
     vec = []
     for g in fb:
         acc = pp.constant * g.coefficient(0)

@@ -960,6 +960,69 @@ def test_point_option_missing_value(capsys):
     assert "--at" in err
 
 
+# one valid request per subcommand, cheap to run
+_VALID_ARGV = [
+    ["expand", "E4", "--prec", "10"],
+    ["hecke", "E4", "--m", "2", "--prec", "20", "--json"],
+    ["solve-pp", "--weight", "-10", "--pp", "2:1/2,1:-3", "--sshriek"],
+    ["quotient", "--weight2k", "24", "--kind", "modM!", "--m", "2", "--charpoly", "--check"],
+    ["verify", "gT2"],
+    ["eval", "E4", "--at", "-0.4,2.1", "--bits", "64", "--prec", "8"],
+    ["cm-check", "--bits", "64", "--prec", "12"],
+    ["eigen-num", "--m", "5", "--nmax", "2", "--bits", "64"],
+    ["psi-sum", "--k", "3", "--ell", "-1", "--zz=0,1", "--at", "0.1,1.3", "--bound", "4",
+     "--bits", "53"],
+    ["psi-prop-check", "--k", "3", "--ell", "-1", "--zz", "-0.25,1", "--at", "0.1,1.5",
+     "--n", "2", "--bound", "4", "--bits", "53"],
+]
+
+# help, a missing or unknown command, unknown and extra arguments, bad
+# values, an abbreviated option and "--"
+_OTHER_ARGV = [
+    [], ["-h"], ["--help"], ["nope"], ["expand", "--help"], ["quotient", "-h"], ["expand"],
+    ["expand", "E4", "--foo"], ["expand", "E4", "extra"], ["verify", "gT2", "x"],
+    ["quotient", "--weight2k", "x", "--kind", "modM!", "--m", "2"],
+    ["quotient", "--weight2k", "24", "--kind", "bad", "--m", "2"],
+    ["eigen-num", "--m", "6"], ["psi-sum", "--k"], ["expand", "E4", "--pr", "10"],
+    ["hecke", "E4", "--m", "2", "--", "x"], ["--", "expand", "E4"], ["expand", "--", "E4"],
+    ["eval", "E4", "--at", "-0.4"], ["expand", "E4", "--json", "--json"],
+]
+
+
+def _parse_outcome(capsys, parse, argv):
+    try:
+        args, code = parse(cli._join_point_values(argv)), None
+    except SystemExit as e:
+        args, code = None, e.code
+    cap = capsys.readouterr()
+    return repr(args), code, cap.out, cap.err
+
+
+@pytest.mark.parametrize("argv", _VALID_ARGV + _OTHER_ARGV, ids=" ".join)
+def test_dispatch_matches_the_top_level_parser(capsys, monkeypatch, argv):
+    # main parses a request with its subcommand's parser alone; Namespace,
+    # exit code, stdout and stderr are those of one _PARSER.parse_args pass
+    main(["verify", "gT2"])
+    capsys.readouterr()
+    assert _parse_outcome(capsys, cli._parse, argv) \
+        == _parse_outcome(capsys, cli._PARSER.parse_args, argv)
+    got = run(capsys, argv)
+    monkeypatch.setattr(cli, "_parse", cli._PARSER.parse_args)
+    assert got == run(capsys, argv)
+
+
+def test_valid_request_takes_one_parse(capsys, monkeypatch):
+    main(["verify", "gT2"])
+    capsys.readouterr()
+
+    def refuse(*args):
+        raise AssertionError("a valid request went through the top-level pass")
+
+    monkeypatch.setattr(cli._PARSER, "parse_args", refuse)
+    for argv in _VALID_ARGV:
+        assert run(capsys, argv)[0] in (EXIT_OK, EXIT_MISMATCH), argv
+
+
 # -- cache -------------------------------------------------------------------------
 
 def _read_entry(path):

@@ -144,13 +144,27 @@ def _uv_routes(f, weight, m):
         return None
 
 
-@settings(max_examples=200, deadline=None)
-@given(_series, st.integers(1, 8), _weights(-5, 6))
+# int-only and mixed int/Fraction coefficients too, long enough for m up to 12
+_int_series = st.builds(LaurentSeries, st.integers(-4, 3), st.lists(
+    st.integers(-10 ** 30, 10 ** 30), min_size=3, max_size=60))
+_mixed_series = st.builds(LaurentSeries, st.integers(-4, 3), st.lists(
+    st.one_of(st.integers(-10 ** 30, 10 ** 30), _coeff), min_size=3, max_size=60))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_series, _int_series, _mixed_series), st.integers(1, 12), _weights(-30, 6))
+@example(LaurentSeries(-2, list(range(1, 40))), 12, -60)
+@example(LaurentSeries(-1, [3, 0, Fraction(1, 2), -7] * 9), 6, -60)
+@example(LaurentSeries(0, [1] * 30), 1, -60)
 @_seeded_examples(31, 300, _uv_case)
 def test_t_op_matches_uv_route(f, m, weight):
     routes = _uv_routes(f, weight, m)
     assume(routes is not None)
-    assert compare(*routes), (f, weight, m)
+    window, mismatch = compare(*routes)
+    assert mismatch is None, (f, weight, m)
+    # both normalized: an integral coefficient is an int on either route
+    a, b = routes
+    assert all(type(a.coefficient(n)) is type(b.coefficient(n)) for n in range(*window))
 
 
 def test_t_op_matches_uv_route_seeded_cases_reach_check():

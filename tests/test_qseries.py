@@ -575,6 +575,45 @@ def test_series_text_and_json_past_the_digit_limit():
     assert loads(dumps(s)) == s
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(), st.integers(1, 10 ** 40), st.sampled_from(["", "num", "den", "both"]),
+       st.integers(4300, 9000))
+@example(-1, 1, "den", 4400)
+@example(1, 1, "num", 4300)
+def test_canonical_text_reads_back(num, den, wide, digits):
+    # ints and Fractions, with numerator or denominator past CPython's
+    # 4300-digit str <-> int limit when wide names it
+    big = 10 ** digits - 7 ** (digits // 2)
+    num = num * big + 1 if wide in ("num", "both") else num
+    den = den * big if wide in ("den", "both") else den
+    for c in (num, as_coeff(Fraction(num, den))):
+        got = as_coeff(_dec_str(c))
+        assert got == c and type(got) is type(c)
+
+
+def _read(read, text):
+    try:
+        got = read(text)
+    except (ValueError, ZeroDivisionError) as e:
+        return type(e), str(e)
+    return type(got), got
+
+
+@pytest.mark.parametrize("text", ["+3", " 3 ", "-0", "6/4", "1_000", "1.5", "1e3", "\u0663",
+                                  "-3/9", "03", "+0/5", " 3 / 4 ", "\t-12\n", "3/-4"])
+def test_noncanonical_text_reads_as_fraction_does(text):
+    assert _read(as_coeff, text) == _read(lambda t: as_coeff(Fraction(t)), text)
+
+
+def test_zero_denominator_text_keeps_its_error():
+    for text in ("3/0", "-3/0", " 0/0 "):
+        with pytest.raises(ZeroDivisionError) as want:
+            Fraction(text)
+        with pytest.raises(ZeroDivisionError) as got:
+            as_coeff(text)
+        assert str(got.value) == str(want.value)
+
+
 def test_bad_coefficient_text_keeps_its_error():
     for text in ("abc", "1" * 5000 + "x", "1/", "--1"):
         with pytest.raises(ValueError, match="Invalid literal"):

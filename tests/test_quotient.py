@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from merohecke import forms
 from merohecke.forms import CUSPIDAL, basis, hecke_charpoly_on_space
 from merohecke.hecke import t_op
-from merohecke.linalg import charpoly
+from merohecke.linalg import charpoly, rref
 from merohecke.meroforms import build
 from merohecke.qseries import compare
 from merohecke.quotient import (
@@ -289,3 +290,31 @@ def test_quotient_matrix_independent_of_basis_choice():
     # trusting memory for tau_16(3)
     f3 = cusp16[0].series.coefficient(3)
     assert got == f3
+
+
+def _matrix_by_classes(weight2k, kind, m):
+    """The quotient matrix from one class_of per principal part, each
+    fetching its own dual basis: the route quotient_hecke_matrix shares one
+    basis in."""
+    d = quotient_dimension(weight2k, kind)
+    coord_cols, cols = [], []
+    for i in range(1, d + 1):
+        pp = PrincipalPart({i: 1})
+        coord_cols.append(class_of(pp, weight2k, kind).coords)
+        cols.append(class_of(hecke_on_principal_part(pp, 2 - weight2k, m), weight2k, kind).coords)
+    red, pivots = rref(list(zip(*coord_cols, *cols)))
+    assert pivots[:d] == list(range(d))
+    return [row[d:] for row in red]
+
+
+@pytest.mark.parametrize("kind", [MOD_M, MOD_S])
+def test_quotient_matrix_matches_per_class_route(monkeypatch, kind):
+    calls = []
+    orig = forms.basis
+    monkeypatch.setattr(forms, "basis", lambda *a: calls.append(a) or orig(*a))
+    for weight2k in range(4, 62, 2):
+        for m in (2, 3, 5, 7, 11):
+            calls.clear()
+            got = quotient_hecke_matrix(weight2k, kind, m)
+            assert len(calls) == (1 if got else 0), (weight2k, m)
+            assert got == _matrix_by_classes(weight2k, kind, m), (weight2k, kind, m)

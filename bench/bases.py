@@ -10,10 +10,12 @@ for, each at the largest precision asked for: e = 0 is the holomorphic
 space (and the slice with max_pole 0), e = 1 the cuspidal space and
 e = -max_pole the pole-bounded slice.  Then, for each of those entries,
 prints the best time over --reps of a request at that precision with the
-entry removed (a miss: the build, on warm E4, E6 and delta) and with it
-present (a hit: the truncated copy), the dimension, the coefficient bits
-stored and the bytes of the stored coefficient objects and tuples.  The
-last lines give the totals.  Run it from the root of a checkout.
+entry removed (a miss: only the basis entry is popped, so the build runs on
+the warm E4, E6 and delta entries and the E4^a and delta^n power entries)
+and with it present (a hit: the truncated copy), the dimension, the
+coefficient bits stored and the bytes of the stored coefficient objects and
+tuples.  The last lines give the totals, and the same totals for the power
+entries the builds share.  Run it from the root of a checkout.
 """
 
 import argparse
@@ -54,13 +56,12 @@ def coeff_bits(c):
     return c.numerator.bit_length() + c.denominator.bit_length()
 
 
-def stored_size(fb):
+def stored_size(series):
     """(coefficient bits, bytes of the coefficient objects and their tuples)."""
     bits = size = 0
-    for f in fb:
-        coeffs = f.series.coeffs
-        bits += sum(map(coeff_bits, coeffs))
-        size += sys.getsizeof(coeffs) + sum(map(sys.getsizeof, coeffs))
+    for s in series:
+        bits += sum(map(coeff_bits, s.coeffs))
+        size += sys.getsizeof(s.coeffs) + sum(map(sys.getsizeof, s.coeffs))
     return bits, size
 
 
@@ -90,7 +91,7 @@ def main():
         miss = best_time(key, precision, args.reps, miss=True)
         hit = best_time(key, precision, args.reps, miss=False)
         fb = request(key, precision)
-        bits, size = stored_size(fb)
+        bits, size = stored_size(f.series for f in fb)
         total_bits += bits
         total_bytes += size
         entry = "basis" if key[2] >= 0 else "wh"
@@ -102,6 +103,11 @@ def main():
                                             sum(k[2] < 0 for k, _ in entries)))
     print("coefficient bits %d, coefficient and tuple bytes %d (%.2f MB)"
           % (total_bits, total_bytes, total_bytes / 2 ** 20))
+    powers = [stored[1] for key, stored in forms._cache.items()
+              if key[0] in ("E4 power", "delta power")]
+    bits, size = stored_size(powers)
+    print("power entries %d: coefficient bits %d, coefficient and tuple bytes %d (%.2f MB)"
+          % (len(powers), bits, size, size / 2 ** 20))
 
 
 if __name__ == "__main__":

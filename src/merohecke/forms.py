@@ -4,13 +4,13 @@ Eisenstein series, the discriminant form, the modular invariant j, echelon
 (row-reduced) bases of the holomorphic and cuspidal spaces in even weight,
 and exact characteristic polynomials of Hecke operators on those spaces.
 
-Every echelon basis, here and in whbasis, is delta^e * M_(w-12e) reduced
-from q^e (_echelon_basis): M_w for e = 0, S_w for e = 1, poles of order at
-most a for e = -a.  Forms and bases are memoized per process (see _cached):
-each is built once at the largest precision asked for and truncated on request.
+Every echelon basis, here and in whbasis, is delta^e * M_(w-12e), reduced
+from the unitriangular span delta^(e+j) * E4^a * E6^c (_echelon_basis): M_w
+for e = 0, S_w for e = 1, poles of order at most a for e = -a.  Forms, bases
+and the E4 and delta powers are memoized per process (see _cached): each is
+built once at the largest precision asked for and truncated on request.
 """
 
-import functools
 import math
 import threading
 from fractions import Fraction
@@ -258,15 +258,28 @@ class FormBasis(Immutable):
         return [series.coefficient(e) for e in self.leading]
 
 
-def echelonize(forms, weight, kind, window_start, precision):
-    """Exact row reduction of q-expansions aligned on [window_start, precision)."""
-    rows = []
-    for f in forms:
-        rows.append([f.series.coefficient(n) for n in range(window_start, precision)])
-    red, pivots = linalg.rref(rows)
-    elements = [ModularForm(weight, LaurentSeries(window_start, row, precision)) for row in red]
-    leading = [window_start + p for p in pivots]
-    return FormBasis(weight, kind, elements, leading)
+def _power(base, n, precision):
+    """E4^n on [0, precision) for base "E4", or delta^n on [n, precision) for
+    n of either sign (delta^-1 = q^-1 + 24 + ...), from the memo; None at n = 0."""
+    def build(p):
+        if base == "E4":
+            return eisenstein(4, p).series.pow(n)
+        dl = delta(p - n + 1).series
+        return (dl.invert() if n < 0 else dl).pow(abs(n))
+
+    return _cached((base + " power", n), precision, build) if n else None
+
+
+def echelonize(span, e, precision):
+    """Reduced echelon rows on [e, precision) of a unitriangular span, where
+    span[j] = q^(e+j) + ... has int coefficients: back-substitution, from the
+    last row up, divides by no pivot, so every entry stays an int."""
+    rows = [[0] * (f.val - e) + list(f.coeffs[:precision - f.val]) for f in span]
+    for j in range(len(rows) - 1, 0, -1):
+        for row in rows[:j]:
+            c = row[j]
+            row[j:] = [x - c * y for x, y in zip(row[j:], rows[j][j:])]
+    return rows
 
 
 def _echelon_basis(weight, e, precision, label):
@@ -282,33 +295,19 @@ def _echelon_basis(weight, e, precision, label):
             % (e + d - 1, e + d))
 
     def build(p):
-        # delta^e times E4^b * E6^c, 4b + 6c = weight - 12e, which span
-        # M_(weight-12e); the reduced echelon form of any span is unique
-        lead = None
-        if e > 0:
-            lead = delta(p).series.pow(e)
-        elif e < 0:
-            lead = delta(p + 1 - e).series.invert().pow(-e).truncate(p)
-        q, hol = p - min(e, 0), weight - 12 * e
-        # c rises by 2 from c0 as b falls by 3 to b0, so the powers of E4 and
-        # E6 form two chains of d, one product a step (None stands for 1)
-        c0 = hol // 2 % 2
-        b0 = (hol - 6 * c0) // 4 - 3 * (d - 1)
-        e4, e6 = eisenstein(4, q).series, eisenstein(6, q).series
-        fours, sixes = [e4.pow(b0) if b0 else None], [e6 if c0 else None]
-        steps = (e4.pow(3), e6.pow(2)) if d > 1 else ()
-        for _ in range(d - 1):
-            for chain, step in zip((fours, sixes), steps):
-                chain.append(step if chain[-1] is None else chain[-1].mul(step))
+        # Miller's basis times delta^e: f_n = delta^n * E4^a * E6^c with
+        # 4a + 6c = weight - 12n is q^n + ... for e <= n < e + d
+        q, c = p - min(e, 0), weight % 4 // 2
         span = []
-        for x, y in zip(reversed(fours), sixes):
-            factors = [g for g in (lead, x, y) if g is not None] or [LaurentSeries.one(p)]
-            f = functools.reduce(LaurentSeries.mul, factors)
-            span.append(ModularForm(weight, f.truncate(p)))
-        fb = echelonize(span, weight, label, e, p)
-        if len(fb) != d or list(fb.leading) != list(range(e, e + d)):
-            raise AssertionError("echelon basis of delta^%d M_%d came out wrong" % (e, hol))
-        return fb
+        for n in range(e, e + d):
+            factors = [g for g in (_power("delta", n, p), _power("E4", weight // 4 - 3 * n - c, q),
+                                   eisenstein(6, q).series if c else None) if g is not None]
+            f = factors[0] if factors else LaurentSeries.one(p)
+            for g in factors[1:]:
+                f = f.mul(g)
+            span.append(f)
+        return FormBasis(weight, label, [ModularForm(weight, LaurentSeries(e, row, p))
+                                         for row in echelonize(span, e, p)], range(e, e + d))
 
     fb = _cached(("basis", weight, e), precision, build)
     # the M entry also serves the max_pole = 0 slice, labelled "wh"

@@ -289,6 +289,7 @@ def assert_memo_matches_fresh_builds(request, key, precisions):
     assert key in forms._cache
     clear_cache()
     assert key not in forms._cache
+    assert not forms._cache
 
 
 @settings(max_examples=60, deadline=None)
@@ -380,6 +381,56 @@ def test_bases_match_reference_constructions():
                 want = (_reference_basis(weight, kind, p) if kind
                         else _reference_slice(weight, arg, p))
                 assert (fb.kind, fb.elements, fb.leading) == want, (weight, arg, p)
+    clear_cache()
+
+
+@st.composite
+def unitriangular_spans(draw):
+    """(span, e, precision): span[j] = q^(e+j) + ... on [e+j, precision) with
+    int coefficients of up to 300 bits, zeros included."""
+    d, e = draw(st.integers(1, 8)), draw(st.integers(-5, 5))
+    precision = e + d + draw(st.integers(0, 10))
+    coeff = st.one_of(st.just(0), st.integers(-2 ** 300, 2 ** 300))
+    span = [LaurentSeries(e + j, [1] + draw(st.lists(coeff, min_size=precision - e - j - 1,
+                                                        max_size=precision - e - j - 1)), precision)
+            for j in range(d)]
+    return span, e, precision
+
+
+@settings(max_examples=100, deadline=None)
+@given(unitriangular_spans())
+def test_echelonize_matches_rref_on_unitriangular_spans(case):
+    span, e, precision = case
+    rows = forms.echelonize(span, e, precision)
+    want, pivots = linalg.rref([[f.coefficient(n) for n in range(e, precision)] for f in span])
+    assert rows == want
+    assert pivots == list(range(len(span)))
+    assert all(type(c) is int for row in rows for c in row)
+
+
+@pytest.mark.parametrize("weight, e", [(-10, -12), (120, 1), (0, -3), (26, 0), (-40, -4)])
+def test_cold_basis_on_warm_powers_takes_no_rref(monkeypatch, weight, e):
+    # with E4^a and delta^n in the memo, a basis build is at most two
+    # products per element plus back-substitution
+    def request():
+        return basis(weight, CUSPIDAL, 60) if e == 1 else wh_slice_basis(weight, -e, 60)
+
+    clear_cache()
+    want = _basis_state(request())
+    del forms._cache[("basis", weight, e)]
+    calls = {"rref": 0, "mul": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(linalg, "rref", counted("rref", linalg.rref))
+    monkeypatch.setattr(LaurentSeries, "mul", counted("mul", LaurentSeries.mul))
+    assert _basis_state(request()) == want
+    assert calls["rref"] == 0
+    assert calls["mul"] <= 2 * dim_modular(weight - 12 * e)
     clear_cache()
 
 

@@ -14,7 +14,7 @@ is tested against that decomposition.
 import math
 from fractions import Fraction
 
-from .qseries import InsufficientPrecision, LaurentSeries, compare
+from .qseries import InsufficientPrecision, LaurentSeries, compare, ratio
 
 
 def _ceil_div(a, b):
@@ -76,7 +76,10 @@ def u_op(f, m):
 
 def t_op(f, weight, m):
     """Index-m Hecke operator in the given even weight, direct formula: one
-    weight power per divisor r of m, and none for r = 1, whose power is 1."""
+    weight power per divisor r of m, and no product where it is 1.  Each
+    output coefficient is summed in integers over its terms' denominators
+    and divided once; in weight w <= 0 the powers are the integers
+    (m/r)^(1-w) = m^(1-w) r^(w-1), and the division also takes m^(1-w)."""
     if m < 1:
         raise ValueError("operator index must be >= 1")
     if weight % 2:
@@ -86,12 +89,15 @@ def t_op(f, weight, m):
     if hi <= lo:
         raise InsufficientPrecision(
             "window [%d, %d) too narrow for the index-%d operator" % (f.val, f.prec, m))
-    steps = [(r, weight_power(r, weight)) for r in divisors(m)]
+    if weight > 0:
+        den, steps = 1, [(r, weight_power(r, weight)) for r in divisors(m)]
+    else:
+        den, steps = m ** (1 - weight), [(r, (m // r) ** (1 - weight)) for r in divisors(m)]
     val, prec, coeffs = f.val, f.prec, f.coeffs
     out = []
     for n in range(lo, hi):
         g = m if n == 0 else math.gcd(m, abs(n))
-        acc = 0
+        acc, acc_den = 0, 1
         for r, power in steps:
             if g % r:
                 continue
@@ -101,10 +107,16 @@ def t_op(f, weight, m):
                 raise InsufficientPrecision(
                     "coefficient %d of the input is outside its window" % idx)
             c = coeffs[idx - val] if idx >= val else 0
-            if c:
-                acc += c if r == 1 else power * c
-        out.append(acc)
-    return LaurentSeries(lo, out, hi)
+            if not c:
+                continue
+            if type(c) is not int:
+                d = c.denominator
+                acc, acc_den, c = acc * d, acc_den * d, c.numerator * acc_den
+            elif acc_den != 1:
+                c *= acc_den
+            acc += c if power == 1 else power * c
+        out.append(acc if den == acc_den == 1 else ratio(acc, den * acc_den))
+    return LaurentSeries._make(lo, tuple(out), hi)
 
 
 def t_op_via_uv(f, weight, m):

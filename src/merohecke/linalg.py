@@ -1,42 +1,40 @@
 """Exact linear algebra over the rationals, enough for small Hecke matrices."""
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from .qseries import _dec_str, as_coeff, terms_str
+from .qseries import _dec_str, as_coeff, ratio, terms_str
 
 
 def rref(rows):
-    """Reduced row echelon form in place semantics: returns (new_rows, pivot_cols).
-
-    Zero rows are dropped.  Entries stay exact (int/Fraction).
-    """
-    rows = [list(r) for r in rows]
+    """Reduced row echelon form (new_rows, pivot_cols), zero rows dropped and
+    entries int when integral, else Fraction.  Fraction-free Gauss-Jordan:
+    rows scaled to integers, a row cleared by a * row - b * pivot_row and
+    divided by its gcd, each pivot row divided by its pivot once at the end."""
+    rows = [[x.numerator * (den // x.denominator) for x in r]
+            for r in rows for den in (lcm(*(x.denominator for x in r)),)]
     if not rows:
         return [], []
-    ncols = len(rows[0])
     pivots = []
     r = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][col]:
-                pivot = i
-                break
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        lead = Fraction(rows[r][col])
-        rows[r] = [as_coeff(Fraction(x) / lead) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [as_coeff(a - f * b) for a, b in zip(rows[i], rows[r])]
+        prow = rows[r]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                g = gcd(prow[col], row[col])
+                a, b = prow[col] // g, row[col] // g
+                row = [a * x - b * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
         r += 1
         if r == len(rows):
             break
-    return rows[:r], pivots
+    return [[ratio(x, row[col]) for x in row] for row, col in zip(rows, pivots)], pivots
 
 
 def mat_identity(d):
@@ -105,9 +103,12 @@ def charpoly(a):
 
 def scale_roots(p, c):
     """c^d * p(x/c) for an ascending degree-d polynomial p: the
-    characteristic polynomial of c*A when p is that of A."""
+    characteristic polynomial of c*A when p is that of A.  Coefficient e is
+    built once, from the integer powers u^(d-e) and v^(d-e) of c = u/v."""
     d = len(p) - 1
-    return [as_coeff(x * c ** (d - e)) for e, x in enumerate(p)]
+    u, v = c.numerator, c.denominator
+    return [ratio(x.numerator * u ** (d - e), x.denominator * v ** (d - e))
+            for e, x in enumerate(p)]
 
 
 def poly_str(coeffs, var="x"):

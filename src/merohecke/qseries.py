@@ -79,6 +79,14 @@ def as_coeff(x):
     raise TypeError("coefficient must be int, Fraction or 'num/den' string, got %r" % (x,))
 
 
+def ratio(num, den):
+    """num/den normalized, for an int or Fraction num and a nonzero int den:
+    an int when integral, else one Fraction."""
+    if type(num) is not int:
+        num, den = num.numerator, num.denominator * den
+    return num // den if num % den == 0 else Fraction(num, den)
+
+
 # -- decimal text past CPython's digit limit ----------------------------
 
 # CPython 3.11 refuses int <-> decimal str conversions above 4300 digits.
@@ -543,7 +551,13 @@ def series_obj(val, texts):
 
 
 def from_json_obj(obj):
-    return LaurentSeries(int(obj["valuation"]), obj["coefficients"], int(obj["precision"]))
+    """The series of a JSON object; texts _dec_coeff refuses go to as_coeff."""
+    val, texts, prec = int(obj["valuation"]), obj["coefficients"], int(obj["precision"])
+    coeffs = []
+    for t in texts:
+        c = _dec_coeff(t) if type(t) is str else None
+        coeffs.append(as_coeff(t) if c is None else c)
+    return LaurentSeries(val, coeffs, prec)
 
 
 def dumps(s, **kw):

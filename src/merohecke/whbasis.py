@@ -14,8 +14,10 @@ poles of order at most a.
 """
 
 from fractions import Fraction
+from math import lcm
 
-from .qseries import Immutable, LaurentSeries, InsufficientPrecision, as_coeff, compare
+from .qseries import (Immutable, LaurentSeries, InsufficientPrecision, PrecisionExceeded,
+                      as_coeff, compare, ratio)
 from . import forms
 from .forms import ModularForm, HOLOMORPHIC, CUSPIDAL
 
@@ -161,14 +163,12 @@ def obstruction(weight, pp, dual_kind):
 def pairing(pp, fb):
     """Pairing vector of a principal part against the basis fb, whose
     windows reach past pp.max_pole; entry i is
-    sum_r pp(r) * c_i(r) + pp(0) * c_i(0)."""
-    vec = []
-    for g in fb:
-        acc = pp.constant * g.coefficient(0)
-        for r, lam in pp.terms.items():
-            acc += lam * g.coefficient(r)
-        vec.append(as_coeff(acc))
-    return vec
+    sum_r pp(r) * c_i(r) + pp(0) * c_i(0), summed in integers over the lcm
+    of pp's denominators and divided by it once."""
+    items = [(0, pp.constant), *pp.terms.items()]
+    den = lcm(*(c.denominator for _, c in items))
+    nums = [(r, c.numerator * (den // c.denominator)) for r, c in items]
+    return [ratio(sum([lam * g.coefficient(r) for r, lam in nums]), den) for g in fb]
 
 
 def solve_principal_part(weight, pp, in_s_shriek, precision):
@@ -196,20 +196,29 @@ def solve_principal_part(weight, pp, in_s_shriek, precision):
     a = pp.max_pole + forms.dim_cusp(2 - weight)
     fb = wh_slice_basis(weight, a, precision)
     by_leading = {e: fb[i] for i, e in enumerate(fb.leading)}
-    sol = LaurentSeries.zero(precision, valuation=-a if a else 0)
+    # the solution is num / den on [lo, precision), empty when precision <= -a
+    lo = min(-a, precision)
+    num, den = [0] * (precision - lo), 1
     match_constant = in_s_shriek or weight == 0
     top = 0 if match_constant else -1
     for n in range(-a, top + 1):
-        target = pp.coefficient(-n)
-        need = target - sol.coefficient(n)
+        if n >= precision:
+            raise PrecisionExceeded(
+                "coefficient %d requested but precision is %d" % (n, precision))
+        need = pp.coefficient(-n) - Fraction(num[n + a], den)
         if need == 0:
             continue
         elem = by_leading.get(n)
         if elem is None:
             raise AssertionError(
                 "unobstructed principal part failed to solve at index %d" % n)
-        sol = sol.add(elem.series.scale(need))
-    return ModularForm(weight, sol.truncate(precision))
+        step = lcm(den, need.denominator)
+        k = need.numerator * (step // need.denominator)
+        if step != den:
+            num = [x * (step // den) for x in num]
+            den = step
+        num = [x + k * y for x, y in zip(num, elem.series.coeffs)]
+    return ModularForm(weight, LaurentSeries(lo, [ratio(x, den) for x in num], precision))
 
 
 def j_polynomial_decompose(f, seed):

@@ -327,14 +327,19 @@ def _reference_power(weight, n):
     return eisenstein(weight, 73).series ** n
 
 
+@functools.lru_cache(maxsize=None)
+def _reference_product(b, c):
+    # E4^b * E6^c on [0, 73), built once and truncated for every window
+    return _reference_power(4, b) * _reference_power(6, c)
+
+
 def _reference_monomials(weight, precision):
     # E4^b * E6^c with 4b + 6c = weight, each on [0, precision)
     span = []
     for c in range(weight // 6 + 1):
         b, rest = divmod(weight - 6 * c, 4)
         if not rest:
-            f = _reference_power(4, b).truncate(precision) * _reference_power(6, c).truncate(precision)
-            span.append(ModularForm(weight, f))
+            span.append(ModularForm(weight, _reference_product(b, c).truncate(precision)))
     return span
 
 
@@ -382,6 +387,7 @@ def test_bases_match_reference_constructions():
                         else _reference_slice(weight, arg, p))
                 assert (fb.kind, fb.elements, fb.leading) == want, (weight, arg, p)
     clear_cache()
+    _reference_product.cache_clear()
 
 
 @st.composite

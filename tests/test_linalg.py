@@ -1,11 +1,12 @@
-"""Exact linear algebra: characteristic polynomials, root scaling and the
-text form of polynomials."""
+"""Exact linear algebra: row reduction, characteristic polynomials, root
+scaling and the text form of polynomials."""
 
 from fractions import Fraction
 
+import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from merohecke.linalg import charpoly, poly_str, scale_roots
+from merohecke.linalg import charpoly, poly_eval, poly_str, rref, scale_roots
 from merohecke.qseries import LaurentSeries, as_coeff
 
 
@@ -78,6 +79,71 @@ def test_charpoly_matches_fraction_reference(a):
 def test_scale_roots_is_charpoly_of_scaled_matrix(a, c):
     scaled = [[c * x for x in row] for row in a]
     assert _typed(charpoly(scaled)) == _typed(scale_roots(charpoly(a), c))
+
+
+def _sympy_rref(rows):
+    """sympy's reduced rows (zero rows dropped) and pivots, as int/Fraction."""
+    red, pivots = sympy.Matrix(rows).rref()
+    return ([[as_coeff(Fraction(int(x.p), int(x.q))) for x in red.row(i)]
+             for i in range(len(pivots))], list(pivots))
+
+
+_HUGE = st.integers(-2 ** 300, 2 ** 300)
+_RREF_ENTRIES = st.one_of(
+    st.just(0), st.integers(-9, 9), _HUGE, _SMALL_RATS, _BIG_RATS,
+    st.builds(Fraction, _HUGE, st.integers(1, 2 ** 300)))
+
+
+@st.composite
+def _rref_matrices(draw):
+    """Rational rows, some of them rational combinations of the others (so
+    the rank falls short), with zero rows and zero columns mixed in."""
+    ncols = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(_RREF_ENTRIES, min_size=ncols, max_size=ncols), max_size=6))
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        weights = draw(st.lists(st.one_of(st.integers(-3, 3), _SMALL_RATS),
+                                min_size=len(rows), max_size=len(rows)))
+        combo = [as_coeff(sum((w * r[j] for w, r in zip(weights, rows)), Fraction(0)))
+                 for j in range(ncols)]
+        rows.insert(draw(st.integers(0, len(rows))), combo)
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols))
+    return [[0 if j in zero_cols else x for j, x in enumerate(r)] for r in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rref_matrices())
+@example([[0, 0, 0]])
+@example([[0, Fraction(-3, 2)], [0, 0], [0, 6]])
+@example([[-4, 6, 2], [2, -3, -1], [0, 0, 5]])
+@example([[Fraction(2, 3), Fraction(-4, 9)], [Fraction(1, 3), Fraction(-2, 9)]])
+@example([[2 ** 300, 3], [2 ** 299, 1], [7, Fraction(1, 2 ** 300)]])
+def test_rref_matches_sympy(rows):
+    red, pivots = rref(rows)
+    want, want_pivots = _sympy_rref(rows)
+    assert pivots == want_pivots
+    assert [_typed(r) for r in red] == [_typed(r) for r in want]
+
+
+def test_rref_of_empty_inputs():
+    assert rref([]) == ([], [])
+    assert rref([[], []]) == ([], [])
+    assert rref([[0, 0], [0, 0]]) == ([], [])
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.lists(_RREF_ENTRIES, min_size=1, max_size=9),
+       c=st.one_of(st.integers(-60, 60), _SMALL_RATS, _BIG_RATS).filter(bool))
+@example(p=[5], c=Fraction(-7, 3))
+@example(p=[0, 0, 4], c=Fraction(1, 2))
+@example(p=[-20468736, -1080, 1], c=-2)
+@example(p=[0], c=Fraction(-3, 10 ** 9 + 7))
+def test_scale_roots_matches_fraction_evaluation(p, c):
+    # c^d * p(x/c) at d + 1 points pins the scaled polynomial down
+    d = len(p) - 1
+    got = scale_roots(p, c)
+    for x in range(d + 1):
+        assert poly_eval(got, x) == Fraction(c) ** d * poly_eval(p, Fraction(x) / c)
+    assert all(type(x) is int or x.denominator > 1 for x in got)
 
 
 def test_poly_str_pinned():

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from merohecke import forms, meroforms, whbasis
 from merohecke.forms import CUSPIDAL, HOLOMORPHIC, ModularForm, delta, j_function
-from merohecke.qseries import LaurentSeries, compare
+from merohecke.qseries import LaurentSeries, as_coeff, compare
 from merohecke.whbasis import (
     NonUniqueSolution,
     NotPolynomialInJ,
@@ -175,18 +175,21 @@ def test_solve_weight_zero_pins_constant():
     assert sol.coefficient(-1) == 1
 
 
-def _seeded_examples(seed, count, case):
-    """The count cases a seeded loop drew with case(rng), as @examples, so a
-    property test keeps every case the loop used to run."""
-    rng = random.Random(seed)
-    cases = [case(rng) for _ in range(count)]
-
+def _examples(cases):
+    """Each argument tuple of cases as an @example, in order."""
     def apply(test):
         for args in reversed(cases):
             test = example(*args)(test)
         return test
 
     return apply
+
+
+def _seeded_examples(seed, count, case):
+    """The count cases a seeded loop drew with case(rng), as @examples, so a
+    property test keeps every case the loop used to run."""
+    rng = random.Random(seed)
+    return _examples([case(rng) for _ in range(count)])
 
 
 def _pp_request(rng):
@@ -237,6 +240,115 @@ def test_solver_round_trip_seeded_cases_reach_solver():
     rng = random.Random(101)
     reached = sum(_solvable_request(*_pp_request(rng)) is not None for _ in range(120))
     assert reached >= 60
+
+
+def _fraction_pairing(pp, fb):
+    # the pairing summed term by term in Fraction arithmetic
+    items = [(0, pp.constant), *pp.terms.items()]
+    return [as_coeff(sum((Fraction(lam) * g.coefficient(r) for r, lam in items), Fraction(0)))
+            for g in fb]
+
+
+def _fraction_solve(weight, pp, in_s_shriek, precision):
+    """The greedy walk of solve_principal_part on a list of Fractions."""
+    dual = HOLOMORPHIC if in_s_shriek else CUSPIDAL
+    d = forms.dimension(2 - weight, dual)
+    need = max(pp.max_pole + 1, forms.leading_start(dual) + d + 1)
+    vec = _fraction_pairing(pp, forms.basis(2 - weight, dual, need))
+    if any(vec):
+        return ObstructionWitness(weight, dual, vec)
+    a = pp.max_pole + forms.dim_cusp(2 - weight)
+    fb = wh_slice_basis(weight, a, precision)
+    by_leading = dict(zip(fb.leading, fb))
+    sol = [Fraction(0)] * (precision + a)
+    for n in range(-a, 1 if in_s_shriek or weight == 0 else 0):
+        step = Fraction(pp.coefficient(-n)) - sol[n + a]
+        if step:
+            sol = [x + step * y for x, y in zip(sol, by_leading[n].series.coeffs)]
+    return ModularForm(weight, LaurentSeries(-a, sol, precision))
+
+
+def _outcome(result):
+    """Every field of a solver result, with the type of each number."""
+    if isinstance(result, ObstructionWitness):
+        return result.weight, result.dual_kind, [(type(c), c) for c in result.vector]
+    s = result.series
+    return result.weight, s.val, s.prec, [(type(c), c) for c in s.coeffs]
+
+
+_PP_COEFFS = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                       st.fractions(-10 ** 4, 10 ** 4, max_denominator=10 ** 6))
+
+
+def _rebalanced(weight, pp, in_s_shriek):
+    """pp moved onto the kernel of its pairing, by poles alone: the reduced
+    dual basis is 1 at its own leading index and 0 at the others, so
+    subtracting entry i at leading index i >= 1 zeroes that entry.  The
+    entry at leading index 0 (the holomorphic dual's) is cancelled first at
+    pole order d, which the other leading indices leave alone."""
+    dual = HOLOMORPHIC if in_s_shriek else CUSPIDAL
+    d = forms.dimension(2 - weight, dual)
+    if in_s_shriek and d:
+        g0 = forms.basis(2 - weight, dual, d + 1)[0].coefficient(d)
+        vec = obstruction(weight, pp, dual)
+        if g0:
+            pp = pp - PrincipalPart({d: Fraction(vec[0]) / g0})
+    fb = forms.basis(2 - weight, dual, forms.leading_start(dual) + d + 1)
+    for lead, v in zip(fb.leading, obstruction(weight, pp, dual)):
+        if lead:
+            pp = pp - PrincipalPart({lead: v})
+    return pp
+
+
+@st.composite
+def _pp_requests(draw):
+    """(weight, pp, in_s_shriek, precision) at weights -2..-40: random
+    rational principal parts, about half of them rebalanced so that they
+    are not obstructed."""
+    weight = -2 * draw(st.integers(1, 20))
+    in_s_shriek = draw(st.booleans())
+    terms = draw(st.dictionaries(st.integers(1, 6), _PP_COEFFS, max_size=4))
+    pp = PrincipalPart(terms, 0 if in_s_shriek else draw(_PP_COEFFS))
+    if draw(st.booleans()):
+        pp = _rebalanced(weight, pp, in_s_shriek)
+    return weight, pp, in_s_shriek, pp.max_pole + draw(st.integers(1, 20))
+
+
+# solved and obstructed, in both spaces; the test below checks that they are
+_WALK_EXAMPLES = (
+    (-4, PrincipalPart({5: 1}), False, 12),
+    (-10, PrincipalPart({1: 1}, 4), False, 5),
+    (-10, PrincipalPart({1: Fraction(1, 3), 2: -7}), True, 6),
+    (-12, PrincipalPart({1: Fraction(-5, 2)}, 9), False, 4),
+    (-10, _rebalanced(-10, PrincipalPart({3: Fraction(7, 5)}), True), True, 9),
+    (-24, _rebalanced(-24, PrincipalPart({1: 3, 4: Fraction(-1, 7)}, 2), False), False, 8),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pp_requests())
+@_examples([(case,) for case in _WALK_EXAMPLES])
+def test_solver_matches_fraction_walk(case):
+    weight, pp, in_s_shriek, precision = case
+    want = _fraction_solve(weight, pp, in_s_shriek, precision)
+    assert _outcome(solve_principal_part(weight, pp, in_s_shriek, precision)) == _outcome(want)
+
+
+def test_solver_walk_examples_reach_both_outcomes():
+    outcomes = {(case[2], isinstance(_fraction_solve(*case), ObstructionWitness))
+                for case in _WALK_EXAMPLES}
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-20, -1), st.sampled_from([CUSPIDAL, HOLOMORPHIC]),
+       st.dictionaries(st.integers(1, 8), _PP_COEFFS, max_size=5), _PP_COEFFS)
+def test_pairing_matches_fraction_sum(half_weight, dual, terms, constant):
+    weight = 2 * half_weight
+    pp = PrincipalPart(terms, constant)
+    fb = forms.basis(2 - weight, dual, pp.max_pole + forms.dimension(2 - weight, dual) + 2)
+    assert [(type(c), c) for c in whbasis.pairing(pp, fb)] == \
+        [(type(c), c) for c in _fraction_pairing(pp, fb)]
 
 
 # -- decomposition ------------------------------------------------------------

@@ -23,7 +23,10 @@ center and point, re-summed in mpmath at 160 bits, in units of
 which take minutes per case from bound 50 up.  A second table times the
 binary64 route (bits 53) on one case per loop shape of its kernel
 (ell = 0, 1, -1, -k, and -2 with 2k + 2 ell > 0, at k = 3 about a generic
-center) at each bound, best of reps, in ns per summand.  Run it from the
+center), and on three cases for its powers: ell = 2 (powers of u and v),
+ell = -4 < -k (a negative power of v), and k = 51, ell = 0, whose power
+v^102 is past the multiplication chains and left to CPython's **; at each
+bound, best of reps, in ns per summand.  Run it from the
 root of a checkout.
 """
 
@@ -52,7 +55,7 @@ CASES = ((3, -1, ("0", "1"), ("0", "2")),
 
 # one case per loop shape of the binary64 kernel: (shape, k, ell)
 SHAPES = (("ell=0", 3, 0), ("ell=1", 3, 1), ("ell=-1", 3, -1), ("ell=-k", 3, -3),
-          ("ell=-2,n>0", 3, -2))
+          ("ell=-2,n>0", 3, -2), ("ell=2", 3, 2), ("ell<-k", 3, -4), ("k=51,ell=0", 51, 0))
 SHAPE_CENTER, SHAPE_POINT = ("-0.31", "1.17"), ("0.2", "1.3")
 
 

@@ -21,7 +21,9 @@ each total is rounded to an mpc at the working precision bits + 30:
   less log2 of the leading coefficient; see eval_series.
 - A truncated Poincare sum at bits > 53 uses
   F = bits + 30 + 16 + log2((2 bound + 1)^3), the last term for the count
-  of summands.  At bits <= 53 it is summed in binary64 complex instead.
+  of summands.  At bits <= 53 it is summed in binary64 complex instead,
+  by a loop generated and compiled once per (k, ell) that writes each
+  power as the multiplication chain of CPython's ** (_chain).
 The spare bits keep the error below the working precision, so from
 bits = 103 up the 40 printed digits (about 133 bits) are those of the value
 rounded at bits + 30, but for a tie at a digit boundary; below, the printed
@@ -149,9 +151,7 @@ def _coeff_num(c):
 
 
 def _log2_abs(c):
-    # binary64 log2 |c| of a nonzero int or Fraction, also past the float range
-    if c.__class__ is int:
-        return math.log2(abs(c))
+    # binary64 log2 |c| of a nonzero Fraction, also past the float range
     return math.log2(abs(c.numerator)) - math.log2(c.denominator)
 
 
@@ -198,7 +198,8 @@ def eval_series(f, z, bits=200, min_height=None):
         if f.prec <= f.val:
             return EvalResult(mpmath.mpc(0), mpmath.mpf(0), "empty window")
         coeffs = f.coeffs
-        lg = [_log2_abs(c) if c else None for c in coeffs]
+        lg = [(math.log2(abs(c)) if c.__class__ is int else _log2_abs(c)) if c else None
+              for c in coeffs]
         nonzero = [i for i, v in enumerate(lg) if v is not None]
         if not nonzero:
             return EvalResult(mpmath.mpc(0), mpmath.mpf(0), "all stored coefficients are zero")
@@ -719,48 +720,82 @@ def _rows(bound):
                  if math.gcd(c, d) == 1 for v in (c, d) + _bezout(c, d))
 
 
+def _chain(x, e):
+    """The statements and the expression that raise the complex variable x
+    to the int e as CPython's ** does.  For 1 <= |e| <= 100 that is the
+    multiplication chain of its c_powu: p runs through the squares
+    x, x^2, x^4, ... and each p at a set bit of |e|, low bits first,
+    multiplies the product r, whose first factor is p itself; a negative e
+    takes 1 / r.  Otherwise the text is x ** e, CPython's polar power.  A
+    chain differs from ** in two places only: CPython starts r at 1 + 0j,
+    which can flip the sign of a zero part, and past the binary64 range a
+    chain overflows to inf (its reciprocal to 0) where ** raises
+    OverflowError (or gives nan)."""
+    a = abs(e)
+    if not 1 <= a <= 100:
+        return [], "%s ** %d" % (x, e)
+    lines, factors, p = [], [], x
+    for i in range(a.bit_length()):
+        if i:
+            lines.append("%s%d = %s * %s" % (x, 1 << i, p, p))
+            p = "%s%d" % (x, 1 << i)
+        if a >> i & 1:
+            factors.append(p)
+    r = "(%s)" % " * ".join(factors) if len(factors) > 1 else factors[0]
+    return lines, r if e > 0 else "(1 / %s)" % r
+
+
+@functools.lru_cache(maxsize=64)
+def _binary64_kernel(k, ell):
+    """The fast loop of _binary64_row for (k, ell), generated once as
+    straight-line source with each power a _chain: kernel(base, u0, v0, ts)
+    sums over the translates t in ts, with u = u0 + t and v = v0 + t, the
+    summands base u^ell / v^(2k + ell), for ell < 0
+    base / ((u v)^-ell v^(2k + 2 ell)), and leaves out the power 0 of u at
+    ell = 0 and of v at 2k + 2 ell = 0."""
+    m, n = 2 * k + ell, 2 * (k + ell)
+    if ell >= 0:
+        (ul, up), (vl, vp) = _chain("u", ell), _chain("v", m)
+        body = ["v = v0 + t"] + (["u = u0 + t"] + ul if ell else []) + vl
+        term = "base * %s / %s" % (up, vp) if ell else "base / " + vp
+    else:
+        (ul, up), (vl, vp) = _chain("uv", -ell), _chain("v", n)
+        body = ["v = v0 + t", "uv = (u0 + t) * v"] + ul + (vl if n else [])
+        term = "base / (%s * %s)" % (up, vp) if n else "base / " + up
+    src = ["def kernel(base, u0, v0, ts):", "    s = 0j", "    for t in ts:"]
+    src += ["        " + line for line in body + ["s += " + term]] + ["    return s"]
+    scope = {}
+    exec(compile("\n".join(src), "<binary64 kernel k=%d, ell=%d>" % (k, ell), "exec"), scope)
+    return scope["kernel"]
+
+
 def _binary64_row(k, ell, zz, bound):
     """The binary64 kernel of _psi_sum: with u = w - center and
-    v = w - conj(center), from w0 - center and w0 - conj(center) per row, a
-    summand base u^ell / v^(2k + ell) is one quotient, for ell < 0
-    base / ((u v)^-ell v^(2k + 2 ell)).  ** raises on overflow but / gives
-    inf, so a row whose sum raises or is not finite is summed again as
-    base v^-2k x^ell, x = u / v, as on the fixed route, which refuses a pole
-    where x ** ell fails (x is 0, or so near it that x ** ell overflows).
-    At ell = 1, -1 and 2k + 2 ell = 0 the power 1 is left out: a finite y ** 1
-    or y * v ** 0 is y but for the sign of a zero part, which moves no sum."""
-    zzbar, m, n = zz.conjugate(), 2 * k + ell, 2 * (k + ell)
+    v = w - conj(center), from u0 = w0 - center and v0 = w0 - conj(center)
+    per row, a row is summed by the generated loop _binary64_kernel(k, ell),
+    whose values are those of ** but for the sign of a zero part, which
+    moves no sum.  ** raises on overflow but / gives inf, so a row whose
+    sum raises or is not finite is summed again as base v^-2k x^ell,
+    x = u / v, as on the fixed route, which refuses a pole where x ** ell
+    fails (x is 0, or so near it that x ** ell overflows).  Where ** would
+    overflow, a chain gives inf or nan, which sends the row there too, but
+    for a rare summand rounded to 0 by a quotient with one infinite part.
+    That needs |x|^e > 10^308 for a power x^e, e <= 100: |t| > 1200 for
+    x = u or v, and for x = u v, at ell near -100, |t| past 35."""
+    zzbar, kernel, ts = zz.conjugate(), _binary64_kernel(k, ell), range(-bound, bound + 1)
+    # w0 + t adds t + 0j whether t is an int or a complex; complex skips a conversion
+    cts = tuple(map(complex, ts))
 
     def row(base, w0, c, d):
         u0, v0 = w0 - zz, w0 - zzbar
-        s = 0j
         try:
-            if ell == 0:
-                for t in range(-bound, bound + 1):
-                    s += base / (v0 + t) ** m
-            elif ell == 1:
-                for t in range(-bound, bound + 1):
-                    s += base * (u0 + t) / (v0 + t) ** m
-            elif ell > 0:
-                for t in range(-bound, bound + 1):
-                    s += base * (u0 + t) ** ell / (v0 + t) ** m
-            elif n == 0:
-                for t in range(-bound, bound + 1):
-                    s += base / ((u0 + t) * (v0 + t)) ** -ell
-            elif ell == -1:
-                for t in range(-bound, bound + 1):
-                    v = v0 + t
-                    s += base / ((u0 + t) * v * v ** n)
-            else:
-                for t in range(-bound, bound + 1):
-                    v = v0 + t
-                    s += base / (((u0 + t) * v) ** -ell * v ** n)
+            s = kernel(base, u0, v0, cts)
             if cmath.isfinite(s):
                 return s
         except (OverflowError, ZeroDivisionError):
             pass
         s = 0j
-        for t in range(-bound, bound + 1):
+        for t in ts:
             x = (u0 + t) / (v0 + t)
             try:
                 power = x ** ell

@@ -591,6 +591,12 @@ _coord = st.floats(-0.5, 0.5)
 @example(k=50, ell=2, center=(-0.31, 1.17), z=(0.2, 1.3), bound=3)
 @example(k=51, ell=2, center=(-0.31, 1.17), z=(0.2, 1.3), bound=3)
 @example(k=51, ell=-1, center=(0.0, 1.0), z=(0.0, 2.0), bound=3)
+# the edge of the generated chains: v ** 100 is a chain, v ** 101 is **
+@example(k=49, ell=2, center=(-0.31, 1.17), z=(0.2, 1.3), bound=3)
+@example(k=50, ell=1, center=(-0.31, 1.17), z=(0.2, 1.3), bound=3)
+# ell < -k: v^(2k + 2 ell) has a negative exponent, the reciprocal of a chain
+@example(k=3, ell=-4, center=(-0.31, 1.17), z=(0.2, 1.3), bound=4)
+@example(k=2, ell=-3, center=(-0.31, 1.17), z=(0.2, 1.3), bound=4)
 # each loop shape near the pole: ell = 1, ell = -1, ell = -k (2k + 2 ell = 0)
 # and ell = -2 with 2k + 2 ell > 0, with z within 1e-157 and 1e-312 of the
 # center, where (u v)^-ell is subnormal (ell = -1 at 1e-312, ell = -2 at
@@ -618,6 +624,58 @@ def test_psi_binary64_matches_half_rows_doubled(k, ell, center, z, bound):
     assert res.value == want and repr(res.value) == repr(want)
     assert res.err_bound == mpmath.mpf(bound) ** (1 - 2 * k)
     assert res.tail_note == "tail estimate O(bound^%d), not certified" % (1 - 2 * k)
+
+
+def _chain_power(n):
+    """x ** n through the statements and expression numeval._chain writes."""
+    lines, expr = numeval._chain("x", n)
+    scope = {}
+    exec("def power(x):\n%s    return %s\n" % ("".join("    %s\n" % line for line in lines), expr),
+         scope)
+    return scope["power"]
+
+
+_finite = {"allow_nan": False, "allow_infinity": False}
+
+
+# |x| <= 4 keeps most powers finite; the unbounded draws reach the range ends
+@settings(max_examples=400, deadline=None)
+@given(n=st.integers(-100, 100),
+       x=st.complex_numbers(max_magnitude=4, **_finite) | st.complex_numbers(**_finite))
+@example(n=100, x=complex(1.0000001, 0.5))
+@example(n=-100, x=complex(-0.7, 0.3))
+@example(n=64, x=complex(-0.0, -1.0))
+def test_chain_matches_complex_power(n, x):
+    # where x ** n is finite, the chain is the same value bit for bit, but for
+    # the sign of a zero part: CPython's product starts at 1 + 0j
+    try:
+        want = x ** n
+    except (OverflowError, ZeroDivisionError):
+        return
+    if not cmath.isfinite(want):
+        return
+    got = _chain_power(n)(x)
+    assert got == want
+    assert repr(got) == repr(want) or 0 in (want.real, want.imag), (got, want)
+
+
+def test_chain_leaves_large_exponents_to_power():
+    assert numeval._chain("v", 100)[1] == "(v4 * v32 * v64)"
+    assert numeval._chain("v", 101) == ([], "v ** 101")
+    assert numeval._chain("v", -101) == ([], "v ** -101")
+    assert numeval._chain("v", 0) == ([], "v ** 0")
+    assert numeval._chain("v", 6) == (["v2 = v * v", "v4 = v2 * v2"], "(v2 * v4)")
+    assert numeval._chain("v", -1) == ([], "(1 / v)")
+
+
+def test_psi_two_variable_check_builds_its_kernel_once():
+    # one check at n = 2 takes six psi sums at k = 3, ell = -1, three at the
+    # seed's center and three at rescaled centers; the generated kernel is
+    # built on the first and found on the other five
+    numeval._binary64_kernel.cache_clear()
+    psi_two_variable_check(3, -1, (0, 1), (0, 1.5), 2, bound=3)
+    info = numeval._binary64_kernel.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 5, 1)
 
 
 @pytest.mark.parametrize("bits", [53, 200])

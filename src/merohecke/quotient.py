@@ -126,12 +126,10 @@ def quotient_hecke_matrix(weight2k, kind, m):
     # class_of's coordinates from one dual basis; T_m q^-d has a pole of order d m
     dual = _dual_space(kind)
     fb = forms.basis(weight2k, dual, max(d * m + 1, forms.leading_start(dual) + d + 1))
-    cols = []
-    coord_cols = []
-    for i in range(1, d + 1):
-        pp = PrincipalPart({i: 1})
-        coord_cols.append(whbasis.pairing(pp, fb))
-        cols.append(whbasis.pairing(hecke_on_principal_part(pp, w, m), fb))
+    # pairing q^-i with the reduced dual basis reads off each element's q^i coefficient
+    coord_cols = [[f.coefficient(i) for f in fb] for i in range(1, d + 1)]
+    cols = [whbasis.pairing(hecke_on_principal_part(PrincipalPart({i: 1}), w, m), fb)
+            for i in range(1, d + 1)]
     # express image coordinates back in the q^-i class basis: the coordinate
     # vectors are the columns of C and U, and reducing [C | U] leaves [I | C^-1 U]
     red, pivots = linalg.rref(list(zip(*coord_cols, *cols)))

@@ -7,17 +7,17 @@ exists is decided by pairing against an echelon basis of the dual weight
 2 - w: the cusp space for forms with free constant term ("M-shriek"), the
 full holomorphic space for forms required to have zero constant term
 ("S-shriek").  A vanishing pairing vector is equivalent to solvability,
-and the solver then realizes the form greedily against a pole-bounded
-echelon basis.  The dual bases and the pole-bounded ones come from the one
-builder in forms: delta^e * M_(w-12e) reduced from q^e, with e = -a for
-poles of order at most a.
+and the solver then writes the form down as sum pp(-n) * f_n over a
+reduced pole-bounded basis, the shape of Duke and Jenkins (Pure Appl.
+Math. Q. 4, 2008).  The dual bases and the pole-bounded ones come from
+the one builder in forms: delta^e * M_(w-12e) reduced from q^e, with
+e = -a for poles of order at most a.
 """
 
 from fractions import Fraction
 from math import lcm
 
-from .qseries import (Immutable, LaurentSeries, InsufficientPrecision, PrecisionExceeded,
-                      as_coeff, compare, ratio)
+from .qseries import Immutable, LaurentSeries, InsufficientPrecision, as_coeff, compare, ratio
 from . import forms
 from .forms import ModularForm, HOLOMORPHIC, CUSPIDAL
 
@@ -128,12 +128,12 @@ class ObstructionWitness(Immutable):
 
 
 def wh_slice_basis(weight, max_pole, precision):
-    """Echelon basis of the weight-w weakly holomorphic forms with pole
-    order at most max_pole at the cusp: delta^-max_pole times the
-    holomorphic space of weight w + 12*max_pole, re-reduced.  Window
-    [-max_pole, precision) on every element; built and memoized by
-    forms._echelon_basis, so max_pole = 0 shares the entry of
-    forms.basis(weight, "M", precision)."""
+    """Reduced echelon basis of the weight-w weakly holomorphic forms with
+    pole order at most max_pole at the cusp: delta^-max_pole times the
+    holomorphic space of weight w + 12*max_pole.  Element n is q^n + ...
+    with 0 at every other leading index.  Window [-max_pole, precision) on
+    every element; built and memoized by forms._echelon_basis, so
+    max_pole = 0 shares the entry of forms.basis(weight, "M", precision)."""
     if weight % 2:
         raise ValueError("weight must be even")
     if max_pole < 0:
@@ -180,7 +180,13 @@ def solve_principal_part(weight, pp, in_s_shriek, precision):
     must have constant 0).  in_s_shriek=False solves with free constant
     term: for weight < 0 the constant is forced by the poles and the
     request's constant entry is ignored; for weight 0 it is part of the
-    prescription.  Weights >= 2 raise NonUniqueSolution."""
+    prescription.  Weights >= 2 raise NonUniqueSolution.
+
+    An unobstructed request is solved in the slice of pole order
+    a = max_pole + dim S_(2-w): the solution is sum pp(-n) * f_n over its
+    reduced rows f_n with leading n up to the last prescribed index.  A
+    principal part that then differs from pp raises AssertionError, a fault
+    in the obstruction or the basis."""
     if weight % 2:
         raise ValueError("weight must be even")
     if weight >= 2:
@@ -195,30 +201,22 @@ def solve_principal_part(weight, pp, in_s_shriek, precision):
         return ObstructionWitness(weight, dual, vec)
     a = pp.max_pole + forms.dim_cusp(2 - weight)
     fb = wh_slice_basis(weight, a, precision)
-    by_leading = {e: fb[i] for i, e in enumerate(fb.leading)}
+    top = 0 if in_s_shriek or weight == 0 else -1
+    terms = [(pp.coefficient(-n), f) for n, f in zip(fb.leading, fb) if n <= top]
+    den = lcm(*(c.denominator for c, _ in terms))
     # the solution is num / den on [lo, precision), empty when precision <= -a
     lo = min(-a, precision)
-    num, den = [0] * (precision - lo), 1
-    match_constant = in_s_shriek or weight == 0
-    top = 0 if match_constant else -1
+    num = [0] * (precision - lo)
+    for c, f in terms:
+        if c:
+            k = c.numerator * (den // c.denominator)
+            num = [x + k * y for x, y in zip(num, f.series.coeffs)]
+    sol = LaurentSeries(lo, [ratio(x, den) for x in num], precision)
+    # the prescribed indices past the window raise PrecisionExceeded here
     for n in range(-a, top + 1):
-        if n >= precision:
-            raise PrecisionExceeded(
-                "coefficient %d requested but precision is %d" % (n, precision))
-        need = pp.coefficient(-n) - Fraction(num[n + a], den)
-        if need == 0:
-            continue
-        elem = by_leading.get(n)
-        if elem is None:
-            raise AssertionError(
-                "unobstructed principal part failed to solve at index %d" % n)
-        step = lcm(den, need.denominator)
-        k = need.numerator * (step // need.denominator)
-        if step != den:
-            num = [x * (step // den) for x in num]
-            den = step
-        num = [x + k * y for x, y in zip(num, elem.series.coeffs)]
-    return ModularForm(weight, LaurentSeries(lo, [ratio(x, den) for x in num], precision))
+        if sol.coefficient(n) != pp.coefficient(-n):
+            raise AssertionError("unobstructed principal part failed to solve at index %d" % n)
+    return ModularForm(weight, sol)
 
 
 def j_polynomial_decompose(f, seed):

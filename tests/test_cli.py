@@ -611,6 +611,30 @@ def test_verify_single_json(capsys):
     assert obj["reports"][0]["mismatch"] is None
 
 
+# sha256 of the stdout of `verify all` and `verify all --json`: every named
+# identity, then the theorem grid of weights 2k = 4..28, m = 2, 3, 5, both kinds
+PINNED_VERIFY_ALL = {
+    (): "b7dbf849ecf01e8c484134c8402f83eba7fee429e640ef0674cdb73a93a4d1f9",
+    ("--json",): "25a240e061da8ae235bcb3a1ea18a44d454ce387a0b40063791e0ac27bd90285",
+}
+
+
+@pytest.mark.parametrize("flags", list(PINNED_VERIFY_ALL))
+def test_verify_all_output_pinned(capsys, monkeypatch, flags):
+    monkeypatch.delenv("MEROHECKE_CACHE_DIR", raising=False)
+    code, out, _ = run(capsys, ["verify", "all", *flags])
+    assert code == EXIT_OK
+    if flags:
+        obj = json.loads(out)
+        assert obj["pass"] is True
+        reports = [(r["id"], r["pass"]) for r in obj["reports"]]
+    else:
+        reports = [(line.split()[0], line.split()[1] == "pass") for line in out.splitlines()]
+    assert all(ok for _, ok in reports)
+    assert len([i for i, _ in reports if i.startswith("quotient(")]) == 13 * 3 * 2
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_VERIFY_ALL[flags]
+
+
 def test_verify_unknown_id(capsys):
     code, _, err = run(capsys, ["verify", "infty-eigen-2"])
     assert code == EXIT_USAGE

@@ -10,7 +10,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from merohecke import forms, meroforms, whbasis
 from merohecke.forms import CUSPIDAL, HOLOMORPHIC, ModularForm, delta, j_function
-from merohecke.qseries import LaurentSeries, as_coeff, compare
+from merohecke.qseries import (InsufficientPrecision, LaurentSeries, PrecisionExceeded, as_coeff,
+                               compare)
 from merohecke.whbasis import (
     NonUniqueSolution,
     NotPolynomialInJ,
@@ -250,7 +251,8 @@ def _fraction_pairing(pp, fb):
 
 
 def _fraction_solve(weight, pp, in_s_shriek, precision):
-    """The greedy walk of solve_principal_part on a list of Fractions."""
+    """Greedy elimination against the pole-bounded basis on a list of
+    Fractions, a route independent of the solver's one sum."""
     dual = HOLOMORPHIC if in_s_shriek else CUSPIDAL
     d = forms.dimension(2 - weight, dual)
     need = max(pp.max_pole + 1, forms.leading_start(dual) + d + 1)
@@ -338,6 +340,49 @@ def test_solver_walk_examples_reach_both_outcomes():
     outcomes = {(case[2], isinstance(_fraction_solve(*case), ObstructionWitness))
                 for case in _WALK_EXAMPLES}
     assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+# windows that end before, at or inside the poles: the slice basis refuses a
+# short window before any prescribed index is read, and the first prescribed
+# index past the window raises PrecisionExceeded
+_EDGE_WINDOWS = [
+    ((-2, PrincipalPart({}, 5), False, -3), (-2, -3, -3, [])),
+    ((-2, PrincipalPart({1: -3}, Fraction(-4, 3)), False, -4),
+     (InsufficientPrecision,
+      "pole-bounded basis with leading indices up to -1 needs precision > 0")),
+    ((0, PrincipalPart({3: 6, 4: -1, 5: Fraction(5, 2)}), True, -4),
+     (InsufficientPrecision,
+      "pole-bounded basis with leading indices up to 0 needs precision > 1")),
+    ((-10, PrincipalPart({2: 1, 1: 24}), False, -1),
+     (InsufficientPrecision,
+      "pole-bounded basis with leading indices up to -2 needs precision > -1")),
+    ((-26, PrincipalPart({}, 2), False, -1),
+     (PrecisionExceeded, "coefficient -1 requested but precision is -1")),
+]
+
+
+@pytest.mark.parametrize("case, want", _EDGE_WINDOWS)
+def test_solver_edge_windows_and_error_order(case, want):
+    try:
+        got = _outcome(solve_principal_part(*case))
+    except Exception as e:
+        got = type(e), str(e)
+    assert got == want
+
+
+@pytest.mark.parametrize("case, index", [
+    ((-10, PrincipalPart({1: 1}), False, 6), -1),
+    ((-10, PrincipalPart({1: 1, 2: 5}), True, 6), -1),
+    ((-22, PrincipalPart({3: 2, 1: 1}), False, 4), -2),
+    # the fault at -1 is reported before the constant term past the window
+    ((-10, PrincipalPart({1: 1, 2: 5}), True, 0), -1),
+])
+def test_solver_fault_check_names_first_wrong_index(monkeypatch, case, index):
+    # an obstructed request let through: no form has this principal part
+    monkeypatch.setattr(whbasis, "obstruction", lambda weight, pp, dual: [0])
+    with pytest.raises(AssertionError) as info:
+        solve_principal_part(*case)
+    assert str(info.value) == "unobstructed principal part failed to solve at index %d" % index
 
 
 @settings(max_examples=100, deadline=None)

@@ -18,10 +18,16 @@ gave the same exit code and stdout on both sides in every rep.
 Times are measured seconds, not perfbench's calibrated ones.  Only the
 perfbench files of this checkout are read, never changed.
 
+REPS must be even and at least 2.  A second run of a job is faster than
+its first, so with an odd REPS the side that runs first in one more rep
+reads slower: the same tree against itself read B/A 0.965 at 3 reps and
+1.000 at 4.  An even REPS gives each side the first run equally often, and
+a median needs at least one run per side.
+
 Exits 0 when every deck job gave the same exit code and stdout on both
 sides in every rep, 1 when any job's differed, and 2 on a wrong argument
-count or workload, so a byte-identity gate can be scripted on the exit
-code.
+count, workload or REPS, refused before any tree is loaded, so a
+byte-identity gate can be scripted on the exit code.
 """
 
 import importlib
@@ -66,7 +72,8 @@ def run_job(session, job):
 
 
 def main(argv):
-    if len(argv) != 5 or argv[2] not in jobs.WORKLOADS:
+    if (len(argv) != 5 or argv[2] not in jobs.WORKLOADS
+            or int(argv[4]) < 2 or int(argv[4]) % 2):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     tree_a, tree_b, workload, seed, reps = argv[0], argv[1], argv[2], int(argv[3]), int(argv[4])

@@ -27,7 +27,7 @@ print("with 24*q^-1:", good.series)
 
 mat = quotient_hecke_matrix(24, MOD_M, 2)
 print("weight-24 quotient matrix for T_2:", mat)
-print("scaled charpoly matches the cusp-space one:", theorem_check(24, MOD_M, 2))
+print("pairing intertwines it with T_2 on the cusp space:", theorem_check(24, MOD_M, 2))
 
 rep = meroforms.verify_identity("gT2")
 print("gT2 identity:", "pass" if rep else "FAIL", "on window", rep.window)

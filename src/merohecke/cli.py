@@ -248,9 +248,8 @@ def _matrix_strs(mat):
 def _cmd_quotient(args):
     kind = args.kind
     mat = quotient.quotient_hecke_matrix(args.weight2k, kind, args.m)
-    if args.charpoly or args.check:
-        cp = quotient.scaled_charpoly(mat, args.weight2k, args.m)
-    ok = quotient.matches_dual(cp, args.weight2k, kind, args.m) if args.check else True
+    cp = quotient.scaled_charpoly(mat, args.weight2k, args.m) if args.charpoly else None
+    ok = quotient.intertwines(mat, args.weight2k, kind, args.m) if args.check else True
 
     def as_json():
         obj = {"weight2k": args.weight2k, "kind": kind, "m": args.m,

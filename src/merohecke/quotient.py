@@ -6,18 +6,16 @@ principal part carry a Hecke action that only sees the principal part.
 Two quotients are implemented: classes modulo forms with free constant
 term ("modM!", dual to the cusp space in weight 2k) and classes modulo
 zero-constant-term forms ("modS!", dual to the full holomorphic space).
-For even 2k >= 2 the classes of q^-1 .. q^-d are a basis; the index-m
-action on them is an exact d x d rational matrix Q, found by one row
-reduction.  The paper's normalization, the factor m^(2k-1) of
-hecke.weight_power, enters in scaled_charpoly: charpoly(m^(2k-1) * Q), read
-off charpoly(Q) by linalg.scale_roots, which matches_dual compares exactly
-with the classical charpoly on the dual space.
+For even 2k >= 2 the classes of q^-1 .. q^-d are a basis; on them T_m is
+the exact d x d matrix Q = C^-1 U, C and U the pairings of q^-i and T_m q^-i
+with the reduced dual basis.  theorem_check is the paper's isomorphism
+C * m^(2k-1) Q = H^T C, H the matrix of T_m on the dual space.
 quotient_hecke_matrix, theorem_check and eigen_witness refuse any other
 weight with ValueError: in weight 0 the class of q^-1 pairs to zero
 against the constants, and odd or negative weights have no quotient.
 """
 
-from .qseries import Immutable, as_coeff
+from .qseries import Immutable, as_coeff, ratio
 from . import forms, hecke, linalg, whbasis
 from .forms import HOLOMORPHIC, CUSPIDAL
 from .hecke import weight_power
@@ -126,18 +124,19 @@ def quotient_hecke_matrix(weight2k, kind, m):
     # class_of's coordinates from one dual basis; T_m q^-d has a pole of order d m
     dual = _dual_space(kind)
     fb = forms.basis(weight2k, dual, max(d * m + 1, forms.leading_start(dual) + d + 1))
-    # pairing q^-i with the reduced dual basis reads off each element's q^i coefficient
-    coord_cols = [[f.coefficient(i) for f in fb] for i in range(1, d + 1)]
     cols = [whbasis.pairing(hecke_on_principal_part(PrincipalPart({i: 1}), w, m), fb)
             for i in range(1, d + 1)]
-    # express image coordinates back in the q^-i class basis: the coordinate
-    # vectors are the columns of C and U, and reducing [C | U] leaves [I | C^-1 U]
-    red, pivots = linalg.rref(list(zip(*coord_cols, *cols)))
-    if pivots[:d] != list(range(d)):
-        raise SingularCoordinateMatrix(
-            "classes of q^-1 .. q^-%d are not independent in weight 2k=%d %s"
-            % (d, weight2k, kind))
-    return [row[d:] for row in red]
+    # Q = C^-1 U.  S leads at 1..d, so C = I; M leads at 0..d-1, so C x = u
+    # is x_d = u_0 / f_0(d) and x_i = u_i - f_i(d) x_d, f_j(d) being ints
+    if kind == MOD_S:
+        r = [f.coefficient(d) for f in fb]
+        if r[0] == 0:
+            raise SingularCoordinateMatrix(
+                "classes of q^-1 .. q^-%d are not independent in weight 2k=%d %s"
+                % (d, weight2k, kind))
+        xd = [ratio(u[0], r[0]) for u in cols]
+        cols = [[as_coeff(u[i] - r[i] * x) for i in range(1, d)] + [x] for u, x in zip(cols, xd)]
+    return [list(row) for row in zip(*cols)]
 
 
 def scaled_charpoly(q, weight2k, m):
@@ -146,17 +145,21 @@ def scaled_charpoly(q, weight2k, m):
     return linalg.scale_roots(linalg.charpoly(q), weight_power(m, weight2k))
 
 
-def matches_dual(scaled_cp, weight2k, kind, m):
-    """Whether scaled_cp is exactly the charpoly of T_m on the dual space."""
+def intertwines(q, weight2k, kind, m):
+    """C * m^(2k-1) q == H^T C, q the index-m matrix in weight 2k, C read off
+    the dual basis and H = forms.hecke_matrix_on_space on it."""
     dual = _dual_space(_canon_kind(kind))
-    return scaled_cp == forms.hecke_charpoly_on_space(weight2k, dual, m)
+    h = forms.hecke_matrix_on_space(weight2k, dual, m)
+    fb = forms.basis(weight2k, dual, forms.leading_start(dual) + len(h) + 1)
+    c = [[f.coefficient(i) for i in range(1, len(fb) + 1)] for f in fb]
+    s = weight_power(m, weight2k)
+    sq = [[ratio(s * x.numerator, x.denominator) for x in row] for row in q]
+    return linalg.mat_mul(c, sq) == linalg.mat_mul(list(zip(*h)), c)
 
 
 def theorem_check(weight2k, kind, m):
-    """charpoly(m^(2k-1) * quotient matrix) against the charpoly of the
-    index-m operator on the dual space; exact equality."""
-    q = quotient_hecke_matrix(weight2k, kind, m)
-    return matches_dual(scaled_charpoly(q, weight2k, m), weight2k, kind, m)
+    """The paper's theorem for T_m in weight 2k, by intertwines."""
+    return intertwines(quotient_hecke_matrix(weight2k, kind, m), weight2k, kind, m)
 
 
 def eigen_witness(weight2k, m, eigenvalue, kind=None, precision=24):

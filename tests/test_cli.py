@@ -530,18 +530,21 @@ def test_quotient_matrix(capsys):
 
 
 def test_quotient_check_builds_once(capsys, monkeypatch):
-    # the matrix and its charpoly are made once and shared by --charpoly and
-    # --check; the second charpoly is the dual space's
+    # the matrix is made once and shared by --charpoly and --check; only
+    # --charpoly takes a charpoly, since the check is the intertwining identity
     calls = []
     for mod, name in ((quotient, "quotient_hecke_matrix"), (linalg, "charpoly")):
         orig = getattr(mod, name)
         monkeypatch.setattr(mod, name,
                             lambda *a, _n=name, _f=orig: calls.append(_n) or _f(*a))
-    code, out, _ = run(capsys, ["quotient", "--weight2k", "24", "--kind", "modM!",
-                                "--m", "2", "--charpoly", "--check", "--json"])
-    assert code == EXIT_OK
-    assert json.loads(out)["check"] is True
-    assert sorted(calls) == ["charpoly", "charpoly", "quotient_hecke_matrix"]
+    argv = ["quotient", "--weight2k", "24", "--kind", "modM!", "--m", "2", "--json"]
+    for flags, want in ((["--charpoly", "--check"], ["charpoly", "quotient_hecke_matrix"]),
+                        (["--check"], ["quotient_hecke_matrix"])):
+        calls.clear()
+        code, out, _ = run(capsys, argv + flags)
+        assert code == EXIT_OK
+        assert json.loads(out)["check"] is True
+        assert sorted(calls) == want, flags
 
 
 def test_quotient_text(capsys):

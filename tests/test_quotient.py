@@ -8,18 +8,21 @@ import pytest
 from merohecke import forms
 from merohecke.forms import CUSPIDAL, basis, hecke_charpoly_on_space
 from merohecke.hecke import t_op
-from merohecke.linalg import charpoly, rref
+from merohecke.linalg import charpoly, mat_mul, rref
 from merohecke.meroforms import build
 from merohecke.qseries import compare
 from merohecke.quotient import (
     MOD_M,
     MOD_S,
     QuotientClass,
+    SingularCoordinateMatrix,
     class_of,
     eigen_witness,
     hecke_on_principal_part,
+    intertwines,
     quotient_dimension,
     quotient_hecke_matrix,
+    scaled_charpoly,
     theorem_check,
 )
 from merohecke.whbasis import ObstructionWitness, PrincipalPart, j_polynomial_decompose
@@ -204,11 +207,46 @@ def test_charpoly_matches_sympy():
     assert checked == 63
 
 
-@pytest.mark.parametrize("weight2k", [4, 6, 8, 10, 12, 14, 16, 20, 24, 26])
+@pytest.mark.parametrize("weight2k", [*range(4, 122, 2), 360])
 @pytest.mark.parametrize("kind", [MOD_M, MOD_S])
 def test_theorem_small_grid(weight2k, kind):
-    assert theorem_check(weight2k, kind, 2)
-    assert theorem_check(weight2k, kind, 3)
+    # every index m up to 11 through 2k = 120, and m = 2 at one large
+    # weight, where the quotient has dimension 30 (modM!) or 31 (modS!)
+    for m in (2, 3, 5, 7, 11) if weight2k <= 120 else (2,):
+        assert theorem_check(weight2k, kind, m), (weight2k, kind, m)
+
+
+def test_intertwining_rejects_a_conjugate_with_the_same_charpoly():
+    # conjugating Q by P = [[1, 1], [0, 1]] keeps its charpoly, so a
+    # charpoly comparison passes the conjugate; the intertwining identity,
+    # which pins the isomorphism to the pairing, rejects it
+    q = quotient_hecke_matrix(24, MOD_M, 2)
+    conj = mat_mul(mat_mul([[1, 1], [0, 1]], q), [[1, -1], [0, 1]])
+    assert conj != q
+    assert scaled_charpoly(conj, 24, 2) == hecke_charpoly_on_space(24, CUSPIDAL, 2)
+    assert intertwines(q, 24, MOD_M, 2)
+    assert not intertwines(conj, 24, MOD_M, 2)
+
+
+def test_singular_coordinates_raise(monkeypatch):
+    # a dual basis whose f_0 has no q^d term leaves the classes of
+    # q^-1 .. q^-d dependent in modS!; here d = 3
+    class NoQ3:
+        def __init__(self, f):
+            self.f = f
+
+        def coefficient(self, n):
+            return 0 if n == 3 else self.f.coefficient(n)
+
+    orig = forms.basis
+
+    def basis(*args):
+        fb = orig(*args)
+        return [NoQ3(fb[0]), *fb[1:]]
+
+    monkeypatch.setattr(forms, "basis", basis)
+    with pytest.raises(SingularCoordinateMatrix, match=r"q\^-1 \.\. q\^-3 "):
+        quotient_hecke_matrix(24, MOD_S, 2)
 
 
 def test_hecke_action_descends_to_classes():

@@ -13,8 +13,10 @@ of a shared host, which over a minute can move a whole perfbench run by a
 quarter.  Prints, per side, the summed time of each job category (each
 job's median over the reps) beside the p50 and p90 of that category's job
 times over all reps, so that a change in the tail can be traced to its
-category, then the p50 and p90 of all job times and how many deck jobs
-gave the same exit code and stdout on both sides in every rep.
+category, then the p50 and p90 of all job times, the argv of up to 5 deck
+jobs whose exit code, stdout or stderr differed between the sides in some
+rep, and how many deck jobs gave the same exit code, stdout and stderr on
+both sides in every rep.
 Times are measured seconds, not perfbench's calibrated ones.  Only the
 perfbench files of this checkout are read, never changed.
 
@@ -24,8 +26,8 @@ reads slower: the same tree against itself read B/A 0.965 at 3 reps and
 1.000 at 4.  An even REPS gives each side the first run equally often, and
 a median needs at least one run per side.
 
-Exits 0 when every deck job gave the same exit code and stdout on both
-sides in every rep, 1 when any job's differed, and 2 on a wrong argument
+Exits 0 when every deck job gave the same exit code, stdout and stderr on
+both sides in every rep, 1 when any job's differed, and 2 on a wrong argument
 count, workload or REPS, refused before any tree is loaded, so a
 byte-identity gate can be scripted on the exit code.
 """
@@ -67,8 +69,8 @@ def run_job(session, job):
     if session.cache_dir:
         os.environ[run.CACHE_ENV] = session.cache_dir
     session.before_job()
-    code, out, _, seconds = harness.run_job(session.mods["cli"], session.argv(job))
-    return (code, out), seconds
+    code, out, err, seconds = harness.run_job(session.mods["cli"], session.argv(job))
+    return (code, out, err), seconds
 
 
 def main(argv):
@@ -119,6 +121,8 @@ def main(argv):
         a, b = (1e3 * quantile([s for per_job in times[side] for s in per_job], q)
                 for side in (0, 1))
         print("%-14s %6s %12.3f %12.3f %8.3f" % ("deck p%d" % q, "", a, b, b / a))
+    for job in [job for job, s in zip(deck, same) if not s][:5]:
+        print("differs: %s" % " ".join(job["argv"]))
     print("outputs identical: %d of %d" % (sum(same), len(deck)))
     return 0 if all(same) else 1
 

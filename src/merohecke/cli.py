@@ -242,7 +242,7 @@ def _cmd_solve_pp(args):
 
 
 def _matrix_strs(mat):
-    return [[str(x) for x in row] for row in mat]
+    return [[qseries._dec_str(x) for x in row] for row in mat]
 
 
 def _cmd_quotient(args):
@@ -255,7 +255,7 @@ def _cmd_quotient(args):
         obj = {"weight2k": args.weight2k, "kind": kind, "m": args.m,
                "matrix": _matrix_strs(mat)}
         if args.charpoly:
-            obj["scaled_charpoly"] = [str(c) for c in cp]
+            obj["scaled_charpoly"] = [qseries._dec_str(c) for c in cp]
         if args.check:
             obj["check"] = bool(ok)
         return obj
@@ -264,7 +264,7 @@ def _cmd_quotient(args):
         lines = ["%d x %d matrix of T_%d on the %s quotient in weight 2k=%d:"
                  % (len(mat), len(mat), args.m, kind, args.weight2k)]
         for row in mat:
-            lines.append("  [" + ", ".join(str(x) for x in row) + "]")
+            lines.append("  [" + ", ".join(map(qseries._dec_str, row)) + "]")
         if args.charpoly:
             lines.append("charpoly of %d^%d * matrix: %s"
                          % (args.m, args.weight2k - 1, linalg.poly_str(cp)))

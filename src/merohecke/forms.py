@@ -245,10 +245,10 @@ class FormBasis(Immutable):
         return self.elements[i]
 
     def truncate(self, precision):
-        """The same basis with every window ending at precision.  Exact for
-        an echelon basis whose leading indices lie below precision: a
-        full-rank RREF with pivots on its first d columns is M_piv^-1 * M,
-        so its leading columns are those of the RREF of M truncated."""
+        """The same basis with every window ending at precision.  Exact when
+        the leading indices lie below precision: echelonize reads its
+        multipliers at the leading columns, so every other column of a row
+        comes from that column of the span alone, which truncation keeps."""
         return FormBasis(self.weight, self.kind,
                          [f.truncate(precision) for f in self.elements], self.leading)
 
@@ -319,15 +319,18 @@ def basis(weight, kind, precision):
     return _echelon_basis(weight, leading_start(kind), precision, kind)
 
 
+def _basis_through(weight, kind, n):
+    """The echelon basis on the shortest window that holds q^n and every
+    leading index."""
+    return basis(weight, kind, max(n, leading_start(kind) + dimension(weight, kind)) + 1)
+
+
 def hecke_matrix_on_space(weight, kind, m):
-    """Exact matrix of the index-m Hecke operator on the echelon basis."""
-    d = dimension(weight, kind)
-    fb = basis(weight, kind, m * (leading_start(kind) + d + 1) + 2)
-    cols = []
-    for f in fb:
-        image = hecke.t_op(f.series, weight, m)
-        cols.append(fb.coords(image))
-    return [[cols[i][j] for i in range(d)] for j in range(d)]
+    """Exact matrix of the index-m Hecke operator on the echelon basis:
+    column j holds T_m f_j at the leading indices."""
+    fb = _basis_through(weight, kind, m * (leading_start(kind) + dimension(weight, kind) - 1))
+    images = [hecke.t_op(f.series, weight, m) for f in fb]
+    return [[g.coefficient(e) for g in images] for e in fb.leading]
 
 
 def hecke_charpoly_on_space(weight, kind, m):

@@ -28,7 +28,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .qseries import (Immutable, LaurentSeries, InsufficientPrecision, ZeroLeadingCoefficient,
-                      as_coeff, compare)
+                      _dec_str, as_coeff, compare)
 from . import forms, hecke, linalg, whbasis
 from .forms import ModularForm
 from .whbasis import PrincipalPart
@@ -347,7 +347,7 @@ def _id_infty_eigen(m, precision):
     rep = whbasis.bol_image_membership(ModularForm(6, h), 3, True)
     if rep.ok:
         return IdentityReport(ident, True, rep.window)
-    mim = rep.mismatch or {"obstruction": [str(c) for c in rep.obstruction.vector]}
+    mim = rep.mismatch or {"obstruction": [_dec_str(c) for c in rep.obstruction.vector]}
     return IdentityReport(ident, False, rep.window, mim)
 
 
@@ -358,7 +358,7 @@ def _id_gdef(name, m, precision):
     sol = whbasis.solve_principal_part(-4, pp, True, p)
     if isinstance(sol, whbasis.ObstructionWitness):
         return IdentityReport(ident, False, None,
-                              {"obstruction": [str(c) for c in sol.vector]})
+                              {"obstruction": [_dec_str(c) for c in sol.vector]})
     return _compare_series(ident, sol.series, build(name, p).series)
 
 

@@ -8,8 +8,8 @@ term ("modM!", dual to the cusp space in weight 2k) and classes modulo
 zero-constant-term forms ("modS!", dual to the full holomorphic space).
 For even 2k >= 2 the classes of q^-1 .. q^-d are a basis; on them T_m is
 the exact d x d matrix Q = C^-1 U, C and U the pairings of q^-i and T_m q^-i
-with the reduced dual basis.  theorem_check is the paper's isomorphism
-C * m^(2k-1) Q = H^T C, H the matrix of T_m on the dual space.
+with the reduced dual basis f_j.  theorem_check is the paper's isomorphism
+as the adjointness C * m^(2k-1) Q = T, T[j][i] the q^i coefficient of T_m f_j.
 quotient_hecke_matrix, theorem_check and eigen_witness refuse any other
 weight with ValueError: in weight 0 the class of q^-1 pairs to zero
 against the constants, and odd or negative weights have no quotient.
@@ -122,8 +122,7 @@ def quotient_hecke_matrix(weight2k, kind, m):
     if d == 0:
         return []
     # class_of's coordinates from one dual basis; T_m q^-d has a pole of order d m
-    dual = _dual_space(kind)
-    fb = forms.basis(weight2k, dual, max(d * m + 1, forms.leading_start(dual) + d + 1))
+    fb = forms._basis_through(weight2k, _dual_space(kind), d * m)
     cols = [whbasis.pairing(hecke_on_principal_part(PrincipalPart({i: 1}), w, m), fb)
             for i in range(1, d + 1)]
     # Q = C^-1 U.  S leads at 1..d, so C = I; M leads at 0..d-1, so C x = u
@@ -146,15 +145,16 @@ def scaled_charpoly(q, weight2k, m):
 
 
 def intertwines(q, weight2k, kind, m):
-    """C * m^(2k-1) q == H^T C, q the index-m matrix in weight 2k, C read off
-    the dual basis and H = forms.hecke_matrix_on_space on it."""
-    dual = _dual_space(_canon_kind(kind))
-    h = forms.hecke_matrix_on_space(weight2k, dual, m)
-    fb = forms.basis(weight2k, dual, forms.leading_start(dual) + len(h) + 1)
+    """C * m^(2k-1) q == T for the index-m matrix q in weight 2k, the adjointness
+    m^(2k-1) <T_m q^-i, f_j> = <q^-i, T_m f_j>: C[j][i] and T[j][i] are the q^i
+    coefficients of f_j and T_m f_j, i = 1 .. d, f_j the reduced dual basis."""
+    fb = forms._basis_through(weight2k, _dual_space(_canon_kind(kind)), len(q) * m)
+    images = [hecke.t_op(f.series, weight2k, m) for f in fb]
     c = [[f.coefficient(i) for i in range(1, len(fb) + 1)] for f in fb]
+    t = [[g.coefficient(i) for i in range(1, len(fb) + 1)] for g in images]
     s = weight_power(m, weight2k)
     sq = [[ratio(s * x.numerator, x.denominator) for x in row] for row in q]
-    return linalg.mat_mul(c, sq) == linalg.mat_mul(list(zip(*h)), c)
+    return linalg.mat_mul(c, sq) == t
 
 
 def theorem_check(weight2k, kind, m):

@@ -154,10 +154,7 @@ def obstruction(weight, pp, dual_kind):
     kind = _DUAL_KINDS.get(dual_kind)
     if kind is None:
         raise ValueError("dual kind must be 'cusp' or 'holomorphic'")
-    dual_weight = 2 - weight
-    d = forms.dimension(dual_weight, kind)
-    need = max(pp.max_pole + 1, forms.leading_start(kind) + d + 1)
-    return pairing(pp, forms.basis(dual_weight, kind, need))
+    return pairing(pp, forms._basis_through(2 - weight, kind, pp.max_pole))
 
 
 def pairing(pp, fb):

@@ -554,6 +554,24 @@ def test_quotient_text(capsys):
     assert "3 x 3 matrix" in out
 
 
+def test_quotient_prints_entries_past_the_decimal_digit_limit(capsys, monkeypatch):
+    # CPython's str() refuses ints above 4300 digits, as 2k = 360, modM!,
+    # m = 11 gives them; the matrix and charpoly go through qseries._dec_str
+    big = 10 ** 5000
+    monkeypatch.setattr(quotient, "quotient_hecke_matrix", lambda *a: [[big, 1], [0, -big]])
+    monkeypatch.setattr(quotient, "scaled_charpoly", lambda *a: [-big, 0, 1])
+    argv = ["quotient", "--weight2k", "24", "--kind", "modM!", "--m", "2", "--charpoly"]
+    text = qseries._dec_str(big)
+    code, out, _ = run(capsys, argv)
+    assert code == EXIT_OK
+    assert "[%s, 1]" % text in out and "[0, -%s]" % text in out
+    code, out, _ = run(capsys, argv + ["--json"])
+    assert code == EXIT_OK
+    obj = json.loads(out)
+    assert obj["matrix"] == [[text, "1"], ["0", "-" + text]]
+    assert obj["scaled_charpoly"] == ["-" + text, "0", "1"]
+
+
 @pytest.mark.parametrize("argv", [
     ["expand", "G", "--prec", "30"],
     ["hecke", "delta", "--m", "3", "--prec", "30"],

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from merohecke import forms
+from merohecke import forms, whbasis
 from merohecke.forms import ModularForm
 from merohecke.linalg import poly_eval
 from merohecke.meroforms import (
@@ -25,8 +25,8 @@ from merohecke.meroforms import (
     identity_ids,
     verify_identity,
 )
-from merohecke.qseries import (LaurentSeries, InsufficientPrecision, QSeriesError, as_coeff,
-                               compare)
+from merohecke.qseries import (LaurentSeries, InsufficientPrecision, QSeriesError, _dec_str,
+                               as_coeff, compare)
 
 
 # -- named expansions, zero tolerance -------------------------------------
@@ -340,6 +340,17 @@ def test_verify_identity_passes(ident):
     assert rep.mismatch is None
     lo, hi = rep.window
     assert hi > lo
+
+
+def test_obstruction_mismatch_text_past_the_decimal_digit_limit(monkeypatch):
+    # the mismatch lists the obstruction through qseries._dec_str, which
+    # str() cannot do above 4300 digits
+    big = 10 ** 5000
+    monkeypatch.setattr(whbasis, "solve_principal_part",
+                        lambda *a: whbasis.ObstructionWitness(-4, "M", [big, 0]))
+    rep = verify_identity("g5-def")
+    assert not rep.passed
+    assert rep.mismatch == {"obstruction": [_dec_str(big), "0"]}
 
 
 def test_verify_identity_larger_window():

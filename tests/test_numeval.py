@@ -696,6 +696,27 @@ def test_psi_computes_each_pair_of_rows_once(monkeypatch, bits, bound):
         assert len(calls) == rows + 1, (ell, calls)
 
 
+def test_binary64_row_sums_again_where_the_kernel_overflows():
+    # at ell = -100, (u v)^100 overflows in the generated kernel, so the row
+    # is summed again as base v^-2k x^ell; checked against mpmath at 160 bits
+    k, ell, bound, center, z = 3, -100, 40, complex(0.1, 1.3), complex(0.2, 0.9)
+    c, d, a, b = numeval._rows(bound)[-4:]
+    assert (c, d) == (0, -1)
+    base, w0 = (c * z + d) ** (-2 * k), (a * z + b) / (c * z + d)
+    ts = tuple(map(complex, range(-bound, bound + 1)))
+    fast = numeval._binary64_kernel(k, ell)(base, w0 - center, w0 - center.conjugate(), ts)
+    assert not cmath.isfinite(fast)
+    got = numeval._binary64_row(k, ell, center, bound)(base, w0, c, d)
+    with mpmath.workprec(160):
+        terms = []
+        for t in range(-bound, bound + 1):
+            w = mpmath.mpc(w0) + t
+            u, v = w - mpmath.mpc(center), w - mpmath.mpc(center.conjugate())
+            terms.append(mpmath.mpc(base) * v ** (-2 * k) * (u / v) ** ell)
+        err = abs(mpmath.mpc(got) - mpmath.fsum(terms))
+        assert err <= (abs(ell) + 2 * k + 8) * 2.0 ** -53 * mpmath.fsum(map(abs, terms))
+
+
 def test_psi_rows_table_matches_enumeration():
     # the memoized table holds the rows (c, d, a, b) of the gcd loop, in its
     # order, one after another

@@ -249,6 +249,21 @@ def test_singular_coordinates_raise(monkeypatch):
         quotient_hecke_matrix(24, MOD_S, 2)
 
 
+def test_cold_theorem_check_builds_the_dual_basis_once(monkeypatch):
+    # the matrix and the check read one dual basis, fetched at one reach;
+    # a second request above the stored precision would rebuild the entry
+    built = []
+    orig = forms._cached
+
+    def spy(key, precision, builder):
+        return orig(key, precision, lambda p: built.append((key, p)) or builder(p))
+
+    monkeypatch.setattr(forms, "_cached", spy)
+    forms.clear_cache()
+    assert theorem_check(24, MOD_S, 3)
+    assert [p for key, p in built if key == ("basis", 24, 0)] == [10]
+
+
 def test_hecke_action_descends_to_classes():
     # T_n sends the class of q^-1 to n^(1-2k) times the class of q^-n
     for weight2k in (12, 24):

@@ -104,23 +104,26 @@ def _cache_store(construction, entry):
     path = _cache_path(construction)
     if not path:
         return
-    os.makedirs(os.path.dirname(path), exist_ok=True)
     weight, val, texts = entry
     head = json.dumps({"format": FORMAT_VERSION, "construction": construction,
                        "weight": weight, "valuation": val, "precision": val + len(texts),
                        "size": sum(map(len, texts)) + len(texts)})
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    tmp = None
     try:
+        # an unusable cache directory is a store skipped, like a failed write
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         # line by line, so that no copy of the whole body is made
         with os.fdopen(fd, "w") as fh:
             fh.write(head + "\n")
             fh.writelines(t + "\n" for t in texts)
         os.replace(tmp, path)
     except (OSError, ValueError):
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
 
 
 def _build_form(name_or_expr, precision, as_text=False):
@@ -356,9 +359,11 @@ def _cmd_psi_sum(args):
 
 
 def _cmd_psi_prop(args):
+    if args.bits < 1:
+        raise ValueError("bits must be >= 1")
     rep = numeval.psi_two_variable_check(
         args.k, args.ell, HPoint.parse(args.zz), HPoint.parse(args.at),
-        args.n, args.bound, args.bits, args.tol)
+        args.n, args.bound, args.tol)
     obj = {"n": rep["n"], "lhs": str(rep["lhs"]), "rhs": str(rep["rhs"]),
            "rel": rep["rel"], "tail_sum": rep["tail_sum"], "pass": rep["pass"]}
     text = ("n=%d lhs=%s rhs=%s rel=%.3e (tol %g): %s"
@@ -460,8 +465,8 @@ def _build_parser():
     sp.add_argument("--at", required=True, help="argument as 'x,y'")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--bound", type=int, default=40)
-    sp.add_argument("--bits", type=int, default=200, help="precision of each psi sum; both "
-                    "sides are summed in binary64, so above 53 it adds time but no precision")
+    sp.add_argument("--bits", type=int, default=53, help="no effect: the check is binary64 "
+                    "throughout, since its points and centers are, so every psi sum is too")
     sp.add_argument("--tol", type=float, default=1e-2)
     add_json(sp)
     sp.set_defaults(func=_cmd_psi_prop)

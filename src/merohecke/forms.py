@@ -252,11 +252,6 @@ class FormBasis(Immutable):
         return FormBasis(self.weight, self.kind,
                          [f.truncate(precision) for f in self.elements], self.leading)
 
-    def coords(self, series):
-        """Coordinates of a series known to lie in the span: read off the
-        coefficients at the leading indices."""
-        return [series.coefficient(e) for e in self.leading]
-
 
 def _power(base, n, precision):
     """E4^n on [0, precision) for base "E4", or delta^n on [n, precision) for

@@ -877,13 +877,14 @@ def psi_section_check(bound=40, bits=53, tol=1e-3, precision=40):
     }
 
 
-def psi_two_variable_check(k, ell, center, z, n, bound=40, bits=53, tol=1e-2):
+def psi_two_variable_check(k, ell, center, z, n, bound=40, tol=1e-2):
     """The index-n Hecke operator applied to the kernel in the two
     variables separately: in z via the coset sum of transformed arguments,
     in the center via the rescaled sum over centers (r^2 center + r j)/n;
     the proposition asserts equality, checked here on truncated sums.
-    Both sides are summed in binary64: bits sets the precision of each psi
-    sum, so above 53 it adds time but no precision to the result.
+    The check is binary64 throughout: its center and point, every coset
+    point and rescaled center are binary64, so each psi sum is taken on
+    the 53-bit route, and more bits there would be rounded away again.
 
     For ell >= 0 the kernel has no pole at the center and the full sum is a
     cusp form of weight 2k; where that space is zero both sides are
@@ -901,8 +902,8 @@ def psi_two_variable_check(k, ell, center, z, n, bound=40, bits=53, tol=1e-2):
     # z-side coset sum
     lhs = 0j
     for a, b, d in cosets(n):
-        res = psi_truncated(seed, (a * pt + b) / d, bound, bits)
-        lhs += complex(res.value) / d ** (2 * k)
+        res = psi_truncated(seed, (a * pt + b) / d, bound)
+        lhs += res.value / d ** (2 * k)
         tails += float(res.err_bound) / d ** (2 * k)
     lhs *= weight_power(n, 2 * k)
     tails *= weight_power(n, 2 * k)
@@ -912,8 +913,8 @@ def psi_two_variable_check(k, ell, center, z, n, bound=40, bits=53, tol=1e-2):
         block = 0j
         for j in range(n // r):
             seed_r = PoincareSeed(k, ell, (r * r * cz + r * j) / n)
-            res = psi_truncated(seed_r, pt, bound, bits)
-            block += complex(res.value)
+            res = psi_truncated(seed_r, pt, bound)
+            block += res.value
             tails += float(res.err_bound) * r ** (2 * k) / n
         rhs += r ** (2 * k) * block
     rhs /= n

@@ -551,13 +551,8 @@ def series_obj(val, texts):
 
 
 def from_json_obj(obj):
-    """The series of a JSON object; texts _dec_coeff refuses go to as_coeff."""
-    val, texts, prec = int(obj["valuation"]), obj["coefficients"], int(obj["precision"])
-    coeffs = []
-    for t in texts:
-        c = _dec_coeff(t) if type(t) is str else None
-        coeffs.append(as_coeff(t) if c is None else c)
-    return LaurentSeries(val, coeffs, prec)
+    """The series of a JSON object; the constructor reads its coefficient texts."""
+    return LaurentSeries(int(obj["valuation"]), obj["coefficients"], int(obj["precision"]))
 
 
 def dumps(s, **kw):

@@ -222,14 +222,14 @@ def j_polynomial_decompose(f, seed):
     window."""
     if f.weight != seed.weight:
         raise ValueError("weight mismatch: %d vs %d" % (f.weight, seed.weight))
-    ratio = f.series.div(seed.series)
-    if ratio.prec < 1:
-        raise InsufficientPrecision("ratio window ends at %d" % ratio.prec)
-    v = ratio.valuation()
+    quo = f.series.div(seed.series)
+    if quo.prec < 1:
+        raise InsufficientPrecision("ratio window ends at %d" % quo.prec)
+    v = quo.valuation()
     degree = -v if v is not None and v < 0 else 0
-    jf = forms.j_function(ratio.prec + degree).series if degree else None
+    jf = forms.j_function(quo.prec + degree).series if degree else None
     coeffs = [0] * (degree + 1)
-    p = ratio
+    p = quo
     while True:
         v = p.valuation()
         if v is None or v >= 0:

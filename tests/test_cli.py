@@ -13,7 +13,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from merohecke import cli, forms, hecke, linalg, meroforms, qseries, quotient
+from merohecke import cli, forms, hecke, linalg, meroforms, numeval, qseries, quotient
 from merohecke.cli import EXIT_GUARD, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from merohecke.forms import ModularForm
 from merohecke.qseries import LaurentSeries
@@ -803,6 +803,24 @@ def test_psi_prop_check(capsys):
     assert obj["pass"] is True
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_psi_prop_check_is_binary64_at_any_bits(capsys, monkeypatch, json_flag):
+    # its points and centers are binary64, so every psi sum takes the 53-bit
+    # route and --bits has no effect: the fixed-point route is never reached
+    argv = ["psi-prop-check", "--k", "3", "--ell", "-1", "--zz", "0.1,1.2", "--at", "0.2,0.9",
+            "--n", "2", "--bound", "3"] + json_flag
+    want = run(capsys, argv + ["--bits", "53"])
+    assert want[0] == EXIT_OK and want[1]
+
+    def refuse(*args):
+        raise AssertionError("fixed-point route reached")
+
+    monkeypatch.setattr(numeval, "_fixed_row", refuse)
+    assert run(capsys, argv) == want
+    assert run(capsys, argv + ["--bits", "200"]) == want
+    assert run(capsys, argv + ["--bits", "1"]) == want
+
+
 @pytest.mark.parametrize("k", [3, 4])
 @pytest.mark.parametrize("ell", [0, 1])
 def test_psi_prop_check_vacuous(capsys, k, ell):
@@ -1108,6 +1126,38 @@ def test_cache_corruption_is_ignored(capsys, tmp_path, monkeypatch):
     assert second == first
     # the rerun repaired the entry
     assert _read_entry(path)[0]["format"] == cli.FORMAT_VERSION
+
+
+_STORING_ARGV = [["expand", "E4", "--prec", "5"], ["hecke", "E4", "--m", "2", "--prec", "6"],
+                 ["eval", "E4", "--at", "0.1,1.2", "--bits", "64", "--prec", "8"]]
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+@pytest.mark.parametrize("argv", _STORING_ARGV, ids=["expand", "hecke", "eval"])
+def test_cache_dir_unusable_is_skipped(capsys, tmp_path, monkeypatch, argv, below):
+    # the cache is best effort: a cache dir that is, or lies below, a
+    # regular file costs the store, not the answer
+    monkeypatch.delenv("MEROHECKE_CACHE_DIR", raising=False)
+    uncached = run(capsys, argv)
+    assert uncached[0] == EXIT_OK
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    monkeypatch.setenv("MEROHECKE_CACHE_DIR", str(blocker / "cache" if below else blocker))
+    assert run(capsys, argv) == uncached
+
+
+def test_cache_failed_rename_leaves_no_temp_file(capsys, tmp_path, monkeypatch):
+    argv = _STORING_ARGV[0]
+    monkeypatch.delenv("MEROHECKE_CACHE_DIR", raising=False)
+    uncached = run(capsys, argv)
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setenv("MEROHECKE_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(os, "replace", refuse)
+    assert run(capsys, argv) == uncached
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("payload", ["[1, 2]", '{"format": 2, "weight": 4, "series": '

@@ -197,12 +197,6 @@ def test_basis_echelon_property():
                     assert f.coefficient(e) == expected
 
 
-def test_basis_coords_round_trip():
-    fb = basis(24, CUSPIDAL, 12)
-    combo = fb[0].series.scale(3).add(fb[1].series.scale(Fraction(-7, 2)))
-    assert fb.coords(combo) == [3, Fraction(-7, 2)]
-
-
 def test_modular_form_weight_bookkeeping():
     e4 = eisenstein(4, 8)
     e6 = eisenstein(6, 8)

@@ -175,6 +175,29 @@ def test_expression_negative_power_weight():
         assert build_expression(expr, 6).weight == weight, expr
 
 
+def _two_sums(precision):
+    # E4^3 + 3375*delta and E6^2 - 1728*delta, built from forms directly
+    e4, e6 = forms.eisenstein(4, precision).series, forms.eisenstein(6, precision).series
+    dl = forms.delta(precision).series
+    return e4.pow(3).add(dl.scale(3375)), e6.pow(2).sub(dl.scale(1728)), dl
+
+
+def test_expression_product_of_two_sums():
+    # both factors keep a series part, so the compiler multiplies two series
+    s1, s2, _ = _two_sums(40)
+    f = build_expression("(E4^3 + 3375*delta)*(E6^2 - 1728*delta)", 40)
+    assert f.weight == 24
+    assert f.series == s1.mul(s2)
+
+
+def test_expression_over_a_product_of_two_sums():
+    s1, s2, dl = _two_sums(30)
+    f = build_expression("delta^3/((E4^3 + 3375*delta)*(E6^2 - 1728*delta))", 30)
+    assert f.weight == 12
+    assert (f.series.val, f.series.prec) == (3, 30)
+    assert f.series == dl.pow(3).div(s1.mul(s2), 30)
+
+
 @pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
 def test_construction_divides_once(monkeypatch, name):
     # one numerator over one denominator: a single division, no inverse

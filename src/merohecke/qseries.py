@@ -65,17 +65,19 @@ class PrecisionExceeded(QSeriesError):
 
 def as_coeff(x):
     """Normalize a number to int (when integral) or Fraction."""
-    if type(x) is int:
+    t = type(x)
+    if t is int:
         return x
-    if isinstance(x, Fraction):
-        return x._numerator if x._denominator == 1 else x
-    if isinstance(x, int):
-        return int(x)
-    if isinstance(x, str):
+    # text first: isinstance(x, Fraction) goes through ABCMeta for a non-Fraction
+    if t is not Fraction and isinstance(x, str):
         # canonical text, "-3" or "5/7", is read by int; any other text,
         # "1.5" or "1_000", by Fraction, which also raises for non-numbers
         coeff = _dec_coeff(x)
         return as_coeff(Fraction(x)) if coeff is None else coeff
+    if t is Fraction or isinstance(x, Fraction):
+        return x._numerator if x._denominator == 1 else x
+    if isinstance(x, int):
+        return int(x)
     raise TypeError("coefficient must be int, Fraction or 'num/den' string, got %r" % (x,))
 
 
@@ -152,11 +154,13 @@ def _dec_coeff(text):
     neg = num[:1] == "-"
     if num[:1] in ("+", "-"):
         num = num[1:]
-    parts = (num, den) if slash else (num,)
-    if not all(p.isascii() and p.isdigit() for p in parts):
+    if not (num.isascii() and num.isdigit()) or slash and not (den.isascii() and den.isdigit()):
         return None
     n = -_dec_int(num) if neg else _dec_int(num)
-    return as_coeff(Fraction(n, _dec_int(den))) if slash else n
+    if not slash:
+        return n
+    x = Fraction(n, _dec_int(den))
+    return x._numerator if x._denominator == 1 else x
 
 
 def _conv_school(a, b, n):

@@ -9,11 +9,15 @@ zero-constant-term forms ("modS!", dual to the full holomorphic space).
 For even 2k >= 2 the classes of q^-1 .. q^-d are a basis; on them T_m is
 the exact d x d matrix Q = C^-1 U, C and U the pairings of q^-i and T_m q^-i
 with the reduced dual basis f_j.  theorem_check is the paper's isomorphism
-as the adjointness C * m^(2k-1) Q = T, T[j][i] the q^i coefficient of T_m f_j.
+as the adjointness C * m^(2k-1) Q = T, T[j][i] the q^i coefficient of T_m f_j,
+on two routes: quotient_hecke_matrix reads U off the f_j by T_m's rule on
+q^-i, and intertwines applies hecke.t_op to the f_j.
 quotient_hecke_matrix, theorem_check and eigen_witness refuse any other
 weight with ValueError: in weight 0 the class of q^-1 pairs to zero
 against the constants, and odd or negative weights have no quotient.
 """
+
+from math import lcm
 
 from .qseries import Immutable, as_coeff, ratio
 from . import forms, hecke, linalg, whbasis
@@ -117,25 +121,31 @@ def quotient_hecke_matrix(weight2k, kind, m):
     basis of the classes of q^-1 .. q^-d; weight2k must be even and >= 2."""
     kind = _canon_kind(kind)
     _check_weight2k(weight2k)
-    w = 2 - weight2k
     d = quotient_dimension(weight2k, kind)
     if d == 0:
         return []
     # class_of's coordinates from one dual basis; T_m q^-d has a pole of order d m
     fb = forms._basis_through(weight2k, _dual_space(kind), d * m)
-    cols = [whbasis.pairing(hecke_on_principal_part(PrincipalPart({i: 1}), w, m), fb)
-            for i in range(1, d + 1)]
+    # q^-i | T_m = sum over t | gcd(m, i) of (m/t)^(1-2k) q^(-i m/t^2), so with
+    # s = m^(2k-1), s U[j][i] = s <T_m q^-i, f_j> = sum of t^(2k-1) f_j(i m/t^2)
+    s = weight_power(m, weight2k)
+    steps = [(t, weight_power(t, weight2k)) for t in hecke.divisors(m)]
+    su = [[sum([p * f.coefficient(i * m // (t * t)) for t, p in steps if i % t == 0])
+           for i in range(1, d + 1)] for f in fb]
+    if kind == MOD_M:
+        return [[ratio(x, s) for x in row] for row in su]
     # Q = C^-1 U.  S leads at 1..d, so C = I; M leads at 0..d-1, so C x = u
-    # is x_d = u_0 / f_0(d) and x_i = u_i - f_i(d) x_d, f_j(d) being ints
-    if kind == MOD_S:
-        r = [f.coefficient(d) for f in fb]
-        if r[0] == 0:
-            raise SingularCoordinateMatrix(
-                "classes of q^-1 .. q^-%d are not independent in weight 2k=%d %s"
-                % (d, weight2k, kind))
-        xd = [ratio(u[0], r[0]) for u in cols]
-        cols = [[as_coeff(u[i] - r[i] * x) for i in range(1, d)] + [x] for u, x in zip(cols, xd)]
-    return [list(row) for row in zip(*cols)]
+    # is x_d = u_0 / f_0(d) and x_i = u_i - f_i(d) x_d, f_j(d) being ints,
+    # here over the one denominator f_0(d) s
+    r = [f.coefficient(d) for f in fb]
+    if r[0] == 0:
+        raise SingularCoordinateMatrix(
+            "classes of q^-1 .. q^-%d are not independent in weight 2k=%d %s"
+            % (d, weight2k, kind))
+    den = r[0] * s
+    return ([[ratio(r[0] * x - ri * x0, den) for x, x0 in zip(row, su[0])]
+             for ri, row in zip(r[1:], su[1:])]
+            + [[ratio(x0, den) for x0 in su[0]]])
 
 
 def scaled_charpoly(q, weight2k, m):
@@ -147,14 +157,17 @@ def scaled_charpoly(q, weight2k, m):
 def intertwines(q, weight2k, kind, m):
     """C * m^(2k-1) q == T for the index-m matrix q in weight 2k, the adjointness
     m^(2k-1) <T_m q^-i, f_j> = <q^-i, T_m f_j>: C[j][i] and T[j][i] are the q^i
-    coefficients of f_j and T_m f_j, i = 1 .. d, f_j the reduced dual basis."""
+    coefficients of f_j and T_m f_j (by hecke.t_op), i = 1 .. d, f_j the reduced
+    dual basis; compared in integers as C * (m^(2k-1) L q) == L T, L the lcm of
+    q's denominators."""
     fb = forms._basis_through(weight2k, _dual_space(_canon_kind(kind)), len(q) * m)
     images = [hecke.t_op(f.series, weight2k, m) for f in fb]
+    den = lcm(*(x.denominator for row in q for x in row))
     c = [[f.coefficient(i) for i in range(1, len(fb) + 1)] for f in fb]
-    t = [[g.coefficient(i) for i in range(1, len(fb) + 1)] for g in images]
+    lt = [[den * g.coefficient(i) for i in range(1, len(fb) + 1)] for g in images]
     s = weight_power(m, weight2k)
-    sq = [[ratio(s * x.numerator, x.denominator) for x in row] for row in q]
-    return linalg.mat_mul(c, sq) == t
+    sq = [[s * (den // x.denominator) * x.numerator for x in row] for row in q]
+    return linalg.mat_mul(c, sq) == lt
 
 
 def theorem_check(weight2k, kind, m):

@@ -531,19 +531,25 @@ def test_quotient_matrix(capsys):
 
 def test_quotient_check_builds_once(capsys, monkeypatch):
     # the matrix is made once and shared by --charpoly and --check; only
-    # --charpoly takes a charpoly, since the check is the intertwining identity
+    # --charpoly takes a charpoly, since the check is the intertwining identity.
+    # The matrix is read off the dual basis by T_m's rule on q^-i, with no
+    # t_op; the check applies t_op once per dual-basis element (d = 2 here)
     calls = []
-    for mod, name in ((quotient, "quotient_hecke_matrix"), (linalg, "charpoly")):
+    for mod, name in ((quotient, "quotient_hecke_matrix"), (linalg, "charpoly"),
+                      (hecke, "t_op")):
         orig = getattr(mod, name)
         monkeypatch.setattr(mod, name,
                             lambda *a, _n=name, _f=orig: calls.append(_n) or _f(*a))
     argv = ["quotient", "--weight2k", "24", "--kind", "modM!", "--m", "2", "--json"]
-    for flags, want in ((["--charpoly", "--check"], ["charpoly", "quotient_hecke_matrix"]),
-                        (["--check"], ["quotient_hecke_matrix"])):
+    for flags, want in ((["--charpoly", "--check"],
+                         ["charpoly", "quotient_hecke_matrix", "t_op", "t_op"]),
+                        (["--check"], ["quotient_hecke_matrix", "t_op", "t_op"]),
+                        (["--charpoly"], ["charpoly", "quotient_hecke_matrix"]),
+                        ([], ["quotient_hecke_matrix"])):
         calls.clear()
         code, out, _ = run(capsys, argv + flags)
         assert code == EXIT_OK
-        assert json.loads(out)["check"] is True
+        assert json.loads(out).get("check") is ("--check" in flags or None)
         assert sorted(calls) == want, flags
 
 

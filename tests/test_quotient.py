@@ -2,6 +2,7 @@
 weakly holomorphic forms, with the index-m operators acting exactly."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -228,6 +229,22 @@ def test_intertwining_rejects_a_conjugate_with_the_same_charpoly():
     assert not intertwines(conj, 24, MOD_M, 2)
 
 
+@pytest.mark.parametrize("kind", [MOD_M, MOD_S])
+def test_intertwining_rejects_a_changed_common_denominator(kind):
+    # intertwines compares C * (m^(2k-1) L q) with L T in integers, L the lcm
+    # of q's denominators; adding 1/(2L) to one entry moves L to a multiple of
+    # 2L, and the check must still see the entry as wrong
+    for weight2k, m in ((24, 2), (36, 3), (48, 6), (60, 4)):
+        q = quotient_hecke_matrix(weight2k, kind, m)
+        assert intertwines(q, weight2k, kind, m)
+        den = lcm(*(Fraction(x).denominator for row in q for x in row))
+        for i, j in ((0, 0), (len(q) - 1, 0), (0, len(q) - 1)):
+            bad = [list(row) for row in q]
+            bad[i][j] += Fraction(1, 2 * den)
+            assert lcm(*(Fraction(x).denominator for row in bad for x in row)) != den
+            assert not intertwines(bad, weight2k, kind, m), (weight2k, kind, m, i, j)
+
+
 def test_singular_coordinates_raise(monkeypatch):
     # a dual basis whose f_0 has no q^d term leaves the classes of
     # q^-1 .. q^-d dependent in modS!; here d = 3
@@ -362,12 +379,15 @@ def _matrix_by_classes(weight2k, kind, m):
 
 @pytest.mark.parametrize("kind", [MOD_M, MOD_S])
 def test_quotient_matrix_matches_per_class_route(monkeypatch, kind):
+    # T_m's rule on q^-i sums over t | gcd(m, i): only a composite m has a
+    # divisor t outside {1, m}
     calls = []
     orig = forms.basis
     monkeypatch.setattr(forms, "basis", lambda *a: calls.append(a) or orig(*a))
     for weight2k in range(4, 62, 2):
-        for m in (2, 3, 5, 7, 11):
+        for m in (2, 3, 5, 7, 11) + ((1, 4, 6, 8, 9, 12) if weight2k <= 36 else ()):
             calls.clear()
             got = quotient_hecke_matrix(weight2k, kind, m)
             assert len(calls) == (1 if got else 0), (weight2k, m)
             assert got == _matrix_by_classes(weight2k, kind, m), (weight2k, kind, m)
+

@@ -65,16 +65,15 @@ class PrecisionExceeded(QSeriesError):
 
 def as_coeff(x):
     """Normalize a number to int (when integral) or Fraction."""
-    t = type(x)
-    if t is int:
+    if type(x) is int:
         return x
     # text first: isinstance(x, Fraction) goes through ABCMeta for a non-Fraction
-    if t is not Fraction and isinstance(x, str):
+    if isinstance(x, str):
         # canonical text, "-3" or "5/7", is read by int; any other text,
         # "1.5" or "1_000", by Fraction, which also raises for non-numbers
         coeff = _dec_coeff(x)
         return as_coeff(Fraction(x)) if coeff is None else coeff
-    if t is Fraction or isinstance(x, Fraction):
+    if isinstance(x, Fraction):
         return x._numerator if x._denominator == 1 else x
     if isinstance(x, int):
         return int(x)

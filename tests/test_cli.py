@@ -621,6 +621,19 @@ def test_quotient_weight_outside_domain(capsys, weight2k, kind):
     assert "weight2k must be even and >= 2" in err
 
 
+@pytest.mark.parametrize("m", ["0", "-1"])
+@pytest.mark.parametrize("kind", ["modM!", "modS!"])
+@pytest.mark.parametrize("flags", [[], ["--charpoly"], ["--check"], ["--json"],
+                                   ["--charpoly", "--json"]])
+def test_quotient_index_below_one(capsys, m, kind, flags):
+    # no divisor of m < 1 reaches the matrix, so the index is checked outright
+    code, out, err = run(capsys, ["quotient", "--weight2k", "24", "--kind", kind,
+                                  "--m", m] + flags)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "operator index must be >= 1" in err
+
+
 # -- verify ----------------------------------------------------------------------
 
 def test_verify_single(capsys):

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Count the builds of merohecke's disk cache on the expand-cold decks, and
-time one hit against one build.
+time one hit and one resumed build against one build.
 
     python3 bench/cache_prefix.py [--seeds 1-20] [--reps 5] [--universe]
     python3 bench/cache_prefix.py --hits [--reps 15]
@@ -14,11 +14,14 @@ construction, serving every shorter precision) and the builds they would
 have needed under the former key (one entry per construction and
 precision, which served only that precision): the former is replayed from
 the same requests, where a request builds unless the same construction
-and precision was built before without error.
+and precision was built before without error.  Beside them it prints the
+current builds that resumed their division from a shorter entry, and the
+division rows those skipped.
 
 Then times, best of --reps, cli._build_form("G", 487), the layer under
 `expand G --prec 487`: built and stored on an empty cache, against served
-from an entry at precision 500.
+from an entry at precision 500, and against resumed from an entry at
+precision 292 (the shorter G that the seed-3 deck builds first).
 
 With --universe, also builds each construction of the expand-cold universe
 once at the largest precision any of its jobs asks for, then runs all the
@@ -59,22 +62,34 @@ CACHE_ENV = "MEROHECKE_CACHE_DIR"
 
 class Recorder:
     """Wraps cli._build_form: one (construction, precision, hit, built
-    without error) record per cache lookup."""
+    without error) record per cache lookup, and one (construction, division
+    rows skipped) record per build that resumed from a shorter entry."""
 
     def __init__(self):
         self.records = []
+        self.resumed = []
         self._build_form = cli._build_form
         self._cache_load = cli._cache_load
+        self._divide = qseries._divide
 
     def __enter__(self):
         hits = []
+        construction = None
 
-        def cache_load(construction, precision):
-            hit = self._cache_load(construction, precision)
-            hits.append(hit is not None)
-            return hit
+        def cache_load(key, precision):
+            entry = self._cache_load(key, precision)
+            hits.append(entry is not None and entry[1] + len(entry[2]) == precision)
+            return entry
+
+        def divide(num, den, n, seed=()):
+            out = self._divide(num, den, n, seed)
+            # a seed that fails the check of its last row is recomputed
+            if seed and out[:len(seed)] == list(seed[:n]):
+                self.resumed.append((construction, min(len(seed), n)))
+            return out
 
         def build_form(name, precision, **kw):
+            nonlocal construction
             construction = meroforms.CONSTRUCTIONS.get(name, name)
             del hits[:]
             try:
@@ -85,11 +100,12 @@ class Recorder:
             self.records.append((construction, precision, hits[0], True))
             return form
 
-        cli._cache_load, cli._build_form = cache_load, build_form
+        cli._cache_load, cli._build_form, qseries._divide = cache_load, build_form, divide
         return self
 
     def __exit__(self, *exc):
-        cli._cache_load, cli._build_form = self._cache_load, self._build_form
+        cli._cache_load, cli._build_form, qseries._divide = \
+            self._cache_load, self._build_form, self._divide
 
 
 def run_jobs(job_list, cache_dir):
@@ -124,6 +140,7 @@ def parse_seeds(text):
 
 def decks(seeds, universe, scratch):
     old, new = collections.Counter(), collections.Counter()
+    resumed, skipped = collections.Counter(), collections.Counter()
     requests = 0
     for seed in seeds:
         deck = jobs.deck("expand-cold", seed, universe)
@@ -133,12 +150,19 @@ def decks(seeds, universe, scratch):
         requests += len(rec.records)
         old.update(former_builds(rec.records))
         new.update(c for c, _, hit, _ in rec.records if not hit)
+        for construction, rows in rec.resumed:
+            resumed[construction] += 1
+            skipped[construction] += rows
     print("%d requests over seeds %d-%d: %d builds under (construction, precision) "
           "keys, %d under one entry per construction"
           % (requests, seeds[0], seeds[-1], sum(old.values()), sum(new.values())))
-    print("  %-40s %8s %8s" % ("construction", "former", "current"))
+    print("%d of the current builds resumed from a shorter entry, skipping %d division rows"
+          % (sum(resumed.values()), sum(skipped.values())))
+    print("  %-40s %8s %8s %8s %12s" % ("construction", "former", "current", "resumed",
+                                        "rows skipped"))
     for construction in sorted(old, key=old.get, reverse=True):
-        print("  %-40.40s %8d %8d" % (construction, old[construction], new[construction]))
+        print("  %-40.40s %8d %8d %8d %12d" % (construction, old[construction], new[construction],
+                                              resumed[construction], skipped[construction]))
 
 
 def timing(reps, scratch):
@@ -152,13 +176,21 @@ def timing(reps, scratch):
             times.append(time.perf_counter() - t0)
         return min(times)
 
-    longer = tempfile.mkdtemp(dir=scratch)
-    os.environ[CACHE_ENV] = longer
-    cli._build_form("G", 500)
+    def entry_dir(precision):
+        path = tempfile.mkdtemp(dir=scratch)
+        os.environ[CACHE_ENV] = path
+        forms.clear_cache()
+        cli._build_form("G", precision)
+        return path
+
+    longer, shorter = entry_dir(500), entry_dir(292)
     build_s = best(lambda: tempfile.mkdtemp(dir=scratch))
     hit_s = best(lambda: longer)
+    resumed_s = best(lambda: shutil.copytree(shorter, tempfile.mkdtemp(dir=scratch),
+                                             dirs_exist_ok=True))
     print("cli._build_form('G', 487), best of %d: build and store %.2f ms, "
-          "hit on a P = 500 entry %.2f ms" % (reps, 1e3 * build_s, 1e3 * hit_s))
+          "hit on a P = 500 entry %.2f ms, resumed from a P = 292 entry and stored %.2f ms"
+          % (reps, 1e3 * build_s, 1e3 * hit_s, 1e3 * resumed_s))
 
 
 HITS = (("expand", "G", 100), ("expand", "G", 250), ("expand", "G", 487),

@@ -8,8 +8,11 @@ Set MEROHECKE_CACHE_DIR to enable a flat-file series cache with one entry
 per construction string, holding the longest window built so far as the
 decimal text `expand` prints; every shorter precision is served from it,
 and a hit reads only the header and the lines below its precision (see
-_cache_load).  An entry is named by the hash of its construction alone,
-so bumping the format version makes it a miss that is rewritten in place.
+_cache_load).  A longer request resumes the build's division after the
+entry's rows when the entry passes the checks on a seed, then replaces
+the entry (see _build_form).  An entry is named by the hash of its
+construction alone, so bumping the format version makes it a miss that is
+rewritten in place.
 
 Each command builds only the output it prints: the JSON object under
 --json, the text otherwise (see _emit).
@@ -64,11 +67,13 @@ def _cache_load(construction, precision):
     A build truncated to P gives what a build at P gives (the invariant
     forms._cached serves its hits on too), so every val < P <= prec is a
     hit, and only the header and the P - val lines below P are read, as one
-    block.  An empty window, P <= val, is a miss: the builder decides
-    whether it exists (the constant 7 has none at P = 0).  So is an entry
-    whose file size is not its header line's plus the body size the header
-    declares, which catches a short or long entry without reading its tail,
-    and one whose served lines are not all canonical (_CANONICAL_LINES)."""
+    block.  An entry that ends below P is read whole: the build resumes
+    from it (see _build_form).  An empty window, P <= val, is a miss: the
+    builder decides whether it exists (the constant 7 has none at P = 0).
+    So is an entry whose file size is not its header line's plus the body
+    size the header declares, which catches a short or long entry without
+    reading its tail, and one whose lines read are not all canonical
+    (_CANONICAL_LINES)."""
     path = _cache_path(construction)
     if not path:
         return None
@@ -79,12 +84,13 @@ def _cache_load(construction, precision):
             if head.get("format") != FORMAT_VERSION:
                 return None
             val, prec = int(head["valuation"]), int(head["precision"])
-            if not val < precision <= prec \
+            if not val < precision \
                     or os.fstat(fh.fileno()).st_size != len(line) + int(head["size"]):
                 return None
-            block = "".join(itertools.islice(fh, precision - val))
+            lines = min(precision, prec) - val
+            block = "".join(itertools.islice(fh, lines))
         texts = block.split("\n")
-        if not _CANONICAL_LINES.fullmatch(block) or texts.pop() or len(texts) != precision - val \
+        if not _CANONICAL_LINES.fullmatch(block) or texts.pop() or len(texts) != lines \
                 or "/" in block and any(qseries._dec_str(qseries.as_coeff(t)) != t
                                         for t in texts if "/" in t):
             return None
@@ -128,24 +134,33 @@ def _cache_store(construction, entry):
 
 def _build_form(name_or_expr, precision, as_text=False):
     """Named form or whitelisted expression, through the flat-file cache: a
-    ModularForm, or under as_text its entry (weight, val, texts).  A miss
-    converts its coefficients to text once, and only if one of them needs it."""
+    ModularForm, or under as_text its entry (weight, val, texts).
+
+    A miss on an entry that ends below precision passes its series to the
+    build as a seed, so that the division resumes after its rows; the
+    quotient's recurrence checks the seed's last row first (see
+    qseries._divide).  A miss converts its coefficients to text once, and
+    only if one of them needs it."""
     construction = meroforms.CONSTRUCTIONS.get(name_or_expr, name_or_expr)
     entry = _cache_load(construction, precision)
+    hit = entry is not None and entry[1] + len(entry[2]) == precision
+    if hit and as_text:
+        return entry
     if entry is not None:
-        if as_text:
-            return entry
         weight, val, texts = entry
         try:
             coeffs = tuple(map(int, texts))
         except ValueError:
             # a fraction, or past CPython's str -> int digit limit
             coeffs = tuple(map(qseries.as_coeff, texts))
-        return ModularForm(weight, qseries.LaurentSeries._make(val, coeffs, val + len(texts)))
-    if name_or_expr in meroforms.CONSTRUCTIONS:
-        form = meroforms.build(name_or_expr, precision)
-    else:
-        form = meroforms.build_expression(name_or_expr, precision)
+        series = qseries.LaurentSeries._make(val, coeffs, val + len(texts))
+        if hit:
+            return ModularForm(weight, series)
+    build = meroforms.build if name_or_expr in meroforms.CONSTRUCTIONS \
+        else meroforms.build_expression
+    # with no seed, the two-argument call a substitute builder also takes
+    form = build(name_or_expr, precision) if entry is None \
+        else build(name_or_expr, precision, series)
     # an empty window serves nothing and would replace a longer entry
     store = _cache_dir() and form.series.prec > form.series.val
     if as_text or store:

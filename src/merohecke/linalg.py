@@ -77,12 +77,13 @@ def mat_inverse(a):
     return [row[d:] for row in red]
 
 
-def charpoly(a):
-    """Characteristic polynomial det(xI - A), ascending coefficients, monic.
+def charpoly(a, scale=1):
+    """Characteristic polynomial det(xI - scale*A), ascending coefficients,
+    monic, for an int or Fraction scale.
 
     Faddeev-LeVerrier on the integer matrix L*A, L the common denominator
-    of A, mapped back by scale_roots(p, 1/L); the loop's divisions by k are
-    exact because charpoly(L*A) has integer coefficients.
+    of A, mapped back by one scale_roots(p, scale/L); the loop's divisions
+    by k are exact because charpoly(L*A) has integer coefficients.
     """
     d = len(a)
     if d == 0:
@@ -92,13 +93,15 @@ def charpoly(a):
     coeffs = [0] * (d + 1)
     coeffs[d] = 1
     m = mat_identity(d)
-    for k in range(1, d + 1):
+    for k in range(1, d):
         m = mat_mul(b, m)
         c = -sum(m[i][i] for i in range(d)) // k
         coeffs[d - k] = c
         for i in range(d):
             m[i][i] += c
-    return scale_roots(coeffs, Fraction(1, den))
+    # the last step reads only the trace of b * m
+    coeffs[0] = -sum(x * m[t][i] for i, row in enumerate(b) for t, x in enumerate(row)) // d
+    return scale_roots(coeffs, Fraction(scale, den))
 
 
 def scale_roots(p, c):

@@ -22,6 +22,7 @@ the numeric layer refuses to evaluate them lower.
 
 import ast
 import functools
+import itertools
 import math
 import re
 from collections import namedtuple
@@ -255,12 +256,14 @@ def _mul(a, b):
     return _Term(a.weight + b.weight, a.coef * b.coef, exps, series)
 
 
-def build_expression(expr, precision):
+def build_expression(expr, precision, seed=None):
     """Evaluate an arithmetic expression in E<k>, delta, j (with ^, **, and
     integer constants) to a ModularForm with window reaching precision.
 
     A bare name is read from the forms memo; anything else is compiled to
-    one numerator over one denominator (see _Compiler) and divided once."""
+    one numerator over one denominator (see _Compiler) and divided once.
+    A seed, the series of this expression to a lower precision, gives the
+    quotient its first rows (see LaurentSeries.div)."""
     src = expr.replace("^", "**")
     try:
         tree = ast.parse(src, mode="eval")
@@ -277,19 +280,20 @@ def build_expression(expr, precision):
                 return ModularForm(0, LaurentSeries.from_coeff_map({0: v}, precision))
             n, d = compiler.fraction(v)
             return ModularForm(v.weight, n.truncate(precision) if d is None
-                               else n.div(d, precision))
+                               else n.div(d, precision, seed))
         except InsufficientPrecision as e:
             last = e
     raise last
 
 
-def build(name, precision):
+def build(name, precision, seed=None):
     """Named form as a ModularForm to the given precision; results are
-    cached and truncated down on repeat requests."""
+    cached and truncated down on repeat requests.  A seed is passed to
+    build_expression."""
     if name not in CONSTRUCTIONS:
         raise KeyError("unknown form %r (have %s)" % (name, sorted(CONSTRUCTIONS)))
     form = forms._cached(("named", name), precision,
-                         lambda p: build_expression(CONSTRUCTIONS[name], p))
+                         lambda p: build_expression(CONSTRUCTIONS[name], p, seed))
     if form.weight != _EXPECTED_WEIGHT[name]:
         raise AssertionError("construction of %s produced weight %d" % (name, form.weight))
     return form
@@ -364,11 +368,13 @@ def _id_gdef(name, m, precision):
 
 def _poly_in_j(poly, precision):
     jf = forms.j_function(precision).series
+    # j^t as j^(t-1) * j, each power built once
+    powers = [None, *itertools.accumulate([jf] * (len(poly) - 1), LaurentSeries.mul)]
     acc = None
     for t, c in enumerate(poly):
         if c == 0:
             continue
-        term = LaurentSeries.from_coeff_map({0: c}, precision) if t == 0 else jf.pow(t).scale(c)
+        term = LaurentSeries.from_coeff_map({0: c}, precision) if t == 0 else powers[t].scale(c)
         acc = term if acc is None else acc.add(term)
     return acc
 

@@ -224,30 +224,45 @@ def _convolve(a, b, n):
     return _conv_school(a, b, n)
 
 
-def _divide(num, den, n):
+def _divide(num, den, n, seed=()):
     """The first n coefficients of num/den, for normalized coefficient lists
     with den[0] != 0 and len(den) >= n; num may be shorter (its missing
     coefficients are zero).
 
     The recurrence q_k = (num_k - sum_{i=1..k} den_i q_(k-i)) / den_0 stays in
-    integers when every input is an int and den_0 is a unit."""
+    integers when every input is an int and den_0 is a unit.  seed holds the
+    first rows as a shorter division of the same series gave them: the
+    recurrence resumes after them when the last one satisfies it, and starts
+    from nothing otherwise."""
     num = list(num[:n]) + [0] * (n - len(num))
     rest = den[1:n]
     lead = den[0]
-    out = []
-    if lead in (1, -1) and {*map(type, num), *map(type, den[:n])} <= {int}:
-        for c in num:
+    ints = lead in (1, -1) and {*map(type, num), *map(type, den[:n])} <= {int}
+    if not ints:
+        lead = Fraction(lead)
+    out = list(seed[:n])
+    if out:
+        # one row of the recurrence, O(len(seed)): an int quotient has only
+        # int rows, and the last row must be what the recurrence gives
+        k = len(out) - 1
+        s = num[k] - sum(map(_mul, rest, reversed(out[:k])))
+        if ints and not {*map(type, out)} <= {int} or out[k] != (lead * s if ints else s / lead):
+            out = []
+    start = len(out)
+    if ints:
+        for c in num[start:]:
             out.append(lead * (c - sum(map(_mul, rest, reversed(out)))))
         return out
-    lead = Fraction(lead)
-    for c in num:
+    for c in num[start:]:
         out.append((c - sum(map(_mul, rest, reversed(out)))) / lead)
-    return [as_coeff(c) for c in out]
+    return out[:start] + [as_coeff(c) for c in out[start:]]
 
 
-def _divide_series(num, vn, pn, den, target):
+def _divide_series(num, vn, pn, den, target, seed=None):
     """Quotient of the series with coefficients num on [vn, pn) (pn None: the
-    window never ends) by den, to the target precision or as far as provable."""
+    window never ends) by den, to the target precision or as far as provable;
+    a seed, a shorter window of this quotient, gives its first rows when it
+    starts where the quotient does (see _divide)."""
     vstar = den.valuation()
     if vstar is None:
         raise ZeroLeadingCoefficient("division by a series that is zero through its window")
@@ -262,7 +277,8 @@ def _divide_series(num, vn, pn, den, target):
             "quotient provable only to precision %d, requested %d" % (hi, target))
     if target <= lo:
         return LaurentSeries._make(target, (), target)
-    coeffs = _divide(num, den.coeffs[vstar - den.val:], target - lo)
+    rows = seed.coeffs if seed is not None and seed.val == lo else ()
+    coeffs = _divide(num, den.coeffs[vstar - den.val:], target - lo, rows)
     return LaurentSeries._make(lo, tuple(coeffs), target)
 
 
@@ -399,10 +415,11 @@ class LaurentSeries(Immutable):
         """Multiplicative inverse, provable on [-v*, prec - 2 v*)."""
         return _divide_series((1,), 0, None, self, target_precision)
 
-    def div(self, other, target_precision=None):
+    def div(self, other, target_precision=None, seed=None):
         """self / other, provable on [va - v*, min(Pa - v*, Pb - 2 v* + va));
-        with an explicit target the result window ends exactly there."""
-        return _divide_series(self.coeffs, self.val, self.prec, other, target_precision)
+        with an explicit target the result window ends exactly there.  A
+        seed, the quotient to a lower precision, saves recomputing its rows."""
+        return _divide_series(self.coeffs, self.val, self.prec, other, target_precision, seed)
 
     def pow(self, e):
         if e < 0 or e != int(e):

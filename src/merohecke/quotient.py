@@ -119,14 +119,14 @@ def class_of(pp, weight2k, kind):
 def quotient_hecke_matrix(weight2k, kind, m):
     """Exact matrix of the index-m Hecke operator on the quotient, in the
     basis of the classes of q^-1 .. q^-d; weight2k must be even and >= 2,
-    and m >= 1 unless the quotient is empty."""
+    and m >= 1."""
     kind = _canon_kind(kind)
     _check_weight2k(weight2k)
+    if m < 1:
+        raise ValueError("operator index must be >= 1")
     d = quotient_dimension(weight2k, kind)
     if d == 0:
         return []
-    if m < 1:
-        raise ValueError("operator index must be >= 1")
     # class_of's coordinates from one dual basis; T_m q^-d has a pole of order d m
     fb = forms._basis_through(weight2k, _dual_space(kind), d * m)
     # q^-i | T_m = sum over t | gcd(m, i) of (m/t)^(1-2k) q^(-i m/t^2), so with
@@ -154,7 +154,7 @@ def quotient_hecke_matrix(weight2k, kind, m):
 def scaled_charpoly(q, weight2k, m):
     """charpoly(m^(2k-1) * q), the index-m quotient matrix q in weight 2k
     scaled to the normalization of the dual space."""
-    return linalg.scale_roots(linalg.charpoly(q), weight_power(m, weight2k))
+    return linalg.charpoly(q, weight_power(m, weight2k))
 
 
 def intertwines(q, weight2k, kind, m):

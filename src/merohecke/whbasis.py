@@ -14,6 +14,7 @@ the one builder in forms: delta^e * M_(w-12e) reduced from q^e, with
 e = -a for poles of order at most a.
 """
 
+import itertools
 from fractions import Fraction
 from math import lcm
 
@@ -228,6 +229,8 @@ def j_polynomial_decompose(f, seed):
     v = quo.valuation()
     degree = -v if v is not None and v < 0 else 0
     jf = forms.j_function(quo.prec + degree).series if degree else None
+    # j^t as j^(t-1) * j, each power built once
+    powers = [None, *itertools.accumulate([jf] * degree, LaurentSeries.mul)]
     coeffs = [0] * (degree + 1)
     p = quo
     while True:
@@ -237,7 +240,7 @@ def j_polynomial_decompose(f, seed):
         t = -v
         c = p.coefficient(v)
         coeffs[t] = c
-        p = p.sub(jf.pow(t).truncate(p.prec).scale(c))
+        p = p.sub(powers[t].truncate(p.prec).scale(c))
     coeffs[0] = p.coefficient(0)
     p = p.sub(LaurentSeries.from_coeff_map({0: coeffs[0]}, p.prec))
     v = p.valuation()

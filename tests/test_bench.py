@@ -46,3 +46,17 @@ def test_fresh_same_tree_matches():
     assert proc.returncode == 0, proc.stderr
     assert "outputs identical: yes" in proc.stdout
     assert "B faster in" in proc.stdout
+
+
+def test_cache_prefix_runs_one_seed():
+    # one deck replayed with every output checked against its recording,
+    # then the three timings of cli._build_form("G", 487)
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "bench", "cache_prefix.py"),
+                           "--seeds", "3", "--reps", "1"], cwd=ROOT, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("140 requests over seeds 3-3")
+    assert "resumed from a shorter entry, skipping" in lines[1]
+    assert not [line for line in lines if line.startswith("seed 3:")]
+    assert "resumed from a P = 292 entry" in lines[-1]

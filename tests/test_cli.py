@@ -626,12 +626,14 @@ def test_quotient_weight_outside_domain(capsys, weight2k, kind):
 @pytest.mark.parametrize("flags", [[], ["--charpoly"], ["--check"], ["--json"],
                                    ["--charpoly", "--json"]])
 def test_quotient_index_below_one(capsys, m, kind, flags):
-    # no divisor of m < 1 reaches the matrix, so the index is checked outright
-    code, out, err = run(capsys, ["quotient", "--weight2k", "24", "--kind", kind,
-                                  "--m", m] + flags)
-    assert code == EXIT_USAGE
-    assert out == ""
-    assert "operator index must be >= 1" in err
+    # no divisor of m < 1 reaches the matrix, so the index is checked
+    # outright, on the empty quotients too (2k = 2; modM! at 2k = 4 and 14)
+    for weight2k in ["24", "2"] + (["4", "14"] if kind == "modM!" else []):
+        code, out, err = run(capsys, ["quotient", "--weight2k", weight2k, "--kind", kind,
+                                      "--m", m] + flags)
+        assert code == EXIT_USAGE, weight2k
+        assert out == ""
+        assert "operator index must be >= 1" in err
 
 
 # -- verify ----------------------------------------------------------------------
@@ -1373,6 +1375,159 @@ def test_cache_non_canonical_line_is_a_miss(capsys, tmp_path, monkeypatch, line)
     stored, coeffs = _read_entry(path)
     assert (stored["valuation"], stored["precision"]) == (0, 5)
     assert coeffs == qseries.coeff_texts(meroforms.build_expression("E4", 5).series)
+
+
+def _expand_cold_targets():
+    """The constructions and expressions the expand-cold decks ask for."""
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "data", "expand-cold.json")
+    with open(path) as fh:
+        return sorted({job["argv"][1] for job in json.load(fh)["jobs"]})
+
+
+# every construction, every expand-cold expression, a pad retry (j^16
+# divides by delta^16, which the first pad of build_expression cannot) and a
+# Fraction-valued quotient (its divisor leads with 3)
+_RESUMED = sorted({*meroforms.CONSTRUCTIONS, *_expand_cold_targets(),
+                   "j^16", "delta/(E4^3 + 2*E6^2)"})
+
+
+def _entry_bytes(cache_dir):
+    (path,) = cache_dir.glob("*.json")
+    return path, path.read_bytes()
+
+
+@pytest.mark.parametrize("shorter, longer", [(9, 10), (20, 45)])
+@pytest.mark.parametrize("target", _RESUMED)
+def test_build_resumed_from_a_shorter_entry_matches_an_uncached_build(
+        capsys, tmp_path, monkeypatch, target, shorter, longer):
+    # from an entry at the shorter precision, a build at the longer one gives
+    # the form, expand's and hecke's text and JSON, and the rewritten entry
+    # that an uncached build gives
+    commands = [["expand", target], ["expand", target, "--json"],
+                ["hecke", target, "--m", "3"], ["hecke", target, "--m", "3", "--json"]]
+    commands = [argv + ["--prec", str(longer)] for argv in commands]
+    monkeypatch.delenv("MEROHECKE_CACHE_DIR", raising=False)
+    forms.clear_cache()
+    want = cli._build_form(target, longer)
+    direct = []
+    for argv in commands:
+        forms.clear_cache()
+        direct.append(run(capsys, argv))
+    monkeypatch.setenv("MEROHECKE_CACHE_DIR", str(tmp_path / "direct"))
+    forms.clear_cache()
+    cli._build_form(target, longer)
+    want_entry = _entry_bytes(tmp_path / "direct")[1]
+    cache_dir = tmp_path / "resumed"
+    monkeypatch.setenv("MEROHECKE_CACHE_DIR", str(cache_dir))
+    forms.clear_cache()
+    cli._build_form(target, shorter)
+    path, seed_entry = _entry_bytes(cache_dir)
+    seeded = []
+    divide = qseries._divide
+    monkeypatch.setattr(qseries, "_divide",
+                        lambda num, den, n, seed=(): seeded.append(len(seed))
+                        or divide(num, den, n, seed))
+    for argv, out in zip(commands, direct):
+        path.write_bytes(seed_entry)
+        forms.clear_cache()
+        assert run(capsys, argv) == out, argv
+        assert path.read_bytes() == want_entry, argv
+    path.write_bytes(seed_entry)
+    forms.clear_cache()
+    form = cli._build_form(target, longer)
+    assert form == want
+    assert list(map(type, form.series.coeffs)) == list(map(type, want.series.coeffs))
+    assert path.read_bytes() == want_entry
+    # every quotient resumed; F7 divides by nothing
+    if target != "F7":
+        assert seeded == [shorter - want.series.val] * 5
+
+
+def _counted_division(monkeypatch):
+    """Wrap qseries._divide: one [n, seed rows, products] per call."""
+    calls = []
+    divide, mul = qseries._divide, qseries._mul
+
+    def counted_mul(a, b):
+        calls[-1][2] += 1
+        return mul(a, b)
+
+    def counted_divide(num, den, n, seed=()):
+        calls.append([n, len(seed), 0])
+        return divide(num, den, n, seed)
+
+    monkeypatch.setattr(qseries, "_mul", counted_mul)
+    monkeypatch.setattr(qseries, "_divide", counted_divide)
+    return calls
+
+
+@pytest.mark.parametrize("target", ["G", "g7", "f6i", "delta/(E4^3 + 2*E6^2)"])
+def test_resumed_build_divides_only_the_rows_past_the_entry(capsys, tmp_path, monkeypatch,
+                                                             target):
+    # row k of the recurrence takes k products: a resumed build pays k0 - 1
+    # for the check of the entry's last row k0 - 1, then rows k0 .. n - 1
+    monkeypatch.setenv("MEROHECKE_CACHE_DIR", str(tmp_path))
+    forms.clear_cache()
+    val = cli._build_form(target, 20).series.val
+    calls = _counted_division(monkeypatch)
+    forms.clear_cache()
+    assert run(capsys, ["expand", target, "--prec", "45"])[0] == EXIT_OK
+    k0, n = 20 - val, 45 - val
+    assert calls == [[n, k0, (k0 - 1) + n * (n - 1) // 2 - k0 * (k0 - 1) // 2]]
+
+
+def _shift_window(head, coeffs):
+    head["valuation"] += 1
+    head["precision"] += 1
+
+
+def _non_canonical(head, coeffs):
+    head["size"] += 2
+    coeffs[3] = "00" + coeffs[3]
+
+
+def _wrong_size(head, coeffs):
+    head["size"] += 1
+
+
+def _last_digit_changed(i):
+    def edit(head, coeffs):
+        c = coeffs[i]
+        coeffs[i] = c[:-1] + str((int(c[-1]) + 1) % 10)
+    return edit
+
+
+@pytest.mark.parametrize("edit, seeded", [
+    (_shift_window, 0), (_non_canonical, None), (_wrong_size, None),
+    (_last_digit_changed(-1), 18), (_last_digit_changed(9), 18),
+], ids=["other-valuation", "non-canonical", "wrong-size", "last-row", "middle-row"])
+def test_damaged_shorter_entry_is_not_resumed(capsys, tmp_path, monkeypatch, edit, seeded):
+    # G's P = 20 entry holds [2, 20).  An entry at another valuation reaches
+    # the division with no rows; a non-canonical or wrong-size one never
+    # reaches it; one with a changed coefficient, still canonical and of the
+    # same size, fails the check of its last row (every coefficient of G's
+    # divisor is nonzero, so a change anywhere moves that row).  Each build
+    # computes all n rows and gives what an uncached build gives
+    monkeypatch.delenv("MEROHECKE_CACHE_DIR", raising=False)
+    forms.clear_cache()
+    direct = run(capsys, ["expand", "G", "--prec", "45", "--json"])
+    monkeypatch.setenv("MEROHECKE_CACHE_DIR", str(tmp_path))
+    forms.clear_cache()
+    run(capsys, ["expand", "G", "--prec", "20"])
+    (path,) = tmp_path.glob("*.json")
+    head, coeffs = _read_entry(path)
+    edit(head, coeffs)
+    _write_entry(path, head, coeffs)
+    calls = _counted_division(monkeypatch)
+    forms.clear_cache()
+    assert run(capsys, ["expand", "G", "--prec", "45", "--json"]) == direct
+    n = 43
+    full = n * (n - 1) // 2
+    if seeded is None:
+        assert calls == [[n, 0, full]]
+    else:
+        assert calls == [[n, seeded, full + max(seeded - 1, 0)]]
+    assert _read_entry(path)[1] == qseries.coeff_texts(meroforms.build("G", 45).series)
 
 
 _BIG = 7 ** 6000 + 1

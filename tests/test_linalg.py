@@ -79,6 +79,7 @@ def test_charpoly_matches_fraction_reference(a):
 def test_scale_roots_is_charpoly_of_scaled_matrix(a, c):
     scaled = [[c * x for x in row] for row in a]
     assert _typed(charpoly(scaled)) == _typed(scale_roots(charpoly(a), c))
+    assert _typed(charpoly(a, c)) == _typed(charpoly(scaled))
 
 
 def _sympy_rref(rows):

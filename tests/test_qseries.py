@@ -412,6 +412,33 @@ def test_division_recurrence_matches_inverse_times_numerator(num, den, data):
         den.invert(inv_hi + 1)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_series_for_division(), _series_for_division(), st.data())
+def test_division_resumes_from_a_shorter_quotient(num, den, data):
+    # a seed holding the quotient's first rows gives what the division from
+    # nothing gives, values and types; one whose last row is off, by an int
+    # or a fraction, or that starts one place later, is dropped
+    q = num.div(den)
+    rows = data.draw(st.integers(0, len(q.coeffs)), label="rows")
+    seed = q.truncate(q.val + rows)
+    seeds = [seed, seed.shift(1)]
+    if rows:
+        off = data.draw(st.sampled_from([1, -1, Fraction(1, 2)]), label="off")
+        seeds.append(LaurentSeries(seed.val, seed.coeffs[:-1] + (seed.coeffs[-1] + off,)))
+    for s in seeds:
+        got = num.div(den, q.prec, s)
+        assert got == q, s
+        assert list(map(type, got.coeffs)) == list(map(type, q.coeffs))
+
+
+def test_integer_division_drops_a_seed_with_a_fraction():
+    # 1/(1 + q) = 1 - q + q^2 - ...; the seed's last row is what the
+    # recurrence gives from its rows, but an int quotient has no fraction
+    num, den = LaurentSeries(0, [1] + [0] * 5), LaurentSeries(0, [1, 1] + [0] * 4)
+    seed = LaurentSeries(0, [1, Fraction(-1, 2), Fraction(1, 2)])
+    assert num.div(den, 6, seed) == LaurentSeries(0, [1, -1, 1, -1, 1, -1])
+
+
 @pytest.mark.parametrize("lead", [1, -1, 3, Fraction(-2, 5)])
 def test_division_by_zero_series_raises(lead):
     num = LaurentSeries(0, [lead, 1, 2])

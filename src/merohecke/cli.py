@@ -146,21 +146,15 @@ def _build_form(name_or_expr, precision, as_text=False):
     hit = entry is not None and entry[1] + len(entry[2]) == precision
     if hit and as_text:
         return entry
+    seed = None
     if entry is not None:
         weight, val, texts = entry
-        try:
-            coeffs = tuple(map(int, texts))
-        except ValueError:
-            # a fraction, or past CPython's str -> int digit limit
-            coeffs = tuple(map(qseries.as_coeff, texts))
-        series = qseries.LaurentSeries._make(val, coeffs, val + len(texts))
+        seed = qseries.LaurentSeries(val, texts, val + len(texts))
         if hit:
-            return ModularForm(weight, series)
+            return ModularForm(weight, seed)
     build = meroforms.build if name_or_expr in meroforms.CONSTRUCTIONS \
         else meroforms.build_expression
-    # with no seed, the two-argument call a substitute builder also takes
-    form = build(name_or_expr, precision) if entry is None \
-        else build(name_or_expr, precision, series)
+    form = build(name_or_expr, precision, seed)
     # an empty window serves nothing and would replace a longer entry
     store = _cache_dir() and form.series.prec > form.series.val
     if as_text or store:

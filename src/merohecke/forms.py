@@ -16,33 +16,24 @@ import threading
 from fractions import Fraction
 
 from . import hecke, linalg
-from .qseries import Immutable, InsufficientPrecision, LaurentSeries, as_coeff
+from .qseries import Immutable, InsufficientPrecision, LaurentSeries, Value, as_coeff
 
 HOLOMORPHIC = "M"
 CUSPIDAL = "S"
 
 
-class ModularForm(Immutable):
+class ModularForm(Value):
     """A weight tag plus a truncated q-expansion; arithmetic tracks weights."""
 
     __slots__ = ("weight", "series")
 
-    def __init__(self, weight, series):
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "series", series)
-
     def coefficient(self, n):
         return self.series.coefficient(n)
 
-    @property
-    def precision(self):
-        return self.series.prec
-
     def truncate(self, precision):
+        if precision == self.series.prec:
+            return self
         return ModularForm(self.weight, self.series.truncate(precision))
-
-    def hecke(self, m):
-        return ModularForm(self.weight, hecke.t_op(self.series, self.weight, m))
 
     def __add__(self, other):
         if not isinstance(other, ModularForm):
@@ -79,11 +70,6 @@ class ModularForm(Immutable):
 
     def __pow__(self, e):
         return ModularForm(self.weight * e, self.series ** e)
-
-    def __eq__(self, other):
-        if not isinstance(other, ModularForm):
-            return NotImplemented
-        return self.weight == other.weight and self.series == other.series
 
     def __repr__(self):
         return "ModularForm(weight=%d, %s)" % (self.weight, self.series)
@@ -230,10 +216,7 @@ class FormBasis(Immutable):
     __slots__ = ("weight", "kind", "elements", "leading")
 
     def __init__(self, weight, kind, elements, leading):
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "elements", tuple(elements))
-        object.__setattr__(self, "leading", tuple(leading))
+        super().__init__(weight, kind, tuple(elements), tuple(leading))
 
     def __len__(self):
         return len(self.elements)

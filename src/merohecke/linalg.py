@@ -114,9 +114,9 @@ def scale_roots(p, c):
             for e, x in enumerate(p)]
 
 
-def poly_str(coeffs, var="x"):
-    """Human form of an ascending coefficient list."""
-    return terms_str(((e, _dec_str(coeffs[e])) for e in range(len(coeffs) - 1, -1, -1)), var)
+def poly_str(coeffs):
+    """Human form in x of an ascending coefficient list."""
+    return terms_str(((e, _dec_str(coeffs[e])) for e in range(len(coeffs) - 1, -1, -1)), "x")
 
 
 def poly_eval(coeffs, x):

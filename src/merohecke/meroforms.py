@@ -303,10 +303,7 @@ class IdentityReport(Immutable):
     __slots__ = ("id", "passed", "window", "mismatch")
 
     def __init__(self, ident, passed, window, mismatch=None):
-        object.__setattr__(self, "id", ident)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "window", window)
-        object.__setattr__(self, "mismatch", mismatch)
+        super().__init__(ident, passed, window, mismatch)
 
     def __bool__(self):
         return self.passed

@@ -60,9 +60,7 @@ class EvalResult(Immutable):
     __slots__ = ("value", "err_bound", "tail_note")
 
     def __init__(self, value, err_bound, tail_note=None):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "err_bound", err_bound)
-        object.__setattr__(self, "tail_note", tail_note)
+        super().__init__(value, err_bound, tail_note)
 
     def __complex__(self):
         return complex(self.value)
@@ -94,8 +92,7 @@ class HPoint(Immutable):
             raise ValueError("coordinates must be finite")
         if not float(y) > 0:
             raise ValueError("imaginary part must be positive")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        super().__init__(x, y)
 
     @classmethod
     def parse(cls, text):
@@ -124,9 +121,7 @@ class PoincareSeed(Immutable):
     def __init__(self, k, ell, center):
         if 2 * k < 4:
             raise ValueError("need 2k >= 4 for absolute convergence")
-        object.__setattr__(self, "k", int(k))
-        object.__setattr__(self, "ell", int(ell))
-        object.__setattr__(self, "center", center)
+        super().__init__(int(k), int(ell), center)
 
     def __repr__(self):
         return "PoincareSeed(k=%d, ell=%d, center=%r)" % (self.k, self.ell, self.center)

@@ -283,32 +283,62 @@ def _divide_series(num, vn, pn, den, target, seed=None):
 
 
 class Immutable:
-    """Base of the value types: attributes are set once, in the constructor,
-    through object.__setattr__, and never rebound."""
+    """Base of the value types.  A type lists its fields once, in its
+    __slots__; Immutable.__init__(*values) stores one value in each, in
+    that order, and nothing is rebound afterwards.  A subclass's own
+    __init__ only normalizes, validates or defaults its input and then calls
+    super().__init__.  Instances compare by identity; see Value."""
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        names = self.__slots__
+        if len(values) != len(names):
+            raise TypeError("%s takes %d fields, got %d"
+                            % (type(self).__name__, len(names), len(values)))
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
 
 
-class LaurentSeries(Immutable):
+class Value(Immutable):
+    """An Immutable that compares and hashes by its fields: equal to a value
+    of the same type with equal slots, hashed as the tuple of its slots."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, name) for name in self.__slots__))
+
+
+class LaurentSeries(Value):
     """Immutable truncated Laurent series over the rationals."""
 
     __slots__ = ("val", "prec", "coeffs")
 
     def __init__(self, valuation, coefficients, precision=None):
         coeffs = tuple(coefficients)
-        if not {*map(type, coeffs)} <= {int}:
-            coeffs = tuple(map(as_coeff, coeffs))
+        kinds = {*map(type, coeffs)}
+        if not kinds <= {int}:
+            try:
+                # all text: int reads "-3", as_coeff the rest
+                coeffs = tuple(map(int if kinds == {str} else as_coeff, coeffs))
+            except ValueError:
+                # a fraction, or a text past CPython's str -> int digit limit
+                coeffs = tuple(map(as_coeff, coeffs))
         if precision is None:
             precision = valuation + len(coeffs)
         if precision - valuation != len(coeffs):
             raise ValueError("window [%d, %d) needs %d coefficients, got %d"
                              % (valuation, precision, precision - valuation, len(coeffs)))
-        object.__setattr__(self, "val", valuation)
-        object.__setattr__(self, "prec", precision)
-        object.__setattr__(self, "coeffs", coeffs)
+        super().__init__(valuation, precision, coeffs)
 
     @classmethod
     def _make(cls, valuation, coeffs, precision):
@@ -448,6 +478,8 @@ class LaurentSeries(Immutable):
         if new_precision > self.prec:
             raise InsufficientPrecision(
                 "cannot extend precision %d to %d" % (self.prec, new_precision))
+        if new_precision == self.prec:
+            return self
         if new_precision <= self.val:
             return LaurentSeries._make(new_precision, (), new_precision)
         return LaurentSeries._make(self.val, self.coeffs[:new_precision - self.val], new_precision)
@@ -485,14 +517,6 @@ class LaurentSeries(Immutable):
 
     def __pow__(self, e):
         return self.pow(e)
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        return self.val == other.val and self.prec == other.prec and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.val, self.prec, self.coeffs))
 
     def __repr__(self):
         return "LaurentSeries(val=%d, prec=%d, %s)" % (self.val, self.prec, str(self))

@@ -19,7 +19,7 @@ against the constants, and odd or negative weights have no quotient.
 
 from math import lcm
 
-from .qseries import Immutable, as_coeff, ratio
+from .qseries import Value, as_coeff, ratio
 from . import forms, hecke, linalg, whbasis
 from .forms import HOLOMORPHIC, CUSPIDAL
 from .hecke import weight_power
@@ -71,16 +71,14 @@ def hecke_on_principal_part(pp, weight, m):
     return PrincipalPart.from_series(hecke.t_op(pp.to_series(1), weight, m))
 
 
-class QuotientClass(Immutable):
+class QuotientClass(Value):
     """Coordinates of a principal part in the quotient, written against the
     echelon dual basis."""
 
     __slots__ = ("weight2k", "kind", "coords")
 
     def __init__(self, weight2k, kind, coords):
-        object.__setattr__(self, "weight2k", weight2k)
-        object.__setattr__(self, "kind", _canon_kind(kind))
-        object.__setattr__(self, "coords", tuple(coords))
+        super().__init__(weight2k, _canon_kind(kind), tuple(coords))
 
     def is_zero(self):
         return all(c == 0 for c in self.coords)
@@ -94,15 +92,6 @@ class QuotientClass(Immutable):
             raise ValueError("classes live in different quotients")
         return QuotientClass(self.weight2k, self.kind,
                              [a - b for a, b in zip(self.coords, other.coords)])
-
-    def __eq__(self, other):
-        if not isinstance(other, QuotientClass):
-            return NotImplemented
-        return (self.weight2k == other.weight2k and self.kind == other.kind
-                and self.coords == other.coords)
-
-    def __hash__(self):
-        return hash((self.weight2k, self.kind, self.coords))
 
     def __repr__(self):
         return "QuotientClass(%d, %s, %s)" % (self.weight2k, self.kind, list(self.coords))

@@ -18,7 +18,7 @@ import itertools
 from fractions import Fraction
 from math import lcm
 
-from .qseries import Immutable, LaurentSeries, InsufficientPrecision, as_coeff, compare, ratio
+from .qseries import Immutable, LaurentSeries, InsufficientPrecision, Value, as_coeff, compare, ratio
 from . import forms
 from .forms import ModularForm, HOLOMORPHIC, CUSPIDAL
 
@@ -32,7 +32,7 @@ class NotPolynomialInJ(Exception):
     pass
 
 
-class PrincipalPart(Immutable):
+class PrincipalPart(Value):
     """Finite prescription {r: coefficient of q^-r, r >= 1} plus a constant
     term.  Zero entries are dropped."""
 
@@ -47,8 +47,7 @@ class PrincipalPart(Immutable):
             c = as_coeff(c)
             if c:
                 clean[r] = c
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "constant", as_coeff(constant))
+        super().__init__(clean, as_coeff(constant))
 
     @classmethod
     def from_series(cls, s):
@@ -67,9 +66,6 @@ class PrincipalPart(Immutable):
         if r == 0:
             return self.constant
         return self.terms.get(r, 0)
-
-    def items(self):
-        return sorted(self.terms.items())
 
     def is_zero(self):
         return not self.terms and self.constant == 0
@@ -94,11 +90,6 @@ class PrincipalPart(Immutable):
     def __sub__(self, other):
         return self + other.scale(-1)
 
-    def __eq__(self, other):
-        if not isinstance(other, PrincipalPart):
-            return NotImplemented
-        return self.terms == other.terms and self.constant == other.constant
-
     def __hash__(self):
         return hash((tuple(sorted(self.terms.items())), self.constant))
 
@@ -116,12 +107,7 @@ class ObstructionWitness(Immutable):
     __slots__ = ("weight", "dual_kind", "vector")
 
     def __init__(self, weight, dual_kind, vector):
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "dual_kind", dual_kind)
-        object.__setattr__(self, "vector", tuple(vector))
-
-    def is_zero(self):
-        return all(c == 0 for c in self.vector)
+        super().__init__(weight, dual_kind, tuple(vector))
 
     def __repr__(self):
         return "ObstructionWitness(weight=%d, dual=%s, vector=%s)" % (
@@ -256,11 +242,7 @@ class BolReport(Immutable):
     __slots__ = ("ok", "witness", "obstruction", "mismatch", "window")
 
     def __init__(self, ok, witness=None, obstruction=None, mismatch=None, window=None):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "obstruction", obstruction)
-        object.__setattr__(self, "mismatch", mismatch)
-        object.__setattr__(self, "window", window)
+        super().__init__(ok, witness, obstruction, mismatch, window)
 
     def __bool__(self):
         return self.ok

@@ -1561,7 +1561,7 @@ def test_cache_hit_matches_build_on_every_served_window(series, weight):
     # every P in (val, prec] of a stored entry is served as a build at P
     # prints it, in text and JSON, and _build_form gives back the same form
     # with the same coefficient types
-    def build(expr, precision):
+    def build(expr, precision, seed=None):
         return ModularForm(weight, series.truncate(precision))
 
     def no_build(*args):

@@ -156,7 +156,7 @@ def test_poly_str_pinned():
     assert poly_str([0, 1]) == "x"
     assert poly_str([-4, -1]) == "-x - 4"
     assert poly_str([-20468736, -1080, 1]) == "x^2 - 1080*x - 20468736"
-    assert poly_str([Fraction(3, 4), 0, 1], "t") == "t^2 + 3/4"
+    assert poly_str([Fraction(3, 4), 0, 1]) == "x^2 + 3/4"
 
 
 def test_series_text_shares_the_term_format():

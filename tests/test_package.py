@@ -1,10 +1,14 @@
 """Package hygiene: the public names resolve, no module imports a name it
-never uses, and one class holds the immutability rule."""
+never uses, and one class holds the immutability rule and stores the
+value types' fields."""
 
 import ast
+import importlib
 import os
+import pkgutil
 
 import merohecke
+from merohecke.qseries import Immutable
 
 SRC = os.path.dirname(merohecke.__file__)
 
@@ -51,3 +55,45 @@ def test_only_immutable_defines_setattr():
                       and any(isinstance(d, ast.FunctionDef) and d.name == "__setattr__"
                               for d in node.body)]
     assert found == ["qseries.py:Immutable"]
+
+
+def _object_setattr_sites(tree, fname):
+    # "file:Class.function" for each use of object.__setattr__
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "__setattr__"
+                    and isinstance(child.value, ast.Name) and child.value.id == "object"):
+                sites.append("%s:%s" % (fname, ".".join(scope)))
+            visit(child, scope)
+
+    visit(tree, [])
+    return sites
+
+
+def test_only_qseries_stores_fields():
+    # value types pass their fields to Immutable.__init__; only the trusted
+    # constructor of kernel results stores its own
+    sites = []
+    for fname in sorted(os.listdir(SRC)):
+        if fname.endswith(".py"):
+            with open(os.path.join(SRC, fname)) as fh:
+                sites += _object_setattr_sites(ast.parse(fh.read(), fname), fname)
+    assert sorted(set(sites)) == ["qseries.py:Immutable.__init__", "qseries.py:LaurentSeries._make"]
+
+
+def test_value_types_outside_qseries_inherit_their_equality():
+    for info in pkgutil.iter_modules(merohecke.__path__):
+        importlib.import_module("merohecke." + info.name)
+    found, todo = [], [Immutable]
+    while todo:
+        cls = todo.pop()
+        todo += cls.__subclasses__()
+        if (cls.__module__.startswith("merohecke.") and cls.__module__ != "merohecke.qseries"
+                and "__eq__" in vars(cls)):
+            found.append(cls.__qualname__)
+    assert not found

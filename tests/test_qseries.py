@@ -647,6 +647,24 @@ def test_bad_coefficient_text_keeps_its_error():
             as_coeff(text)
 
 
+@pytest.mark.parametrize("texts", [["1_000", " 7 ", "+5", "\u0663"], ["9" * 5000, "-1", "0"],
+                                   ["1", "3/4", "-2"], ["-3", "0", "12"]])
+def test_text_coefficients_read_as_as_coeff_reads_them(texts):
+    # int reads a list of texts; a fraction or a text past the digit limit
+    # sends the whole list to as_coeff
+    got = from_json_obj({"valuation": -1, "precision": len(texts) - 1, "coefficients": texts}).coeffs
+    want = tuple(map(as_coeff, texts))
+    assert got == want and list(map(type, got)) == list(map(type, want))
+
+
+def test_bad_coefficient_in_a_list_keeps_its_error():
+    for coeffs in ([1.5], ["1", 2.0]):
+        with pytest.raises(TypeError):
+            from_json_obj({"valuation": 0, "precision": len(coeffs), "coefficients": coeffs})
+    with pytest.raises(ValueError, match="Invalid literal"):
+        LaurentSeries(0, ["1", "abc"])
+
+
 def test_json_shape():
     s = LaurentSeries(-1, [Fraction(1, 2), 3])
     obj = to_json_obj(s)
